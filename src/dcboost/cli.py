@@ -32,6 +32,7 @@ from .core import (
     validate,
 )
 from .drivers import (
+    DESCENT_SLACK,
     check_descent,
     complexity_report,
     final_residual,
@@ -46,8 +47,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-CHECK_SLACK_FLOOR = -1e-9
 
 _SOLVERS = {
     "inmbdca": lambda p, c, x0, seed: run_inmbdca(p, c, x0, seed=seed),
@@ -370,9 +369,9 @@ def cmd_check(args) -> int:
             if math.isinf(value):
                 print(f"  {name}: no applicable records")
                 continue
-            status = "ok" if value >= CHECK_SLACK_FLOOR else "VIOLATED"
+            status = "ok" if value >= -DESCENT_SLACK else "VIOLATED"
             print(f"  {name}: worst slack {value:.3e} at k={k} [{status}]")
-            if value < CHECK_SLACK_FLOOR:
+            if value < -DESCENT_SLACK:
                 exit_code = EXIT_CHECK_FAILED
     return exit_code
 

@@ -1,15 +1,20 @@
 """Convex building blocks with exact subdifferential calculus.
 
 The atom set -- quadratic ``a*||x||^2``, linear ``<c, x>``, weighted l1
-``b*sum_i |x_i|``, and sums thereof -- is coordinate-separable.  That keeps
-every piece of calculus exact: subdifferentials are per-coordinate interval
-boxes, strong-convexity moduli can be read off the quadratic weights, and
-approximate subgradients carry a machine-checkable linearization-gap
-certificate.
+``b*sum_i |x_i|``, and sums thereof -- is coordinate-separable.  A ``Sum``
+aggregates its atoms once, at construction, into one (quad, lin, l1) triple
+and does all calculus on it; the atom classes only build and serialize.
+That keeps every piece of calculus exact: subdifferentials are
+per-coordinate interval boxes, strong-convexity moduli are read off the
+quadratic weight, and approximate subgradients carry a machine-checkable
+linearization-gap certificate.  Eps-widened boxes widen each *aggregated*
+atom by its own eps-interval: still a sound superset of the
+eps-subdifferential, and tighter than per-atom widening when a kind repeats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,45 +109,38 @@ class EpsSubgradCert:
 
 
 class ConvexExpr:
-    """Base class for the separable convex expressions."""
+    """Base class for the separable convex expressions; the calculus is
+    written once, on ``Sum``, and any other expression forwards to a cached
+    one-term ``Sum`` of itself."""
+
+    @functools.cached_property
+    def _sum(self) -> "Sum":
+        return Sum((self,))
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self._sum.value(x)
 
     def subgrad(self, x) -> np.ndarray:
         """Canonical subgradient selection; uses sign(0) = 0 at l1 kinks."""
-        raise NotImplementedError
+        return self._sum.subgrad(x)
+
+    def eps_subdiff_box(self, x, eps: float) -> SubdiffBox:
+        """Box containing the eps-relaxed subdifferential; each aggregated
+        atom is widened by its own exact 1-D eps-interval, so a zero gap
+        between two such boxes never misses an eps-critical point."""
+        return self._sum.eps_subdiff_box(x, eps)
 
     def subdiff_box(self, x) -> SubdiffBox:
         """Exact subdifferential at x as a per-coordinate interval box."""
-        lo, hi = self._interval(as_point(x), 0.0)
-        return SubdiffBox(lo, hi)
-
-    def eps_subdiff_box(self, x, eps: float) -> SubdiffBox:
-        """Per-atom widened box containing the eps-relaxed subdifferential.
-
-        Widening each atom by its own exact 1-D eps-subdifferential gives a
-        superset of the eps-subdifferential of the sum, so a zero gap between
-        two such boxes never misses an eps-critical point.
-        """
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        lo, hi = self._interval(as_point(x), float(eps))
-        return SubdiffBox(lo, hi)
+        return self.eps_subdiff_box(x, 0.0)
 
     def modulus(self) -> float:
-        """Exact strong-convexity modulus, read off the quadratic weights."""
-        raise NotImplementedError
+        """Exact strong-convexity modulus, read off the quadratic weight."""
+        return self._sum.modulus()
 
     def check_dim(self, dim: int) -> None:
         """Raise if the expression cannot accept points of this dimension."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def _interval(self, x: np.ndarray, eps: float):
-        raise NotImplementedError
+        self._sum.check_dim(dim)
 
     def __add__(self, other):
         if not isinstance(other, ConvexExpr):
@@ -196,27 +194,8 @@ class Quadratic(ConvexExpr):
         if self.a < 0:
             raise ValueError("quadratic weight must be nonnegative")
 
-    def value(self, x) -> float:
-        x = as_point(x)
-        return float(self.a * (x @ x))
-
-    def subgrad(self, x) -> np.ndarray:
-        return 2.0 * self.a * as_point(x)
-
-    def modulus(self) -> float:
-        return 2.0 * self.a
-
-    def check_dim(self, dim: int) -> None:
-        pass
-
     def to_dict(self) -> dict:
         return {"quad": self.a}
-
-    def _interval(self, x, eps):
-        g = 2.0 * self.a * x
-        # {v : a s^2 >= a t^2 + v (s - t) - eps for all s} = 2at +- 2 sqrt(a eps)
-        w = 2.0 * math.sqrt(self.a * eps) if eps > 0 else 0.0
-        return g - w, g + w
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,31 +207,8 @@ class Linear(ConvexExpr):
     def __post_init__(self):
         object.__setattr__(self, "c", as_point(self.c))
 
-    def value(self, x) -> float:
-        x = as_point(x, self.c.shape[0])
-        return float(self.c @ x)
-
-    def subgrad(self, x) -> np.ndarray:
-        as_point(x, self.c.shape[0])
-        return self.c.copy()
-
-    def modulus(self) -> float:
-        return 0.0
-
-    def check_dim(self, dim: int) -> None:
-        if self.c.shape[0] != dim:
-            raise ValueError(
-                f"dimension mismatch: linear term has {self.c.shape[0]} "
-                f"coefficients, problem dimension is {dim}"
-            )
-
     def to_dict(self) -> dict:
         return {"lin": [float(v) for v in self.c]}
-
-    def _interval(self, x, eps):
-        as_point(x, self.c.shape[0])
-        # the eps-relaxed subgradient set of an affine function is still {c}
-        return self.c.copy(), self.c.copy()
 
 
 @dataclass(frozen=True)
@@ -266,84 +222,120 @@ class L1(ConvexExpr):
         if self.b < 0:
             raise ValueError("l1 weight must be nonnegative")
 
-    def value(self, x) -> float:
-        x = as_point(x)
-        return float(self.b * np.sum(np.abs(x)))
-
-    def subgrad(self, x) -> np.ndarray:
-        return self.b * np.sign(as_point(x))
-
-    def modulus(self) -> float:
-        return 0.0
-
-    def check_dim(self, dim: int) -> None:
-        pass
-
     def to_dict(self) -> dict:
         return {"l1": self.b}
-
-    def _interval(self, x, eps):
-        b = self.b
-        if b == 0.0:
-            z = np.zeros_like(x)
-            return z, z
-        lo = np.full_like(x, -b)
-        hi = np.full_like(x, b)
-        pos = x > 0
-        neg = x < 0
-        if eps == 0.0:
-            lo[pos] = b
-            hi[neg] = -b
-        else:
-            # {v in [-b, b] : v t >= b|t| - eps}
-            lo[pos] = np.maximum(-b, b - eps / x[pos])
-            hi[neg] = np.minimum(b, -b + eps / (-x[neg]))
-        return lo, hi
 
 
 @dataclass(frozen=True)
 class Sum(ConvexExpr):
-    """Sum of convex expressions; convex with modulus equal to the sum of
-    the terms' moduli."""
+    """Sum of convex expressions, aggregated once at construction into
+    ``quad*||x||^2 + <lin, x> + l1*sum_i |x_i|`` (``lin`` is None without a
+    linear atom).  An absent or zero-weight part adds no term, so no 0*inf
+    appears, and the parts are always summed in the order quad, lin, l1."""
 
     terms: tuple
 
     def __post_init__(self):
         terms = tuple(self.terms)
+        quad = l1 = 0.0
+        lin = None
         for t in terms:
-            if not isinstance(t, ConvexExpr):
-                raise TypeError(f"Sum terms must be ConvexExpr, got {type(t)!r}")
+            if isinstance(t, Sum):
+                q, c, b = t.quad, t.lin, t.l1
+            elif isinstance(t, Quadratic):
+                q, c, b = t.a, None, 0.0
+            elif isinstance(t, Linear):
+                q, c, b = 0.0, t.c, 0.0
+            elif isinstance(t, L1):
+                q, c, b = 0.0, None, t.b
+            else:
+                raise TypeError(f"Sum terms must be separable atoms, got {type(t)!r}")
+            quad += q
+            l1 += b
+            if c is not None:
+                if lin is not None and lin.shape != c.shape:
+                    raise ValueError(
+                        f"dimension mismatch: linear terms have {lin.shape[0]} "
+                        f"and {c.shape[0]} coefficients"
+                    )
+                lin = c.copy() if lin is None else lin + c
+        if lin is not None:
+            lin.flags.writeable = False
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "l1", l1)
+
+    def _point(self, x) -> np.ndarray:
+        return as_point(x, None if self.lin is None else self.lin.shape[0])
 
     def value(self, x) -> float:
-        x = as_point(x)
-        return float(sum(t.value(x) for t in self.terms))
+        x = self._point(x)
+        total = 0.0
+        if self.quad:
+            total += float(self.quad * (x @ x))
+        if self.lin is not None:
+            total += float(self.lin @ x)
+        if self.l1:
+            total += float(self.l1 * np.sum(np.abs(x)))
+        return total
 
     def subgrad(self, x) -> np.ndarray:
-        x = as_point(x)
+        x = self._point(x)
         out = np.zeros_like(x)
-        for t in self.terms:
-            out += t.subgrad(x)
+        if self.quad:
+            out += 2.0 * self.quad * x
+        if self.lin is not None:
+            out += self.lin
+        if self.l1:
+            out += self.l1 * np.sign(x)
         return out
 
+    def eps_subdiff_box(self, x, eps: float) -> SubdiffBox:
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        x = self._point(x)
+        lo = np.zeros_like(x)
+        hi = np.zeros_like(x)
+        if self.quad:
+            # {v : a s^2 >= a t^2 + v (s - t) - eps for all s} = 2at +- 2 sqrt(a eps)
+            g = 2.0 * self.quad * x
+            r = 2.0 * math.sqrt(self.quad * eps)
+            lo += g - r
+            hi += g + r
+        if self.lin is not None:
+            # the eps-relaxed subgradient set of an affine function is still {c}
+            lo += self.lin
+            hi += self.lin
+        if self.l1:
+            b = self.l1
+            l1_lo = np.full_like(x, -b)
+            l1_hi = np.full_like(x, b)
+            pos = x > 0
+            neg = x < 0
+            if eps == 0.0:
+                l1_lo[pos] = b
+                l1_hi[neg] = -b
+            else:
+                # {v in [-b, b] : v t >= b|t| - eps}
+                l1_lo[pos] = np.maximum(-b, b - eps / x[pos])
+                l1_hi[neg] = np.minimum(b, -b + eps / (-x[neg]))
+            lo += l1_lo
+            hi += l1_hi
+        return SubdiffBox(lo, hi)
+
     def modulus(self) -> float:
-        return float(sum(t.modulus() for t in self.terms))
+        return 2.0 * self.quad
 
     def check_dim(self, dim: int) -> None:
-        for t in self.terms:
-            t.check_dim(dim)
+        if self.lin is not None and self.lin.shape[0] != dim:
+            raise ValueError(
+                f"dimension mismatch: linear term has {self.lin.shape[0]} "
+                f"coefficients, problem dimension is {dim}"
+            )
 
     def to_dict(self) -> dict:
         return {"sum": [t.to_dict() for t in self.terms]}
-
-    def _interval(self, x, eps):
-        lo = np.zeros_like(x)
-        hi = np.zeros_like(x)
-        for t in self.terms:
-            tlo, thi = t._interval(x, eps)
-            lo += tlo
-            hi += thi
-        return lo, hi
 
 
 def expr_from_dict(d: dict) -> ConvexExpr:
@@ -363,25 +355,8 @@ def expr_from_dict(d: dict) -> ConvexExpr:
 
 
 def separable_coefficients(f: ConvexExpr, dim: int):
-    """Aggregate (quad, lin, l1) with f(x) = quad*||x||^2 + <lin, x> + l1*sum|x_i|."""
-    quad = 0.0
-    l1 = 0.0
-    lin = np.zeros(dim)
-
-    def walk(e):
-        nonlocal quad, l1
-        if isinstance(e, Quadratic):
-            quad += e.a
-        elif isinstance(e, Linear):
-            e.check_dim(dim)
-            lin[:] += e.c
-        elif isinstance(e, L1):
-            l1 += e.b
-        elif isinstance(e, Sum):
-            for t in e.terms:
-                walk(t)
-        else:
-            raise TypeError(f"unsupported expression type {type(e)!r}")
-
-    walk(f)
-    return quad, lin, l1
+    """Aggregate (quad, lin, l1) with f(x) = quad*||x||^2 + <lin, x> + l1*sum|x_i|,
+    read off the compiled Sum; lin is a read-only vector of length dim."""
+    s = f if isinstance(f, Sum) else f._sum
+    s.check_dim(dim)
+    return s.quad, np.zeros(dim) if s.lin is None else s.lin, s.l1

@@ -35,7 +35,7 @@ from .core import (
 )
 from .linesearch import nonmonotone_search, tau_bound
 from .nonmonotone import first_step_nu, nu_init, nu_next, step_domination_start
-from .subproblem import check_inexact, solve_inexact
+from .subproblem import INEXACT_SLACK, MEMBERSHIP_TOL, check_inexact, solve_inexact
 
 __all__ = [
     "run_inmbdca",
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 DESCENT_SLACK = 1e-9
-INEXACT_SLACK = 1e-12
-MEMBERSHIP_TOL = 1e-10
 
 
 def _flag(strict: bool, message: str) -> None:
@@ -264,11 +262,9 @@ def check_descent(trace: Trace, sigma: float, theta: float) -> list:
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:
     """Largest per-coordinate gap between the subdifferential boxes of g and
     h at x; zero exactly at critical points.  For eps > 0 both boxes are
-    widened per atom, which makes a zero residual a sound (never missing)
-    certificate of eps-criticality."""
+    widened per aggregated atom, which makes a zero residual a sound (never
+    missing) certificate of eps-criticality."""
     x = as_point(x, problem.dim)
-    if eps == 0.0:
-        return problem.g.subdiff_box(x).gap_to(problem.h.subdiff_box(x))
     return problem.g.eps_subdiff_box(x, eps).gap_to(
         problem.h.eps_subdiff_box(x, eps)
     )

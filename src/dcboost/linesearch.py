@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convex import ConvexExpr, as_point
+import numpy as np
+
+from .convex import ConvexExpr, as_point, separable_coefficients
 from .core import InvariantViolation
 
 __all__ = ["LinesearchResult", "TauBound", "nonmonotone_search", "tau_bound"]
@@ -71,9 +73,12 @@ def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,
               rho: float) -> TauBound:
     """Guaranteed acceptance floor for the nonmonotone condition.
 
-    tau_hat = nu / (g(y + d) + g(x) - 2 g(y) + eps); strong convexity of g
-    makes the bracket at least sigma ||d||^2 > 0, which is asserted before
-    dividing.  The acceptance condition holds for every lambda in (0, tau]
+    tau_hat = nu / (g(y + d) + g(x) - 2 g(y) + eps) with x = y - d, the
+    bracket read in closed form off g's (quad, lin, l1) triple: the linear
+    part cancels and the rest is 2 quad ||d||^2 + 2 l1 sum_i max(|d_i| -
+    |y_i|, 0), so no cancellation between values of g can zero it.  Strong
+    convexity makes the bracket at least sigma ||d||^2 > 0, which is asserted
+    before dividing.  The acceptance condition holds for every lambda in (0, tau]
     with tau = min(1, tau_hat, sigma / rho).
     """
     x = as_point(x)
@@ -87,10 +92,10 @@ def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
 
-    ga, gb, gc = g.value(y + d), g.value(x), g.value(y)
-    bracket = ga + gb - 2.0 * gc
-    slack = 1e-9 * max(1.0, abs(ga) + abs(gb) + 2.0 * abs(gc))
-    if bracket < sigma * d_sq - slack:
+    quad, _, l1 = separable_coefficients(g, x.shape[0])
+    kinks = float(np.sum(np.maximum(np.abs(d) - np.abs(y), 0.0)))
+    bracket = 2.0 * quad * d_sq + 2.0 * l1 * kinks
+    if bracket < sigma * d_sq - 1e-9 * max(1.0, sigma) * d_sq:
         raise InvariantViolation(
             "strong-convexity bracket g(y+d)+g(x)-2g(y) fell below "
             f"sigma*||d||^2 ({bracket} < {sigma * d_sq}); oracle bug"

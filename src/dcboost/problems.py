@@ -21,7 +21,7 @@ from .core import (
     SolverConfig,
 )
 
-__all__ = ["get", "resolve", "registered_names", "random_separable",
+__all__ = ["resolve", "registered_names", "random_separable",
            "experiment_config", "sample_starts"]
 
 
@@ -79,17 +79,6 @@ _REGISTRY = {"ex1": _ex1, "ex2": _ex2}
 
 def registered_names() -> list:
     return sorted(_REGISTRY) + ["random-sep(dim=D,seed=S)"]
-
-
-def get(name: str, dim: int | None = None, seed: int | None = None) -> DcProblem:
-    """Look up a problem by base name; random-sep takes dim and seed."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]()
-    if name == "random-sep":
-        if dim is None or seed is None:
-            raise ValueError("random-sep needs dim and seed")
-        return random_separable(dim, seed)
-    raise ValueError(f"unknown problem {name!r}; known: {registered_names()}")
 
 
 def resolve(name: str) -> DcProblem:

@@ -50,6 +50,16 @@ class InexactCheck:
     membership_gap: float
 
 
+def _coefficients(g: ConvexExpr, dim: int):
+    """The (quad, lin, l1) triple of g; the subproblem needs quad > 0."""
+    quad, lin, l1 = separable_coefficients(g, dim)
+    if quad <= 0:
+        raise UnsupportedProblemError(
+            "subproblem needs strongly convex g (no quadratic weight found)"
+        )
+    return quad, lin, l1
+
+
 def solve_exact(g: ConvexExpr, w, x) -> np.ndarray:
     """Unique minimizer of g(.) - <w, . - x>, solved per coordinate.
 
@@ -58,11 +68,7 @@ def solve_exact(g: ConvexExpr, w, x) -> np.ndarray:
     """
     x = as_point(x)
     w = as_point(w, x.shape[0])
-    quad, lin, l1 = separable_coefficients(g, x.shape[0])
-    if quad <= 0:
-        raise UnsupportedProblemError(
-            "subproblem needs strongly convex g (no quadratic weight found)"
-        )
+    quad, lin, l1 = _coefficients(g, x.shape[0])
     u = w - lin
     return np.sign(u) * np.maximum(np.abs(u) - l1, 0.0) / (2.0 * quad)
 
@@ -101,12 +107,7 @@ def _stationarity_residual(quad, lin, l1, w, t):
 def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     """Coordinate-wise bisection on the stationarity inclusion, stopped at the
     first iterate whose projected subgradient passes the relative test."""
-    dim = x.shape[0]
-    quad, lin, l1 = separable_coefficients(g, dim)
-    if quad <= 0:
-        raise UnsupportedProblemError(
-            "subproblem needs strongly convex g (no quadratic weight found)"
-        )
+    quad, lin, l1 = _coefficients(g, x.shape[0])
 
     lo = np.minimum(x, 0.0) - 1.0
     hi = np.maximum(x, 0.0) + 1.0

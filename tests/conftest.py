@@ -5,7 +5,8 @@ from dcboost.convex import L1, Linear, Quadratic, Sum, separable_coefficients
 
 
 def random_expr(rng, dim, min_quad=0.0, _depth=0):
-    """Random atom tree within the separable class."""
+    """Random atom tree within the separable class; an atom kind may repeat,
+    directly or inside a nested Sum."""
     terms = []
     if min_quad > 0 or rng.random() < 0.8:
         terms.append(Quadratic(min_quad + rng.uniform(0.0, 2.0)))
@@ -13,6 +14,13 @@ def random_expr(rng, dim, min_quad=0.0, _depth=0):
         terms.append(Linear(rng.uniform(-2.0, 2.0, dim)))
     if rng.random() < 0.7:
         terms.append(L1(rng.uniform(0.0, 1.5)))
+    # second atoms of a kind, which the Sum must aggregate
+    if rng.random() < 0.3:
+        terms.append(Quadratic(rng.uniform(0.0, 1.0)))
+    if rng.random() < 0.3:
+        terms.append(Linear(rng.uniform(-1.0, 1.0, dim)))
+    if rng.random() < 0.3:
+        terms.append(L1(rng.uniform(0.0, 1.0)))
     if _depth == 0 and rng.random() < 0.3:
         terms.append(random_expr(rng, dim, 0.0, _depth=1))
     if not terms:

@@ -54,7 +54,7 @@ def study():
     """100 seeded starts per problem under the reference configuration."""
     out = {}
     for name in ("ex1", "ex2"):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         starts = problems.sample_starts(N_STARTS, [-10, 10], SEED, prob.dim)
         t0 = time.perf_counter()
         traces = [
@@ -196,7 +196,7 @@ def test_criterion_7_reduction_equivalence():
     )
     ok = True
     for name, x0 in (("ex1", [6.2945, 8.1158]), ("ex2", [-4.4615, -9.0766])):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         a = run_inmbdca(prob, exact_cfg, x0, seed=1)
         b = run_nmbdca(prob, noisy_cfg, x0)
         ok = ok and traces_field_equal(a, b, tol=1e-12)
@@ -216,7 +216,7 @@ def test_criterion_8_strategy_algebra(rng):
     # real run driven by the cost-update rule
     spec = ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.5)
     cfg = dataclasses.replace(REF, nu=spec)
-    prob = problems.get("ex2")
+    prob = problems.resolve("ex2")
     trace = run_inmbdca(prob, cfg, [-4.4615, -9.0766], seed=3)
     state, nu = nu_init(spec, trace.records[0].phi_x)
     ok = abs(trace.records[0].nu_k - nu) <= 1e-15
@@ -320,7 +320,7 @@ def test_criterion_10_merit_monotone_under_direct_rule():
     worst = math.inf
     steps = 0
     for name in ("ex1", "ex2"):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         starts = problems.sample_starts(10, [-10, 10], SEED + 2, prob.dim)
         for i, x0 in enumerate(starts):
             trace = run_inmbdca(prob, cfg, x0, seed=[SEED + 2, i])

@@ -300,6 +300,75 @@ def test_separable_coefficients():
     assert l1 == pytest.approx(1.0)
 
 
+def test_sum_aggregates_at_construction():
+    f = Sum((Quadratic(1.0), Sum((Quadratic(0.5), L1(0.25))), L1(0.75)))
+    assert (f.quad, f.lin, f.l1) == (1.5, None, 1.0)
+    g = f + Linear([1.0, 2.0]) + Linear([0.5, 0.5])
+    np.testing.assert_array_equal(g.lin, [1.5, 2.5])
+    assert not g.lin.flags.writeable
+
+
+def test_mismatched_linear_terms_rejected_at_construction():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Linear([1.0]) + Linear([1.0, 2.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Sum((Linear([1.0]), Sum((Quadratic(1.0), Linear([1.0, 2.0])))))
+
+
+def _atoms(f):
+    if isinstance(f, Sum):
+        return [a for t in f.terms for a in _atoms(t)]
+    return [f]
+
+
+def _atom_reference(atom, x, eps):
+    """(value, subgradient, eps-interval lo, hi) of one atom, written out."""
+    if isinstance(atom, Quadratic):
+        grad = 2.0 * atom.a * x
+        r = 2.0 * np.sqrt(atom.a * eps)
+        return atom.a * (x @ x), grad, grad - r, grad + r
+    if isinstance(atom, Linear):
+        return atom.c @ x, atom.c, atom.c, atom.c
+    b = atom.b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(x > 0, np.maximum(-b, b - eps / x), -b)
+        hi = np.where(x < 0, np.minimum(b, -b - eps / x), b)
+    return b * np.sum(np.abs(x)), b * np.sign(x), lo, hi
+
+
+def test_compiled_calculus_matches_per_atom_reference(rng):
+    repeated = 0
+    for _ in range(300):
+        dim = int(rng.integers(1, 5))
+        f = random_expr(rng, dim)
+        x = random_point(rng, dim)
+        atoms = _atoms(f)
+        kinds = [type(a) for a in atoms]
+        repeated += len(set(kinds)) < len(kinds)
+        exact = [_atom_reference(a, x, 0.0) for a in atoms]
+        assert f.value(x) == pytest.approx(sum(p[0] for p in exact),
+                                           rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(f.subgrad(x), sum(p[1] for p in exact),
+                                   rtol=1e-12, atol=1e-12)
+        box = f.subdiff_box(x)
+        np.testing.assert_allclose(box.lo, sum(p[2] for p in exact),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(box.hi, sum(p[3] for p in exact),
+                                   rtol=1e-12, atol=1e-12)
+        # widening the aggregate is never looser than widening every atom,
+        # and the same when no kind repeats
+        eps = float(rng.uniform(0.0, 0.5))
+        wide = [_atom_reference(a, x, eps) for a in atoms]
+        ref_lo, ref_hi = sum(p[2] for p in wide), sum(p[3] for p in wide)
+        box = f.eps_subdiff_box(x, eps)
+        assert np.all(box.lo >= ref_lo - 1e-12)
+        assert np.all(box.hi <= ref_hi + 1e-12)
+        if len(set(kinds)) == len(kinds):
+            np.testing.assert_allclose(box.lo, ref_lo, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(box.hi, ref_hi, rtol=1e-12, atol=1e-12)
+    assert repeated > 50
+
+
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
         Quadratic(-1.0)

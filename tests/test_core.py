@@ -31,8 +31,8 @@ from dcboost import problems
 
 
 def test_phi_known_values():
-    ex1 = problems.get("ex1")
-    ex2 = problems.get("ex2")
+    ex1 = problems.resolve("ex1")
+    ex2 = problems.resolve("ex2")
     assert ex1.phi([-1.0, -1.0]) == pytest.approx(-2.0, abs=1e-15)
     assert ex2.phi([1.5, 0.0]) == pytest.approx(-1.125, abs=1e-15)
     assert ex1.phi([0.0, 0.0]) == 0.0
@@ -40,7 +40,7 @@ def test_phi_known_values():
 
 def test_phi_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        problems.get("ex1").phi([1.0, 2.0, 3.0])
+        problems.resolve("ex1").phi([1.0, 2.0, 3.0])
 
 
 def test_phi_matches_closed_form(rng):
@@ -49,7 +49,7 @@ def test_phi_matches_closed_form(rng):
         "ex2": lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2) + abs(x[0]) + abs(x[1]) - 2.5 * x[0],
     }
     for name, fn in closed.items():
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         for _ in range(20):
             x = rng.uniform(-5, 5, 2)
             assert prob.phi(x) == pytest.approx(fn(x), abs=1e-12)
@@ -59,9 +59,9 @@ def test_phi_matches_closed_form(rng):
 
 
 def test_from_components_takes_min_modulus():
-    ex1 = problems.get("ex1")
+    ex1 = problems.resolve("ex1")
     assert ex1.sigma == 1.0
-    ex2 = problems.get("ex2")
+    ex2 = problems.resolve("ex2")
     assert ex2.sigma == 1.0
 
 
@@ -79,30 +79,30 @@ def test_sigma_above_modulus_rejected():
 
 def test_validate_reference_config_clean():
     cfg = problems.experiment_config()
-    assert validate(problems.get("ex1"), cfg) == []
+    assert validate(problems.resolve("ex1"), cfg) == []
 
 
 def test_validate_theta_boundary():
     cfg = dataclasses.replace(problems.experiment_config(), theta=0.5)
-    msgs = validate(problems.get("ex1"), cfg)
+    msgs = validate(problems.resolve("ex1"), cfg)
     assert any("theta ≥ sigma/2" in m for m in msgs)
 
 
 def test_validate_beta_boundary():
     cfg = dataclasses.replace(problems.experiment_config(), beta=1.0)
-    msgs = validate(problems.get("ex1"), cfg)
+    msgs = validate(problems.resolve("ex1"), cfg)
     assert any("beta ∉ (0,1)" in m for m in msgs)
 
 
 def test_validate_is_pure():
     cfg = dataclasses.replace(problems.experiment_config(), beta=1.0, rho=-1.0)
-    prob = problems.get("ex2")
+    prob = problems.resolve("ex2")
     assert validate(prob, cfg) == validate(prob, cfg)
 
 
 def test_validate_positive_tolerances():
     cfg = dataclasses.replace(problems.experiment_config(), stop_step_tol=0.0)
-    assert any("stop_step_tol" in m for m in validate(problems.get("ex1"), cfg))
+    assert any("stop_step_tol" in m for m in validate(problems.resolve("ex1"), cfg))
 
 
 # --- schedules -------------------------------------------------------------------

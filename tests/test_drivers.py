@@ -27,8 +27,8 @@ from dcboost.drivers import (
 from dcboost import problems
 
 
-EX1 = problems.get("ex1")
-EX2 = problems.get("ex2")
+EX1 = problems.resolve("ex1")
+EX2 = problems.resolve("ex2")
 REF = problems.experiment_config()
 
 

@@ -12,7 +12,7 @@ from dcboost import problems
 from conftest import random_expr, random_point
 
 
-EX1 = problems.get("ex1")
+EX1 = problems.resolve("ex1")
 Y = np.array([1 / 3, 1 / 3])
 D = np.array([-2 / 3, -2 / 3])
 
@@ -94,6 +94,21 @@ def test_tau_large_allowance_caps_at_sigma_over_rho():
     tb2 = tau_bound(EX1.g, np.array([1.0, 1.0]), Y, D, nu=1e12, eps=0.0,
                     sigma=1.0, rho=4.0)
     assert tb2.tau == pytest.approx(0.25)
+
+
+def test_tau_bracket_survives_tiny_steps_at_high_dim():
+    # g(y+d) + g(x) - 2 g(y) from three values of size ~3e3 used to cancel
+    # to 0.0 here and raise "tau denominator 0.0 is not positive"
+    prob = problems.random_separable(1000, 0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = rng.uniform(-10.0, 10.0, 1000)
+        d = 1e-8 * rng.standard_normal(1000)
+        tb = tau_bound(prob.g, x, x + d, d, nu=1e-3, eps=0.0,
+                       sigma=prob.sigma, rho=0.6)
+        # no coordinate crosses the l1 kink, so only the quadratic part counts
+        assert tb.tau_hat == pytest.approx(
+            1e-3 / (prob.g.modulus() * float(d @ d)), rel=1e-12)
 
 
 def test_tau_rejects_degenerate_inputs():

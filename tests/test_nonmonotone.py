@@ -192,14 +192,14 @@ def test_zhang_hager_stays_nonnegative_with_positive_eps():
         eps=EpsSchedule.geometric(0.4, 0.6),
     )
     for name in ("ex1", "ex2"):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         trace = run_inmbdca(prob, cfg, [5.0, -6.0], seed=21)
         assert all(r.nu_k >= 0.0 for r in trace.records)
         assert trace.termination.value in ("step_tol", "d_zero")
 
 
 def test_zhang_hager_identity_on_real_run():
-    prob = problems.get("ex2")
+    prob = problems.resolve("ex2")
     cfg = dataclasses.replace(
         problems.experiment_config(),
         nu=ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.5),
@@ -266,7 +266,7 @@ def test_partial_sum_bound_from_direct_rule():
     spec = DirectNu(delta_min=0.3, delta=0.3, nu0=0.1)
     cfg = dataclasses.replace(problems.experiment_config(), nu=spec)
     for name in ("ex1", "ex2"):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         trace = run_inmbdca(prob, cfg, [6.0, 7.5], seed=11)
         nus = [r.nu_k for r in trace.records]
         bound = (

@@ -7,31 +7,31 @@ from dcboost import problems
 
 
 def test_get_ex1_values():
-    prob = problems.get("ex1")
+    prob = problems.resolve("ex1")
     assert prob.phi([-1.0, -1.0]) == pytest.approx(-2.0)
     assert prob.phi_lower_bound == -2.0
     assert len(prob.known_critical_points) == 4
 
 
 def test_get_ex2_critical_point():
-    prob = problems.get("ex2")
+    prob = problems.resolve("ex2")
     assert criticality_residual(prob, [1.5, 0.0]) == 0.0
     assert prob.phi_lower_bound == -1.125
 
 
 def test_random_sep_deterministic():
-    a = problems.get("random-sep", dim=5, seed=7)
-    b = problems.get("random-sep", dim=5, seed=7)
+    a = problems.resolve("random-sep(dim=5,seed=7)")
+    b = problems.resolve("random-sep(dim=5,seed=7)")
     assert a.g.to_dict() == b.g.to_dict()
     assert a.h.to_dict() == b.h.to_dict()
     assert a.sigma == b.sigma
-    c = problems.get("random-sep", dim=5, seed=8)
+    c = problems.resolve("random-sep(dim=5,seed=8)")
     assert c.g.to_dict() != a.g.to_dict()
 
 
 def test_random_sep_modulus_floor():
     for seed in range(30):
-        prob = problems.get("random-sep", dim=3, seed=seed)
+        prob = problems.random_separable(3, seed)
         assert prob.sigma >= 0.5
         assert prob.g.modulus() >= prob.sigma
         assert prob.h.modulus() >= prob.sigma
@@ -46,23 +46,23 @@ def test_resolve_round_trips_names():
 
 def test_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown problem"):
-        problems.get("nope")
+        problems.resolve("nope")
     with pytest.raises(ValueError, match="unknown problem"):
         problems.resolve("random-sep(dim=x,seed=1)")
-    with pytest.raises(ValueError, match="dim and seed"):
-        problems.get("random-sep")
+    with pytest.raises(ValueError, match="unknown problem"):
+        problems.resolve("random-sep")
 
 
 def test_registered_problems_accept_reference_config():
     cfg = problems.experiment_config()
-    for prob in (problems.get("ex1"), problems.get("ex2"),
-                 problems.get("random-sep", dim=4, seed=3)):
+    for prob in (problems.resolve("ex1"), problems.resolve("ex2"),
+                 problems.resolve("random-sep(dim=4,seed=3)")):
         assert validate(prob, cfg) == []
 
 
 def test_known_critical_points_have_zero_residual():
     for name in ("ex1", "ex2"):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         for p in prob.known_critical_points:
             assert criticality_residual(prob, p) == 0.0
 
@@ -103,7 +103,7 @@ def grid_residual_ex2(x, y):
 def test_critical_set_complete_by_grid_scan(name, grid_residual):
     # brute-force completeness: on a 0.01 grid over [-3,3]^2 the only points
     # with residual below 1e-3 sit on the declared critical set
-    prob = problems.get(name)
+    prob = problems.resolve(name)
     ticks = np.round(np.linspace(-3.0, 3.0, 601), 10)
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     res = grid_residual(gx, gy)
@@ -125,7 +125,7 @@ def test_critical_set_complete_by_grid_scan(name, grid_residual):
 def test_grid_residual_agrees_with_module_residual(rng):
     # route equivalence between the test-side closed forms and subdiff boxes
     for name, fn in (("ex1", grid_residual_ex1), ("ex2", grid_residual_ex2)):
-        prob = problems.get(name)
+        prob = problems.resolve(name)
         for _ in range(100):
             x = rng.uniform(-3, 3, 2)
             if rng.random() < 0.3:

@@ -26,7 +26,7 @@ def test_solve_exact_pure_quadratic():
 
 
 def test_solve_exact_soft_threshold_example():
-    g = problems.get("ex2").g
+    g = problems.resolve("ex2").g
     y = solve_exact(g, np.zeros(2), np.zeros(2))
     np.testing.assert_allclose(y, [0.75, 0.0], atol=1e-14)
     oracle = grid_argmin(g, np.zeros(2), np.zeros(2))
@@ -64,7 +64,7 @@ def test_solve_exact_stationarity_membership(rng):
 
 
 def test_exact_mode_returns_w_as_xi(rng):
-    g = problems.get("ex1").g
+    g = problems.resolve("ex1").g
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     sol = solve_inexact(g, w, x, theta=0.2, mode=InexactMode.EXACT, rng=rng)
     np.testing.assert_allclose(sol.y, [1 / 3, 1 / 3], atol=1e-14)
@@ -73,7 +73,7 @@ def test_exact_mode_returns_w_as_xi(rng):
 
 
 def test_perturbed_mode_moves_off_the_exact_solution(rng):
-    g = problems.get("ex1").g
+    g = problems.resolve("ex1").g
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     sol = solve_inexact(g, w, x, theta=0.2, mode=InexactMode.PERTURBED_EXACT, rng=rng)
     assert np.linalg.norm(sol.y - np.array([1 / 3, 1 / 3])) > 1e-6
@@ -85,7 +85,7 @@ def test_perturbed_mode_moves_off_the_exact_solution(rng):
     "mode", [InexactMode.INNER_SOLVER, InexactMode.PERTURBED_EXACT, InexactMode.EXACT]
 )
 def test_theta_zero_collapses_to_exact(rng, mode):
-    g = problems.get("ex2").g
+    g = problems.resolve("ex2").g
     w, x = np.array([0.5, -0.25]), np.array([2.0, 1.0])
     sol = solve_inexact(g, w, x, theta=0.0, mode=mode, rng=rng)
     np.testing.assert_allclose(sol.y, solve_exact(g, w, x), atol=1e-15)
@@ -121,7 +121,7 @@ def test_linearization_consequence(rng):
 
 
 def test_inner_solver_reports_iterations(rng):
-    g = problems.get("ex2").g
+    g = problems.resolve("ex2").g
     sol = solve_inexact(
         g, np.array([1.0, 0.5]), np.array([-3.0, 4.0]), 0.2,
         InexactMode.INNER_SOLVER, rng,
@@ -146,7 +146,7 @@ def test_critical_start_returns_zero_direction(rng):
 
 
 def test_check_inexact_flags_relative_error():
-    g = problems.get("ex1").g
+    g = problems.resolve("ex1").g
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     y = solve_exact(g, w, x)
     xi = g.subgrad(y)
@@ -157,7 +157,7 @@ def test_check_inexact_flags_relative_error():
 
 
 def test_check_inexact_flags_membership():
-    g = problems.get("ex1").g
+    g = problems.resolve("ex1").g
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     y = solve_exact(g, w, x)
     xi = g.subgrad(y) + 1e-3
@@ -167,7 +167,7 @@ def test_check_inexact_flags_membership():
 
 
 def test_check_inexact_accepts_exact_pair():
-    g = problems.get("ex2").g
+    g = problems.resolve("ex2").g
     w, x = np.array([0.3, 0.1]), np.array([1.0, -2.0])
     y = solve_exact(g, w, x)
     chk = check_inexact(g, w, x, y, w, theta=0.0)
