@@ -1,6 +1,7 @@
 """Difference-of-convex minimization with boosted steps, certified
 inexactness, and per-iteration inequality checking."""
 
+from .certificates import CERTIFICATES, replay, slacks
 from .convex import L1, ConvexExpr, EpsSubgradCert, Linear, Quadratic, SubdiffBox, Sum
 from .core import (
     DcProblem,
@@ -22,7 +23,6 @@ from .core import (
 )
 from .drivers import (
     ComplexityReport,
-    check_descent,
     complexity_report,
     criticality_residual,
     final_residual,

@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import problems
+from .certificates import TOLERANCE, holds, replay
 from .core import (
     InvariantViolation,
     Trace,
@@ -32,8 +32,6 @@ from .core import (
     validate,
 )
 from .drivers import (
-    DESCENT_SLACK,
-    check_descent,
     complexity_report,
     final_residual,
     run_bdca,
@@ -172,11 +170,16 @@ def _resolve_starts(flat: dict, dim: int) -> np.ndarray:
             raise ValueError(
                 f"explicit starts must be {dim}-dimensional points"
             )
-        return starts
-    count = int(flat.get("starts.count", 1))
-    box = flat.get("starts.box", [-10.0, 10.0])
-    seed = int(flat.get("starts.seed", 0))
-    return problems.sample_starts(count, box, seed, dim)
+    else:
+        count = int(flat.get("starts.count", 1))
+        box = np.asarray(flat.get("starts.box", [-10.0, 10.0]), dtype=float)
+        if not np.isfinite(box).all():
+            raise ValueError(f"starts.box must be finite, got {box.tolist()}")
+        seed = int(flat.get("starts.seed", 0))
+        starts = problems.sample_starts(count, box, seed, dim)
+    if not np.isfinite(starts).all():
+        raise ValueError("start points must be finite")
+    return starts
 
 
 def _execute_start(payload):
@@ -225,7 +228,11 @@ def _execute_start(payload):
 def cmd_run(args) -> int:
     import os
 
-    flat = _gather_flat(args)
+    try:
+        flat = _gather_flat(args)
+    except (ValueError, OSError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     problem_name = flat.get("problem")
     if not problem_name:
         print("run: no problem selected (key 'problem')", file=sys.stderr)
@@ -247,7 +254,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         starts = _resolve_starts(flat, problem.dim)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a box too wide to sample
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -294,65 +301,6 @@ def cmd_run(args) -> int:
     return exit_code
 
 
-_INEQUALITIES = [
-    "reconstruction",
-    "inexact_bound",
-    "subgrad_membership",
-    "linesearch",
-    "descent_y",
-    "descent_step",
-    "eps_certificate",
-]
-
-
-def _trace_slacks(trace: Trace, problem) -> dict:
-    """Worst slack (value, iteration) per replayed inequality."""
-    sigma, theta = problem.sigma, trace.config.theta
-    rho = trace.config.rho
-    worst = {name: (math.inf, -1) for name in _INEQUALITIES}
-
-    def update(name, value, k):
-        if value < worst[name][0]:
-            worst[name] = (value, k)
-
-    for r in trace.records:
-        d = r.y - r.x
-        box = problem.g.subdiff_box(r.y)
-        update("subgrad_membership", -box.membership_gap(r.xi), r.k)
-        update("inexact_bound", r.inexact_rhs - r.inexact_lhs, r.k)
-        d_sq = r.d_norm**2
-        update(
-            "linesearch",
-            (r.phi_y - rho * r.lambda_k**2 * d_sq + r.nu_k) - r.phi_next,
-            r.k,
-        )
-        update(
-            "descent_y",
-            (r.phi_x - (sigma / 2 - theta) * d_sq + r.eps_k) - r.phi_y,
-            r.k,
-        )
-        update(
-            "descent_step",
-            (r.phi_x - (sigma / 2 - theta + rho * r.lambda_k**2) * d_sq
-             + r.nu_k + r.eps_k) - r.phi_next,
-            r.k,
-        )
-        update("eps_certificate", r.eps_k - r.eps_certified, r.k)
-
-    for prev, nxt in zip(trace.records, trace.records[1:]):
-        d = prev.y - prev.x
-        err = float(np.linalg.norm(nxt.x - (prev.y + prev.lambda_k * d)))
-        update("reconstruction", -err, prev.k)
-    if trace.records:
-        last = trace.records[-1]
-        d = last.y - last.x
-        err = float(
-            np.linalg.norm(trace.final_x - (last.y + last.lambda_k * d))
-        )
-        update("reconstruction", -err, last.k)
-    return worst
-
-
 def cmd_check(args) -> int:
     exit_code = EXIT_OK
     for path in args.traces:
@@ -362,16 +310,17 @@ def cmd_check(args) -> int:
         except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        worst = _trace_slacks(trace, problem)
+        worst = replay(trace, problem)
         print(f"{path}: {len(trace.records)} record(s)")
-        for name in _INEQUALITIES:
-            value, k = worst[name]
-            if math.isinf(value):
+        for name in TOLERANCE:
+            if name not in worst:
                 print(f"  {name}: no applicable records")
                 continue
-            status = "ok" if value >= -DESCENT_SLACK else "VIOLATED"
-            print(f"  {name}: worst slack {value:.3e} at k={k} [{status}]")
-            if value < -DESCENT_SLACK:
+            value, k = worst[name]
+            ok = holds(name, value)
+            print(f"  {name}: worst slack {value:.3e} at k={k} "
+                  f"[{'ok' if ok else 'VIOLATED'}]")
+            if not ok:
                 exit_code = EXIT_CHECK_FAILED
     return exit_code
 
@@ -423,11 +372,11 @@ def cmd_complexity(args) -> int:
     else:
         print("tail-dominated bound: not applicable "
               "(domination of nu/eps by xi*(sigma/2-theta)*||d||^2 not met)")
-    # descent recheck doubles as a sanity gate for the bound inputs
-    descent = check_descent(trace, problem.sigma, trace.config.theta)
-    bad = [c for c in descent if not c.ok]
-    if bad:
-        print(f"descent recheck failed at {len(bad)} iteration(s)")
+    # the certificate replay doubles as a sanity gate for the bound inputs
+    failed = [name for name, (value, _) in replay(trace, problem).items()
+              if not holds(name, value)]
+    if failed:
+        print(f"certificate replay failed: {', '.join(failed)}")
         return EXIT_CHECK_FAILED
     return EXIT_OK if report.prefix_ok else EXIT_CHECK_FAILED
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -83,8 +84,8 @@ class EpsSchedule:
     def __post_init__(self):
         if self.kind not in ("zero", "geometric", "harmonic2"):
             raise ValueError(f"unknown eps schedule kind {self.kind!r}")
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
+        if not 0.0 <= self.eps0 < math.inf:
+            raise ValueError("eps0 must be finite and nonnegative")
         if self.kind == "geometric" and not 0.0 < self.q < 1.0:
             raise ValueError("geometric schedule needs q in (0,1)")
 
@@ -157,8 +158,8 @@ class DirectNu:
             raise ValueError("delta_min must lie in [0, 1)")
         if self.delta is not None and not self.delta_min <= self.delta <= 1.0:
             raise ValueError("delta must lie in [delta_min, 1]")
-        if self.nu0 < 0:
-            raise ValueError("nu0 must be nonnegative")
+        if not 0.0 <= self.nu0 < math.inf:
+            raise ValueError("nu0 must be finite and nonnegative")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
 
@@ -190,8 +191,8 @@ class ZhangHagerNu:
     def __post_init__(self):
         if not 0.0 <= self.eta_min <= self.eta_max < 1.0:
             raise ValueError("need 0 <= eta_min <= eta_max < 1")
-        if self.c0_offset <= 0:
-            raise ValueError("c0_offset must be positive")
+        if not 0.0 < self.c0_offset < math.inf:
+            raise ValueError("c0_offset must be finite and positive")
 
     def eta_at(self, k: int) -> float:
         if self.eta_rule is not None:
@@ -230,8 +231,8 @@ class RatioNu:
     kind = "ratio"
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and positive")
 
     def u_at(self, k: int) -> float:
         u = float(self.u_rule(k)) if self.u_rule is not None else float(k + 1)
@@ -317,24 +318,28 @@ def validate(problem: DcProblem, config: SolverConfig) -> list:
     """Parameter-range check of a configuration against a problem.
 
     Returns a list of human-readable violations (empty when valid); pure.
+    Every range is written so that NaN and infinities fall outside it.
     """
     v = []
     if not 0.0 < config.beta < 1.0:
         v.append(f"beta ∉ (0,1) (beta={config.beta})")
-    if config.rho <= 0:
-        v.append(f"rho ≤ 0 (rho={config.rho})")
-    if config.theta < 0:
-        v.append(f"theta < 0 (theta={config.theta})")
-    elif config.theta >= problem.sigma / 2:
+    if not 0.0 < config.rho < math.inf:
+        v.append(f"rho ∉ (0,inf) (rho={config.rho})")
+    if not config.theta >= 0:
+        v.append(f"theta ∉ [0,sigma/2) (theta={config.theta})")
+    elif not config.theta < problem.sigma / 2:
         v.append(
             f"theta ≥ sigma/2 (theta={config.theta}, sigma={problem.sigma})"
         )
-    if config.stop_step_tol <= 0:
-        v.append(f"stop_step_tol ≤ 0 (stop_step_tol={config.stop_step_tol})")
-    if config.d_zero_tol <= 0:
-        v.append(f"d_zero_tol ≤ 0 (d_zero_tol={config.d_zero_tol})")
-    if config.lambda_bar.kind == "constant" and config.lambda_bar.value < 0:
-        v.append(f"lambda_bar < 0 (lambda_bar={config.lambda_bar.value})")
+    if not 0.0 < config.stop_step_tol < math.inf:
+        v.append("stop_step_tol ∉ (0,inf) "
+                 f"(stop_step_tol={config.stop_step_tol})")
+    if not 0.0 < config.d_zero_tol < math.inf:
+        v.append(f"d_zero_tol ∉ (0,inf) (d_zero_tol={config.d_zero_tol})")
+    if config.lambda_bar.kind == "constant" and not (
+            0.0 <= config.lambda_bar.value < math.inf):
+        v.append("lambda_bar ∉ [0,inf) "
+                 f"(lambda_bar={config.lambda_bar.value})")
     if config.max_iter < 0:
         v.append(f"max_iter < 0 (max_iter={config.max_iter})")
     if config.max_backtracks < 0:
@@ -443,7 +448,8 @@ class Trace:
     termination: Termination
 
     def write_jsonl(self, path) -> None:
-        """One meta line, then one record per line."""
+        """One meta line, then one record per line; a non-finite value
+        raises ValueError rather than writing a non-standard JSON token."""
         meta = {
             "problem_name": self.problem_name,
             "config": config_to_flat(self.config),
@@ -453,9 +459,9 @@ class Trace:
             "termination": self.termination.value,
         }
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(meta) + "\n")
+            fh.write(json.dumps(meta, allow_nan=False) + "\n")
             for r in self.records:
-                fh.write(json.dumps(r.to_json_obj()) + "\n")
+                fh.write(json.dumps(r.to_json_obj(), allow_nan=False) + "\n")
 
     @classmethod
     def read_jsonl(cls, path) -> "Trace":

@@ -1,12 +1,12 @@
 """Solver loops with per-iteration certificate checking, plus trace
-diagnostics: descent rechecks, criticality residuals, and iteration-count
-bounds evaluated against recorded runs.
+diagnostics: criticality residuals and iteration-count bounds evaluated
+against recorded runs.
 
-Each run checks, at every iteration, the inequalities that are theorems for
-the method: the relative-error conditions on the subproblem pair, both
-descent estimates, and the accepted linesearch condition.  In strict mode a
-violation beyond numerical slack aborts the run with a diagnostic naming the
-inequality and the iteration; otherwise it warns and continues.
+Each run checks every record it builds against the certificate catalogue
+(``certificates.py``), plus the subproblem linearization bound, which only
+the live loop checks.  In strict mode a violation beyond numerical slack
+aborts the run with a diagnostic naming the inequality and the iteration;
+otherwise it warns and continues.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import TOLERANCE, holds, slacks
 from .convex import as_point
 from .core import (
     DcProblem,
@@ -35,37 +36,24 @@ from .core import (
 )
 from .linesearch import nonmonotone_search, tau_bound
 from .nonmonotone import first_step_nu, nu_init, nu_next, step_domination_start
-from .subproblem import INEXACT_SLACK, MEMBERSHIP_TOL, check_inexact, solve_inexact
+from .subproblem import solve_inexact
 
 __all__ = [
     "run_inmbdca",
     "run_nmbdca",
     "run_dca",
     "run_bdca",
-    "DescentCheck",
-    "check_descent",
     "criticality_residual",
     "final_residual",
     "ComplexityReport",
     "complexity_report",
 ]
 
-DESCENT_SLACK = 1e-9
-
 
 def _flag(strict: bool, message: str) -> None:
     if strict:
         raise InvariantViolation(message)
     warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def _check_phi_floor(problem, value, where, strict):
-    if problem.phi_lower_bound is not None and value < problem.phi_lower_bound - DESCENT_SLACK:
-        _flag(
-            strict,
-            f"phi lower bound violated at {where}: phi={value} < "
-            f"{problem.phi_lower_bound}",
-        )
 
 
 def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
@@ -94,7 +82,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
     phi_x = problem.phi(x)
-    _check_phi_floor(problem, phi_x, "x0", strict)
 
     nu_state, nu_pending = nu_init(config.nu, phi_x)
     records = []
@@ -104,8 +91,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     for k in range(config.max_iter):
         eps_k = config.eps.at(k)
         cert = problem.h.eps_subgrad(x, eps_k, rng)
-        if cert.eps_achieved > eps_k + 1e-15:
-            _flag(strict, f"eps certificate exceeds budget at iteration {k}")
         w = cert.w
         sol = solve_inexact(problem.g, w, x, theta, config.inexact_mode, rng)
         y, xi = sol.y, sol.xi
@@ -113,81 +98,56 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         d_sq = float(d @ d)
         d_norm = math.sqrt(d_sq)
         phi_y = problem.phi(y)
-        _check_phi_floor(problem, phi_y, f"y at iteration {k}", strict)
         lam_bar = config.lambda_bar.trial(k)
 
-        if d_norm <= config.d_zero_tol:
-            records.append(IterationRecord(
-                k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
-                eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
-                xi=xi.copy(), d_norm=d_norm, inexact_lhs=sol.lhs,
-                inexact_rhs=sol.rhs, nu_k=0.0, lambda_bar=lam_bar,
-                lambda_k=0.0, n_backtracks=0, phi_y=phi_y, phi_next=phi_y,
-            ))
-            termination = Termination.D_ZERO
-            break
-
-        if k == 0:
-            nu_k = first_step_nu(config.nu, nu_pending, d_sq)
-        else:
-            nu_state, nu_k = nu_next(
-                config.nu, nu_state, k - 1, phi_prev, phi_x, eps_prev, d_sq
-            )
-
-        chk = check_inexact(problem.g, w, x, y, xi, theta)
-        if chk.membership_gap > MEMBERSHIP_TOL:
-            _flag(strict,
-                  f"subgradient membership of xi failed at iteration {k}: "
-                  f"gap={chk.membership_gap}")
-        if sol.lhs > sol.rhs + INEXACT_SLACK:
-            _flag(strict,
-                  f"relative-error condition ||w-xi|| <= theta||y-x|| failed "
-                  f"at iteration {k}: {sol.lhs} > {sol.rhs}")
+        # live-only: replaying it would cost two evaluations of g per record
         lin_gap = problem.g.value(x) - problem.g.value(y) + float(w @ d)
-        if lin_gap < -MEMBERSHIP_TOL:
+        if not lin_gap >= -TOLERANCE["subgrad_membership"]:
             _flag(strict,
                   f"subproblem linearization bound g(x) >= g(y) - <w, y-x> "
                   f"failed at iteration {k}: gap={lin_gap}")
-        slack_y = (phi_x - (sigma / 2 - theta) * d_sq + eps_k) - phi_y
-        if slack_y < -DESCENT_SLACK:
-            _flag(strict,
-                  f"descent estimate at y failed at iteration {k}: "
-                  f"slack={slack_y}")
 
+        d_zero = d_norm <= config.d_zero_tol
+        nu_k = lam = 0.0
+        n_backtracks = 0
+        phi_next = phi_y
         tau_pair = None
-        if nu_k > 0.0:
-            tau_pair = tau_bound(problem.g, x, y, d, nu_k, eps_k, sigma, rho)
+        if not d_zero:
+            if k == 0:
+                nu_k = first_step_nu(config.nu, nu_pending, d_sq)
+            else:
+                nu_state, nu_k = nu_next(
+                    config.nu, nu_state, k - 1, phi_prev, phi_x, eps_prev, d_sq
+                )
+            if nu_k > 0.0:
+                tau_pair = tau_bound(problem.g, x, y, d, nu_k, eps_k, sigma, rho)
+            ls = nonmonotone_search(
+                problem.phi, y, d, rho, config.beta, lam_bar, nu_k,
+                config.max_backtracks,
+            )
+            lam, n_backtracks = ls.lam, ls.n_backtracks
+            phi_next = ls.accepted_value
 
-        ls = nonmonotone_search(
-            problem.phi, y, d, rho, config.beta, lam_bar, nu_k,
-            config.max_backtracks,
-        )
-        if ls.condition_slack < -INEXACT_SLACK:
-            _flag(strict,
-                  f"accepted linesearch condition failed at iteration {k}: "
-                  f"slack={ls.condition_slack}")
-        x_next = y + ls.lam * d
-        phi_next = ls.accepted_value
-        _check_phi_floor(problem, phi_next, f"x^{k + 1}", strict)
-        slack_step = (
-            phi_x - (sigma / 2 - theta + rho * ls.lam**2) * d_sq + nu_k + eps_k
-        ) - phi_next
-        if slack_step < -DESCENT_SLACK:
-            _flag(strict,
-                  f"descent estimate for the full step failed at iteration "
-                  f"{k}: slack={slack_step}")
-
-        records.append(IterationRecord(
+        record = IterationRecord(
             k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
             eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
             xi=xi.copy(), d_norm=d_norm, inexact_lhs=sol.lhs,
             inexact_rhs=sol.rhs, nu_k=nu_k, lambda_bar=lam_bar,
-            lambda_k=ls.lam, n_backtracks=ls.n_backtracks, phi_y=phi_y,
+            lambda_k=lam, n_backtracks=n_backtracks, phi_y=phi_y,
             phi_next=phi_next,
             tau_hat=None if tau_pair is None else tau_pair.tau_hat,
             tau=None if tau_pair is None else tau_pair.tau,
-        ))
+        )
+        for name, slack in slacks(record, problem, config).items():
+            if not holds(name, slack):
+                _flag(strict, f"{name.replace('_', ' ')} failed at iteration "
+                              f"{k}: slack={slack}")
+        records.append(record)
+        if d_zero:
+            termination = Termination.D_ZERO
+            break
 
+        x_next = y + lam * d
         step = float(np.linalg.norm(x_next - x))
         phi_prev, eps_prev = phi_x, eps_k
         x, phi_x = x_next, phi_next
@@ -226,37 +186,6 @@ def run_dca(problem: DcProblem, config: SolverConfig, x0,
     update is x <- y."""
     cfg = replace(config, lambda_bar=LambdaBarRule.zero_boost())
     return run_nmbdca(problem, cfg, x0, strict=strict)
-
-
-@dataclass(frozen=True)
-class DescentCheck:
-    k: int
-    slack_y: float
-    slack_step: float
-    ok: bool
-
-
-def check_descent(trace: Trace, sigma: float, theta: float) -> list:
-    """Recheck both descent estimates on every recorded iteration.
-
-    slack_y is the slack of phi(y) <= phi(x) - (sigma/2 - theta)||d||^2 + eps
-    and slack_step the slack of the full-step estimate including the accepted
-    lambda; negative slack beyond 1e-9 flags the iteration.
-    """
-    rho = trace.config.rho
-    out = []
-    for r in trace.records:
-        d_sq = r.d_norm**2
-        slack_y = (r.phi_x - (sigma / 2 - theta) * d_sq + r.eps_k) - r.phi_y
-        slack_step = (
-            r.phi_x - (sigma / 2 - theta + rho * r.lambda_k**2) * d_sq
-            + r.nu_k + r.eps_k
-        ) - r.phi_next
-        out.append(DescentCheck(
-            k=r.k, slack_y=slack_y, slack_step=slack_step,
-            ok=slack_y >= -DESCENT_SLACK and slack_step >= -DESCENT_SLACK,
-        ))
-    return out
 
 
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import TOLERANCE
 from .convex import ConvexExpr, as_point, separable_coefficients
 from .core import InexactMode, UnsupportedProblemError
 
@@ -24,10 +25,6 @@ __all__ = [
     "check_inexact",
 ]
 
-# membership tolerance balances closed-form exactness against accumulated
-# interval-arithmetic rounding
-MEMBERSHIP_TOL = 1e-10
-INEXACT_SLACK = 1e-12
 _MAX_INNER_ITERS = 200
 _PERTURB_HALVINGS = 40
 
@@ -82,7 +79,8 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
     gap = g.subdiff_box(y).membership_gap(xi)
     lhs = float(np.linalg.norm(w - xi))
     rhs = float(theta * np.linalg.norm(y - x))
-    ok = gap <= MEMBERSHIP_TOL and lhs <= rhs + INEXACT_SLACK
+    ok = gap <= TOLERANCE["subgrad_membership"] and (
+        lhs <= rhs + TOLERANCE["inexact_bound"])
     return InexactCheck(ok=ok, lhs=lhs, rhs=rhs, membership_gap=gap)
 
 

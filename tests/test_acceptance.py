@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from dcboost.certificates import slacks
 from dcboost.core import (
     DirectNu,
     EpsSchedule,
@@ -25,7 +26,6 @@ from dcboost.core import (
     ZhangHagerNu,
 )
 from dcboost.drivers import (
-    check_descent,
     complexity_report,
     criticality_residual,
     run_dca,
@@ -107,8 +107,9 @@ def test_criterion_3_descent_certificates(study):
     for name in ("ex1", "ex2"):
         prob, traces, _ = study[name]
         for trace in traces:
-            for chk in check_descent(trace, prob.sigma, REF.theta):
-                worst = min(worst, chk.slack_y, chk.slack_step)
+            for r in trace.records:
+                s = slacks(r, prob, trace.config)
+                worst = min(worst, s["descent_y"], s["descent_step"])
                 count += 1
     ok = worst >= -1e-9
     report(3, ok,

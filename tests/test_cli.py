@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 
 import numpy as np
+import pytest
 
 from dcboost.cli import main
 from dcboost.core import Trace
@@ -122,6 +124,64 @@ def test_check_flags_corrupted_linesearch(tmp_path, capsys):
     assert "linesearch" in captured
     assert f"at k={rec['k']}" in captured
     assert "VIOLATED" in captured
+
+
+def test_check_flags_nan_phi(tmp_path, capsys):
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex2", "--out", out, "--start=5.0,5.0",
+                 *REF_FLAGS]) == 0
+    path = f"{out}/trace_000.jsonl"
+    lines = open(path).read().splitlines()
+    rec = json.loads(lines[2])
+    rec["phi_x"] = math.nan
+    lines[2] = json.dumps(rec)
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr().out
+    assert f"nan at k={rec['k']} [VIOLATED]" in captured
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--start=nan,0"], None),
+    (["--start=inf,0"], None),
+    (["--start=a,0"], None),
+    ([], {"starts": [[1.0, 2.0], [math.nan, 0.0]]}),
+    ([], {"starts.box": [-math.inf, 10.0]}),
+    ([], {"starts.box": [0.0, math.nan]}),
+    ([], {"starts.box": [-1e308, 1e308]}),
+])
+def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex2", "--out", str(out), *REF_FLAGS,
+                 *flags]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("run: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho", "nan"],
+    ["--rho", "inf"],
+    ["--theta", "nan"],
+    ["--stop-step-tol", "nan"],
+    ["--d-zero-tol", "nan"],
+    ["--d-zero-tol", "inf"],
+    ["--lambda-bar", "nan"],
+    ["--eps-kind", "geometric", "--eps-eps0", "nan"],
+    ["--nu-kind", "direct", "--nu-delta-min", "0.1", "--nu-nu0", "nan"],
+    ["--nu-kind", "ratio", "--nu-omega", "nan"],
+    ["--nu-kind", "zhang_hager", "--nu-c0-offset", "nan"],
+])
+def test_non_finite_config_values_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex2", "--out", str(out), "--start=1,1",
+                 *REF_FLAGS, *flags]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("run: ")
 
 
 def test_check_rejects_empty_file(tmp_path, capsys):

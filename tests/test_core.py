@@ -250,6 +250,13 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert b.tau is None and b.tau_hat is None
 
 
+def test_trace_jsonl_rejects_non_finite_values(tmp_path):
+    trace = _tiny_trace()
+    trace.records[0] = dataclasses.replace(trace.records[0], phi_x=float("nan"))
+    with pytest.raises(ValueError):
+        trace.write_jsonl(tmp_path / "t.jsonl")
+
+
 def test_trace_jsonl_exact_floats(tmp_path):
     # repr round-trip keeps float64 values bit-exact through the file
     trace = _tiny_trace()
