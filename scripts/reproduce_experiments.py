@@ -14,20 +14,13 @@ Usage: python3 scripts/reproduce_experiments.py [--out results] [--starts N]
 
 import argparse
 import csv
+import json
 import pathlib
 import sys
 
+from dcboost import problems
 from dcboost.cli import main as dcboost_main
-
-REF_FLAGS = [
-    "--solver", "inmbdca",
-    "--rho", "0.6", "--beta", "0.1", "--theta", "0.2",
-    "--lambda-bar", "1.0",
-    "--nu-kind", "ratio", "--nu-omega", "0.01",
-    "--stop-step-tol", "1e-5",
-    "--inexact-mode", "inner_solver",
-    "--max-iter", "500",
-]
+from dcboost.core import config_to_flat
 
 SINGLE_STARTS = {"ex1": "6.2945,8.1158", "ex2": "-4.4615,-9.0766"}
 
@@ -56,6 +49,10 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     opts = ap.parse_args()
     root = pathlib.Path(opts.out)
+    root.mkdir(parents=True, exist_ok=True)
+    config = root / "config.json"
+    config.write_text(json.dumps(config_to_flat(problems.experiment_config())))
+    ref_flags = ["--solver", "inmbdca", "--config", str(config)]
 
     for name in ("ex1", "ex2"):
         out = root / name
@@ -63,7 +60,7 @@ def main():
         run(["run", "--problem", name, "--out", str(out),
              "--starts-count", str(opts.starts), "--starts-seed", "42",
              "--starts-box", "-10", "10", "--workers", str(opts.workers),
-             *REF_FLAGS])
+             *ref_flags])
         summarize(out)
 
         traces = sorted(str(p) for p in out.glob("trace_*.jsonl"))
@@ -73,7 +70,7 @@ def main():
         single = root / f"{name}_single"
         print(f"== {name}: documented start {SINGLE_STARTS[name]} ==")
         run(["run", "--problem", name, "--out", str(single),
-             f"--start={SINGLE_STARTS[name]}", "--plot-data", *REF_FLAGS])
+             f"--start={SINGLE_STARTS[name]}", "--plot-data", *ref_flags])
         print(f"== {name}: iteration-count bounds ==")
         run(["complexity", str(single / "trace_000.jsonl")])
 

@@ -26,9 +26,11 @@ import numpy as np
 from . import problems
 from .certificates import TOLERANCE, holds, replay
 from .core import (
+    CONFIG_KEYS,
     InvariantViolation,
     Trace,
     config_from_flat,
+    flat_value,
     validate,
 )
 from .drivers import (
@@ -53,42 +55,15 @@ _SOLVERS = {
     "dca": lambda p, c, x0, seed: run_dca(p, c, x0),
 }
 
-# flag destination -> flat config key
-_CONFIG_FLAGS = {
-    "problem": "problem",
-    "solver": "solver",
-    "rho": "rho",
-    "beta": "beta",
-    "theta": "theta",
-    "lambda_bar": "lambda_bar",
-    "eps_kind": "eps.kind",
-    "eps_eps0": "eps.eps0",
-    "eps_q": "eps.q",
-    "nu_kind": "nu.kind",
-    "nu_omega": "nu.omega",
-    "nu_delta": "nu.delta",
-    "nu_delta_min": "nu.delta_min",
-    "nu_nu0": "nu.nu0",
-    "nu_fraction": "nu.fraction",
-    "nu_eta": "nu.eta",
-    "nu_eta_min": "nu.eta_min",
-    "nu_eta_max": "nu.eta_max",
-    "nu_c0_offset": "nu.c0_offset",
-    "nu_m": "nu.m",
-    "stop_step_tol": "stop_step_tol",
-    "d_zero_tol": "d_zero_tol",
-    "max_iter": "max_iter",
-    "max_backtracks": "max_backtracks",
-    "inexact_mode": "inexact_mode",
-    "starts_count": "starts.count",
-    "starts_seed": "starts.seed",
+# flat keys that choose what runs, beside the solver's CONFIG_KEYS:
+# key -> (value type, choices or None)
+_RUN_KEYS = {
+    "problem": (str, None),
+    "solver": (str, tuple(sorted(_SOLVERS))),
+    "starts.count": (int, None),
+    "starts.seed": (int, None),
 }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_FLAT_KEYS = {**_RUN_KEYS, **CONFIG_KEYS}
 
 
 def _vec(x) -> str:
@@ -99,38 +74,15 @@ def _build_run_parser(sub):
     p = sub.add_parser("run", help="execute a solver over a set of starts")
     p.add_argument("--config", help="flat JSON config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--problem")
-    p.add_argument("--solver", choices=sorted(_SOLVERS))
-    p.add_argument("--rho", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--lambda-bar", dest="lambda_bar", type=float)
-    p.add_argument("--eps-kind", dest="eps_kind",
-                   choices=["zero", "geometric", "harmonic2"])
-    p.add_argument("--eps-eps0", dest="eps_eps0", type=float)
-    p.add_argument("--eps-q", dest="eps_q", type=float)
-    p.add_argument("--nu-kind", dest="nu_kind",
-                   choices=["zero", "direct", "zhang_hager", "grippo", "ratio"])
-    p.add_argument("--nu-omega", dest="nu_omega", type=float)
-    p.add_argument("--nu-delta", dest="nu_delta", type=float)
-    p.add_argument("--nu-delta-min", dest="nu_delta_min", type=float)
-    p.add_argument("--nu-nu0", dest="nu_nu0", type=float)
-    p.add_argument("--nu-fraction", dest="nu_fraction", type=float)
-    p.add_argument("--nu-eta", dest="nu_eta", type=float)
-    p.add_argument("--nu-eta-min", dest="nu_eta_min", type=float)
-    p.add_argument("--nu-eta-max", dest="nu_eta_max", type=float)
-    p.add_argument("--nu-c0-offset", dest="nu_c0_offset", type=float)
-    p.add_argument("--nu-m", dest="nu_m", type=int)
-    p.add_argument("--stop-step-tol", dest="stop_step_tol", type=float)
-    p.add_argument("--d-zero-tol", dest="d_zero_tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--max-backtracks", dest="max_backtracks", type=int)
-    p.add_argument("--inexact-mode", dest="inexact_mode",
-                   choices=["inner_solver", "perturbed_exact", "exact"])
-    p.add_argument("--starts-count", dest="starts_count", type=int)
+    for key, (tp, choices) in _FLAT_KEYS.items():
+        name = key.replace(".", "_")
+        if key != "lambda_bar.kind":  # file-only: flags set a constant step
+            p.add_argument("--" + name.replace("_", "-"), dest=key,
+                           type=tp if tp in (int, float) else None,
+                           choices=choices,
+                           metavar=None if choices else name.upper())
     p.add_argument("--starts-box", dest="starts_box", nargs=2, type=float,
                    metavar=("LO", "HI"))
-    p.add_argument("--starts-seed", dest="starts_seed", type=int)
     p.add_argument("--start", action="append", default=None,
                    metavar="X1,X2,...",
                    help="explicit start point (repeatable; overrides sampling)")
@@ -147,21 +99,24 @@ def _gather_flat(args) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a flat JSON object")
-        flat.update(loaded)
-    for dest, key in _CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
+        # every file value is read as its key's type, even one a flag
+        # overrides or a nu key the chosen nu.kind ignores
+        for key, value in loaded.items():
+            if key in _FLAT_KEYS:
+                value = flat_value(key, value, _FLAT_KEYS[key][0])
+            elif key not in ("starts", "starts.box"):
+                raise ValueError(f"unknown config key {key!r}")
             flat[key] = value
-    if getattr(args, "starts_box", None) is not None:
+    flat.update({key: value for key, value in vars(args).items()
+                 if key in _FLAT_KEYS and value is not None})
+    if args.starts_box is not None:
         flat["starts.box"] = list(args.starts_box)
-    if getattr(args, "start", None):
-        flat["starts"] = [
-            [float(v) for v in s.split(",")] for s in args.start
-        ]
+    if args.start:
+        flat["starts"] = [[float(v) for v in s.split(",")] for s in args.start]
     return flat
 
 
-def _resolve_starts(flat: dict, dim: int) -> np.ndarray:
+def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
     if "starts" in flat:
         starts = np.asarray(flat["starts"], dtype=float)
         if starts.size == 0:
@@ -171,12 +126,11 @@ def _resolve_starts(flat: dict, dim: int) -> np.ndarray:
                 f"explicit starts must be {dim}-dimensional points"
             )
     else:
-        count = int(flat.get("starts.count", 1))
         box = np.asarray(flat.get("starts.box", [-10.0, 10.0]), dtype=float)
         if not np.isfinite(box).all():
             raise ValueError(f"starts.box must be finite, got {box.tolist()}")
-        seed = int(flat.get("starts.seed", 0))
-        starts = problems.sample_starts(count, box, seed, dim)
+        starts = problems.sample_starts(flat.get("starts.count", 1), box,
+                                        seed, dim)
     if not np.isfinite(starts).all():
         raise ValueError("start points must be finite")
     return starts
@@ -252,14 +206,14 @@ def cmd_run(args) -> int:
         print("run: invalid configuration: " + "; ".join(violations),
               file=sys.stderr)
         return EXIT_USAGE
+    master_seed = flat.get("starts.seed", 0)  # typed by _gather_flat
     try:
-        starts = _resolve_starts(flat, problem.dim)
+        starts = _resolve_starts(flat, problem.dim, master_seed)
     except (ValueError, OverflowError) as exc:  # a box too wide to sample
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     os.makedirs(args.out, exist_ok=True)
-    master_seed = int(flat.get("starts.seed", 0))
     payloads = []
     for i, x0 in enumerate(starts):
         trace_path = os.path.join(args.out, f"trace_{i:03d}.jsonl")

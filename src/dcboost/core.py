@@ -2,14 +2,18 @@
 
 Everything here is an immutable value object after construction, so problems,
 configurations, and finished traces can be shared freely across threads.
-"""
 
-from __future__ import annotations
+The dataclass fields are the one schema of the flat config and of the trace
+records: their (de)serialization and the CLI flags are derived from the
+annotations at import, which is why this module keeps them as live objects
+rather than postponing their evaluation.
+"""
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -37,6 +41,8 @@ __all__ = [
     "validate",
     "config_to_flat",
     "config_from_flat",
+    "flat_value",
+    "CONFIG_KEYS",
     "TRACE_CSV_COLUMNS",
 ]
 
@@ -81,8 +87,10 @@ class EpsSchedule:
     eps0: float = 0.0
     q: float = 0.5
 
+    KINDS = ("zero", "geometric", "harmonic2")
+
     def __post_init__(self):
-        if self.kind not in ("zero", "geometric", "harmonic2"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown eps schedule kind {self.kind!r}")
         if not 0.0 <= self.eps0 < math.inf:
             raise ValueError("eps0 must be finite and nonnegative")
@@ -121,8 +129,10 @@ class LambdaBarRule:
     kind: str = "constant"
     value: float = 1.0
 
+    KINDS = ("constant", "zero_boost")
+
     def __post_init__(self):
-        if self.kind not in ("constant", "zero_boost"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown lambda_bar rule {self.kind!r}")
 
     def trial(self, k: int) -> float:
@@ -373,68 +383,34 @@ class IterationRecord:
     tau: Optional[float] = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "x": [float(v) for v in self.x],
-            "phi_x": self.phi_x,
-            "eps_k": self.eps_k,
-            "eps_certified": self.eps_certified,
-            "w": [float(v) for v in self.w],
-            "y": [float(v) for v in self.y],
-            "xi": [float(v) for v in self.xi],
-            "d_norm": self.d_norm,
-            "inexact_lhs": self.inexact_lhs,
-            "inexact_rhs": self.inexact_rhs,
-            "nu_k": self.nu_k,
-            "lambda_bar": self.lambda_bar,
-            "lambda_k": self.lambda_k,
-            "n_backtracks": self.n_backtracks,
-            "phi_y": self.phi_y,
-            "phi_next": self.phi_next,
-            "tau_hat": self.tau_hat,
-            "tau": self.tau,
-        }
+        return {name: getattr(self, name).tolist() if read is _array
+                else getattr(self, name)
+                for name, read in _RECORD_READERS.items()}
 
     @classmethod
     def from_json_obj(cls, d: dict) -> "IterationRecord":
-        return cls(
-            k=int(d["k"]),
-            x=np.asarray(d["x"], dtype=float),
-            phi_x=float(d["phi_x"]),
-            eps_k=float(d["eps_k"]),
-            eps_certified=float(d["eps_certified"]),
-            w=np.asarray(d["w"], dtype=float),
-            y=np.asarray(d["y"], dtype=float),
-            xi=np.asarray(d["xi"], dtype=float),
-            d_norm=float(d["d_norm"]),
-            inexact_lhs=float(d["inexact_lhs"]),
-            inexact_rhs=float(d["inexact_rhs"]),
-            nu_k=float(d["nu_k"]),
-            lambda_bar=float(d["lambda_bar"]),
-            lambda_k=float(d["lambda_k"]),
-            n_backtracks=int(d["n_backtracks"]),
-            phi_y=float(d["phi_y"]),
-            phi_next=float(d["phi_next"]),
-            tau_hat=None if d.get("tau_hat") is None else float(d["tau_hat"]),
-            tau=None if d.get("tau") is None else float(d["tau"]),
-        )
+        return cls(*[read(d.get(name)) if read is _optional_float
+                     else read(d[name])
+                     for name, read in _RECORD_READERS.items()])
 
 
-TRACE_CSV_COLUMNS = [
-    "k",
-    "phi_x",
-    "eps_k",
-    "d_norm",
-    "inexact_lhs",
-    "inexact_rhs",
-    "nu_k",
-    "lambda_k",
-    "n_backtracks",
-    "phi_y",
-    "phi_next",
-    "tau_hat",
-    "tau",
-]
+def _array(value):
+    return np.asarray(value, dtype=float)
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+# field name -> reader of its JSON value, in field order since from_json_obj
+# passes the values positionally; the CSV gets every scalar field
+_RECORD_READERS = {
+    f.name: {np.ndarray: _array, int: int, float: float,
+             Optional[float]: _optional_float}[f.type]
+    for f in fields(IterationRecord)
+}
+TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
+                     if read is not _array]
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,10 +434,11 @@ class Trace:
             "final_phi": self.final_phi,
             "termination": self.termination.value,
         }
+        # serialize every line before opening, so a failure leaves no file
+        lines = [json.dumps(obj, allow_nan=False) + "\n" for obj in
+                 (meta, *(r.to_json_obj() for r in self.records))]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(meta, allow_nan=False) + "\n")
-            for r in self.records:
-                fh.write(json.dumps(r.to_json_obj(), allow_nan=False) + "\n")
+            fh.writelines(lines)
 
     @classmethod
     def read_jsonl(cls, path) -> "Trace":
@@ -488,99 +465,106 @@ class Trace:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_CSV_COLUMNS)
             for r in self.records:
-                obj = r.to_json_obj()
-                writer.writerow(
-                    ["" if obj[c] is None else repr(obj[c]) if isinstance(obj[c], float) else obj[c] for c in TRACE_CSV_COLUMNS]
-                )
+                row = [getattr(r, c) for c in TRACE_CSV_COLUMNS]
+                writer.writerow(["" if v is None else repr(v)
+                                 if isinstance(v, float) else v for v in row])
 
 
-def _nu_to_flat(nu: NuStrategy) -> dict:
-    out = {"nu.kind": nu.kind}
-    if isinstance(nu, DirectNu):
-        out["nu.delta_min"] = nu.delta_min
-        if nu.delta is not None:
-            out["nu.delta"] = nu.delta
-        out["nu.nu0"] = nu.nu0
-        out["nu.fraction"] = nu.fraction
-    elif isinstance(nu, ZhangHagerNu):
-        out["nu.eta_min"] = nu.eta_min
-        out["nu.eta_max"] = nu.eta_max
-        out["nu.c0_offset"] = nu.c0_offset
-        if nu.eta is not None:
-            out["nu.eta"] = nu.eta
-    elif isinstance(nu, GrippoNu):
-        out["nu.m"] = nu.m
-    elif isinstance(nu, RatioNu):
-        out["nu.omega"] = nu.omega
+# --- flat config: one key per constant field, derived once from the fields
+
+
+def _keys(cls, prefix=""):
+    """(flat key, field name, value type, required) per field of ``cls``:
+    Optional[X] holds an X, a rule callable has no key, and a nested part
+    has key None and its class as the type."""
+    out = []
+    for f in fields(cls):
+        args = [a for a in typing.get_args(f.type) if a is not type(None)]
+        tp = args[0] if len(args) == 1 else f.type
+        if tp in (float, int, str) or (isinstance(tp, type)
+                                       and issubclass(tp, Enum)):
+            out.append((prefix + f.name, f.name, tp, f.default is MISSING))
+        elif is_dataclass(tp):
+            out.append((None, f.name, tp, False))
+    return tuple(out)
+
+
+_NU_KINDS = {cls.kind: cls
+             for cls in (ZeroNu, DirectNu, ZhangHagerNu, GrippoNu, RatioNu)}
+# nu is a union, so SolverConfig's keys leave it out and nu.* come last
+_KEYS = {cls: _keys(cls, "nu.") for cls in _NU_KINDS.values()}
+_KEYS[SolverConfig] = _keys(SolverConfig)
+_KEYS[EpsSchedule] = _keys(EpsSchedule, "eps.")
+# the one special case: the trial step's value is the bare key "lambda_bar",
+# written before its kind
+_kind, _value = _keys(LambdaBarRule, "lambda_bar.")
+_KEYS[LambdaBarRule] = (("lambda_bar",) + _value[1:], _kind)
+
+
+def _flat_keys(cls, out: dict) -> dict:
+    for key, name, tp, _ in _KEYS[cls]:
+        if key is None:
+            _flat_keys(tp, out)
+        else:  # choices: an Enum's values, or a part's KINDS for its kind
+            out[key] = (tp, tuple(m.value for m in tp) if issubclass(tp, Enum)
+                        else cls.KINDS if name == "kind" else None)
     return out
 
 
-def _nu_from_flat(d: dict) -> NuStrategy:
-    kind = d.get("nu.kind", "zero")
-    if kind == "zero":
-        return ZeroNu()
-    if kind == "direct":
-        return DirectNu(
-            delta_min=float(d.get("nu.delta_min", 0.0)),
-            delta=None if d.get("nu.delta") is None else float(d["nu.delta"]),
-            nu0=float(d.get("nu.nu0", 0.0)),
-            fraction=float(d.get("nu.fraction", 1.0)),
-        )
-    if kind == "zhang_hager":
-        return ZhangHagerNu(
-            eta_min=float(d.get("nu.eta_min", 0.0)),
-            eta_max=float(d.get("nu.eta_max", 0.85)),
-            c0_offset=float(d.get("nu.c0_offset", 1.0)),
-            eta=None if d.get("nu.eta") is None else float(d["nu.eta"]),
-        )
-    if kind == "grippo":
-        return GrippoNu(m=int(d["nu.m"]))
-    if kind == "ratio":
-        return RatioNu(omega=float(d["nu.omega"]))
-    raise ValueError(f"unknown nu strategy kind {kind!r}")
+# flat key -> (value type, choices or None), in config_to_flat order, with
+# the nu.* keys of every nu kind
+CONFIG_KEYS = _flat_keys(SolverConfig, {})
+CONFIG_KEYS["nu.kind"] = (str, tuple(_NU_KINDS))
+for _cls in _NU_KINDS.values():
+    _flat_keys(_cls, CONFIG_KEYS)
+
+
+def flat_value(key: str, value, tp):
+    """``value`` read as a ``tp``; a ValueError names the key.  An int key
+    takes no fractional value."""
+    try:
+        if tp is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return tp(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _put(part, out: dict) -> None:
+    for key, name, _, _ in _KEYS[type(part)]:
+        value = getattr(part, name)
+        if key is None:
+            _put(value, out)
+        elif value is not None:
+            out[key] = value.value if isinstance(value, Enum) else value
 
 
 def config_to_flat(config: SolverConfig) -> dict:
     """Flat key/value form of a configuration (rule callables are dropped;
     only the declared constants survive the round trip)."""
-    out = {
-        "rho": config.rho,
-        "beta": config.beta,
-        "theta": config.theta,
-        "lambda_bar": config.lambda_bar.value,
-        "lambda_bar.kind": config.lambda_bar.kind,
-        "eps.kind": config.eps.kind,
-        "eps.eps0": config.eps.eps0,
-        "eps.q": config.eps.q,
-        "stop_step_tol": config.stop_step_tol,
-        "d_zero_tol": config.d_zero_tol,
-        "max_iter": config.max_iter,
-        "max_backtracks": config.max_backtracks,
-        "inexact_mode": config.inexact_mode.value,
-    }
-    out.update(_nu_to_flat(config.nu))
+    out = {}
+    _put(config, out)
+    out["nu.kind"] = config.nu.kind
+    _put(config.nu, out)
     return out
 
 
+def _build(cls, d: dict, **parts):
+    for key, name, tp, required in _KEYS[cls]:
+        if key is None:
+            parts[name] = _build(tp, d)
+        elif key in d:
+            parts[name] = flat_value(key, d[key], tp)
+        elif required:
+            raise ValueError(f"config key {key!r} is required by "
+                             f"{cls.__name__}")
+    return cls(**parts)
+
+
 def config_from_flat(d: dict) -> SolverConfig:
-    base = SolverConfig()
-    return SolverConfig(
-        rho=float(d.get("rho", base.rho)),
-        beta=float(d.get("beta", base.beta)),
-        theta=float(d.get("theta", base.theta)),
-        lambda_bar=LambdaBarRule(
-            kind=d.get("lambda_bar.kind", "constant"),
-            value=float(d.get("lambda_bar", 1.0)),
-        ),
-        eps=EpsSchedule(
-            kind=d.get("eps.kind", "zero"),
-            eps0=float(d.get("eps.eps0", 0.0)),
-            q=float(d.get("eps.q", 0.5)),
-        ),
-        nu=_nu_from_flat(d),
-        stop_step_tol=float(d.get("stop_step_tol", base.stop_step_tol)),
-        d_zero_tol=float(d.get("d_zero_tol", base.d_zero_tol)),
-        max_iter=int(d.get("max_iter", base.max_iter)),
-        max_backtracks=int(d.get("max_backtracks", base.max_backtracks)),
-        inexact_mode=InexactMode(d.get("inexact_mode", "exact")),
-    )
+    """Inverse of config_to_flat: a missing key takes its dataclass default,
+    keys outside the schema and nu.* keys of another nu.kind are ignored."""
+    kind = flat_value("nu.kind", d.get("nu.kind", "zero"), str)
+    if kind not in _NU_KINDS:
+        raise ValueError(f"config key 'nu.kind': unknown kind {kind!r}")
+    return _build(SolverConfig, d, nu=_build(_NU_KINDS[kind], d))

@@ -9,7 +9,7 @@ solution while keeping the certificate valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
     return InexactCheck(ok=ok, lhs=lhs, rhs=rhs, membership_gap=gap)
 
 
-def _exact_solution(g, w, x, theta, requested_iters=0) -> SubproblemSolution:
+def _exact_solution(g, w, x, theta) -> SubproblemSolution:
     y = solve_exact(g, w, x)
     rhs = float(theta * np.linalg.norm(y - x))
     return SubproblemSolution(
@@ -92,7 +92,7 @@ def _exact_solution(g, w, x, theta, requested_iters=0) -> SubproblemSolution:
         xi=w.copy(),
         lhs=0.0,
         rhs=rhs,
-        inner_iters=requested_iters,
+        inner_iters=0,
         mode_used=InexactMode.EXACT,
     )
 
@@ -145,7 +145,7 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
 
     # no iterate passed; fall back to the closed form (covers y* = x, where
     # the caller takes the d = 0 stopping path)
-    return _exact_solution(g, w, x, theta, requested_iters=_MAX_INNER_ITERS)
+    return replace(_exact_solution(g, w, x, theta), inner_iters=it)
 
 
 def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
@@ -169,10 +169,11 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
         ok = lhs <= theta * dist and dist > 0.0
         return ok, y, xi, lhs, theta * dist
 
+    # inner_iters counts the candidates evaluated
     r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
     ok, y, xi, lhs, rhs = candidate(r_hi)
     if ok:
-        return SubproblemSolution(y, xi, lhs, rhs, _PERTURB_HALVINGS,
+        return SubproblemSolution(y, xi, lhs, rhs, 1,
                                   InexactMode.PERTURBED_EXACT)
     r_lo, best = 0.0, None
     for _ in range(_PERTURB_HALVINGS):
@@ -184,9 +185,10 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
             r_hi = mid
     if best is not None:
         y, xi, lhs, rhs = best
-        return SubproblemSolution(y, xi, lhs, rhs, _PERTURB_HALVINGS,
+        return SubproblemSolution(y, xi, lhs, rhs, 1 + _PERTURB_HALVINGS,
                                   InexactMode.PERTURBED_EXACT)
-    return _exact_solution(g, w, x, theta, requested_iters=_PERTURB_HALVINGS)
+    return replace(_exact_solution(g, w, x, theta),
+                   inner_iters=1 + _PERTURB_HALVINGS)
 
 
 def solve_inexact(g: ConvexExpr, w, x, theta: float, mode: InexactMode,

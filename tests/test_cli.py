@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dcboost import cli
 from dcboost.cli import main
 from dcboost.core import Trace
 
@@ -150,6 +152,12 @@ def test_check_flags_nan_phi(tmp_path, capsys):
     ([], {"starts.box": [-math.inf, 10.0]}),
     ([], {"starts.box": [0.0, math.nan]}),
     ([], {"starts.box": [-1e308, 1e308]}),
+    ([], {"max_iter": None}),
+    ([], {"max_iter": 2.7}),
+    ([], {"starts.count": None}),
+    ([], {"nu.omgea": 0.01}),
+    ([], {"rhoo": 0.6}),
+    ([], {"workers": 2}),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -160,7 +168,10 @@ def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     assert main(["run", "--problem", "ex2", "--out", str(out), *REF_FLAGS,
                  *flags]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("run: ")
+    err = capsys.readouterr().err
+    assert err.startswith("run: ")
+    for key in set(config or ()) - {"starts", "starts.box"}:
+        assert repr(key) in err  # the message names the offending key
 
 
 @pytest.mark.parametrize("flags", [
@@ -175,6 +186,7 @@ def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     ["--nu-kind", "direct", "--nu-delta-min", "0.1", "--nu-nu0", "nan"],
     ["--nu-kind", "ratio", "--nu-omega", "nan"],
     ["--nu-kind", "zhang_hager", "--nu-c0-offset", "nan"],
+    ["--nu-kind", "grippo"],
 ])
 def test_non_finite_config_values_rejected(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -182,6 +194,61 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, flags):
                  *REF_FLAGS, *flags]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("run: ")
+
+
+@pytest.mark.parametrize("kind, key", [("ratio", "nu.omega"),
+                                       ("grippo", "nu.m")])
+def test_nu_kind_without_its_key_rejected(tmp_path, capsys, kind, key):
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex1", "--out", str(out), "--start=1,1",
+                 "--nu-kind", kind]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and repr(key) in err
+
+
+def test_nu_keys_of_another_kind_are_ignored(tmp_path):
+    # REF_FLAGS hold nu.omega; switching the kind must not trip over it
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex2", "--out", out, "--start=1,1",
+                 *REF_FLAGS, "--nu-kind", "direct", "--nu-delta-min",
+                 "0.1"]) == 0
+    assert Trace.read_jsonl(f"{out}/trace_000.jsonl").config.nu.kind == "direct"
+
+
+def test_run_options_are_pinned():
+    # every run flag with its value type and choices; the config flags are
+    # derived from the dataclasses, so this pins the derivation
+    sub = argparse.ArgumentParser().add_subparsers()
+    cli._build_run_parser(sub)
+    floats = ["--rho", "--beta", "--theta", "--lambda-bar", "--eps-eps0",
+              "--eps-q", "--nu-omega", "--nu-delta", "--nu-delta-min",
+              "--nu-nu0", "--nu-fraction", "--nu-eta", "--nu-eta-min",
+              "--nu-eta-max", "--nu-c0-offset", "--stop-step-tol",
+              "--d-zero-tol", "--starts-box"]
+    ints = ["--nu-m", "--max-iter", "--max-backtracks", "--starts-count",
+            "--starts-seed", "--workers"]
+    expected = {
+        "-h": (None, None), "--help": (None, None),
+        "--config": (None, None), "--out": (None, None),
+        "--problem": (None, None), "--start": (None, None),
+        "--plot-data": (None, None),
+        "--solver": (None, ["bdca", "dca", "inmbdca", "nmbdca"]),
+        "--eps-kind": (None, ["zero", "geometric", "harmonic2"]),
+        "--nu-kind": (None, ["zero", "direct", "zhang_hager", "grippo",
+                             "ratio"]),
+        "--inexact-mode": (None, ["inner_solver", "perturbed_exact",
+                                  "exact"]),
+        **{flag: (float, None) for flag in floats},
+        **{flag: (int, None) for flag in ints},
+    }
+    actual = {
+        option: (action.type,
+                 None if action.choices is None else list(action.choices))
+        for action in sub.choices["run"]._actions
+        for option in action.option_strings
+    }
+    assert actual == expected
 
 
 def test_check_rejects_empty_file(tmp_path, capsys):

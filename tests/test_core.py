@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +199,39 @@ def test_config_flat_round_trip(nu):
     assert config_from_flat(flat) == cfg
 
 
+@pytest.mark.parametrize("nu, nu_keys", [
+    (ZeroNu(), []),
+    (DirectNu(delta_min=0.25, delta=0.5),
+     ["nu.delta_min", "nu.delta", "nu.nu0", "nu.fraction"]),
+    (DirectNu(), ["nu.delta_min", "nu.nu0", "nu.fraction"]),  # delta None
+    (ZhangHagerNu(eta=0.5),
+     ["nu.eta_min", "nu.eta_max", "nu.c0_offset", "nu.eta"]),
+    (GrippoNu(m=4), ["nu.m"]),
+    (RatioNu(omega=0.01, u_rule=lambda k: k + 2), ["nu.omega"]),
+])
+def test_config_flat_key_order(nu, nu_keys):
+    # the key order of every trace's meta line; rule callables have no key
+    assert list(config_to_flat(SolverConfig(nu=nu))) == [
+        "rho", "beta", "theta", "lambda_bar", "lambda_bar.kind",
+        "eps.kind", "eps.eps0", "eps.q", "stop_step_tol", "d_zero_tol",
+        "max_iter", "max_backtracks", "inexact_mode", "nu.kind", *nu_keys,
+    ]
+
+
+@pytest.mark.parametrize("flat, key", [
+    ({"nu.kind": "ratio"}, "nu.omega"),
+    ({"nu.kind": "grippo"}, "nu.m"),
+    ({"max_iter": None}, "max_iter"),
+    ({"max_iter": 2.7}, "max_iter"),
+    ({"nu.kind": "grippo", "nu.m": 1.5}, "nu.m"),
+    ({"inexact_mode": "fast"}, "inexact_mode"),
+    ({"nu.kind": "bogus"}, "nu.kind"),
+])
+def test_config_from_flat_names_the_bad_key(flat, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        config_from_flat(flat)
+
+
 # --- trace serialization -----------------------------------------------------------------
 
 
@@ -234,6 +268,8 @@ def _tiny_trace():
 
 def test_trace_jsonl_round_trip(tmp_path):
     trace = _tiny_trace()
+    trace.records.append(dataclasses.replace(
+        trace.records[0], k=1, n_backtracks=3, tau_hat=0.75, tau=0.5))
     path = tmp_path / "t.jsonl"
     trace.write_jsonl(path)
     back = Trace.read_jsonl(path)
@@ -242,19 +278,28 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert back.termination is trace.termination
     np.testing.assert_array_equal(back.x0, trace.x0)
     np.testing.assert_array_equal(back.final_x, trace.final_x)
-    assert len(back.records) == 1
-    a, b = trace.records[0], back.records[0]
-    for field in ("phi_x", "d_norm", "lambda_k", "phi_next", "nu_k"):
-        assert getattr(a, field) == getattr(b, field)
-    np.testing.assert_array_equal(a.y, b.y)
-    assert b.tau is None and b.tau_hat is None
+    assert len(back.records) == 2
+    for a, b in zip(trace.records, back.records):
+        for field in dataclasses.fields(IterationRecord):
+            want, got = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want and type(got) is type(want), field.name
+    assert back.records[0].tau is None and back.records[0].tau_hat is None
 
 
 def test_trace_jsonl_rejects_non_finite_values(tmp_path):
+    # a bad value in any record leaves no file, not a truncated trace
     trace = _tiny_trace()
-    trace.records[0] = dataclasses.replace(trace.records[0], phi_x=float("nan"))
-    with pytest.raises(ValueError):
-        trace.write_jsonl(tmp_path / "t.jsonl")
+    trace.records.extend(dataclasses.replace(trace.records[0], k=k)
+                         for k in (1, 2, 3))
+    for k in (0, 3):
+        bad = dataclasses.replace(trace, records=list(trace.records))
+        bad.records[k] = dataclasses.replace(bad.records[k], phi_x=math.nan)
+        with pytest.raises(ValueError):
+            bad.write_jsonl(tmp_path / "t.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_jsonl_exact_floats(tmp_path):
@@ -274,9 +319,9 @@ def test_trace_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     assert TRACE_CSV_COLUMNS == [
-        "k", "phi_x", "eps_k", "d_norm", "inexact_lhs", "inexact_rhs",
-        "nu_k", "lambda_k", "n_backtracks", "phi_y", "phi_next",
-        "tau_hat", "tau",
+        "k", "phi_x", "eps_k", "eps_certified", "d_norm", "inexact_lhs",
+        "inexact_rhs", "nu_k", "lambda_bar", "lambda_k", "n_backtracks",
+        "phi_y", "phi_next", "tau_hat", "tau",
     ]
     row = lines[1].split(",")
     assert row[0] == "0"

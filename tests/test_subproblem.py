@@ -130,6 +130,21 @@ def test_inner_solver_reports_iterations(rng):
     assert sol.inner_iters >= 1
 
 
+def test_inner_iters_count_the_work_done(rng):
+    g = Quadratic(0.5)
+    x = np.array([1.0, 1.0])
+    w = x.copy()  # the exact solution is x, so no inner iterate can pass
+    sol = solve_inexact(g, w, x, 0.2, InexactMode.INNER_SOLVER, rng)
+    # the bracket collapses long before the iteration cap
+    assert sol.mode_used is InexactMode.EXACT
+    assert 1 < sol.inner_iters < 100
+    # theta >= 1 accepts the first perturbed candidate, at distance 1 from x
+    sol = solve_inexact(g, w, x, 2.0, InexactMode.PERTURBED_EXACT, rng)
+    assert sol.mode_used is InexactMode.PERTURBED_EXACT
+    assert sol.inner_iters == 1
+    assert solve_inexact(g, w, x, 0.2, InexactMode.EXACT).inner_iters == 0
+
+
 def test_critical_start_returns_zero_direction(rng):
     # w already a subgradient of g at x: the exact solution is x itself and
     # every mode reports the zero-direction pair
