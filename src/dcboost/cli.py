@@ -255,13 +255,22 @@ def cmd_run(args) -> int:
     return exit_code
 
 
+def _load(path):
+    """A stored trace and its problem; a ValueError says what is wrong."""
+    trace = Trace.read_jsonl(path)
+    problem = problems.resolve(trace.problem_name)
+    if trace.x0.size != problem.dim:
+        raise ValueError(f"field 'x0': {trace.x0.size} values, problem "
+                         f"{problem.name!r} has dimension {problem.dim}")
+    return trace, problem
+
+
 def cmd_check(args) -> int:
     exit_code = EXIT_OK
     for path in args.traces:
         try:
-            trace = Trace.read_jsonl(path)
-            problem = problems.resolve(trace.problem_name)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+            trace, problem = _load(path)
+        except (ValueError, OSError) as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         worst = replay(trace, problem)
@@ -281,9 +290,8 @@ def cmd_check(args) -> int:
 
 def cmd_complexity(args) -> int:
     try:
-        trace = Trace.read_jsonl(args.trace)
-        problem = problems.resolve(trace.problem_name)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        trace, problem = _load(args.trace)
+    except (ValueError, OSError) as exc:
         print(f"{args.trace}: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     phi_bar = args.phibar

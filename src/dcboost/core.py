@@ -9,9 +9,12 @@ annotations at import, which is why this module keeps them as live objects
 rather than postponing their evaluation.
 """
 
+import base64
+import binascii
 import csv
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
@@ -383,34 +386,105 @@ class IterationRecord:
     tau: Optional[float] = None
 
     def to_json_obj(self) -> dict:
-        return {name: getattr(self, name).tolist() if read is _array
-                else getattr(self, name)
+        return {name: _encode_array(getattr(self, name), name)
+                if read is _decode_array else getattr(self, name)
                 for name, read in _RECORD_READERS.items()}
 
     @classmethod
-    def from_json_obj(cls, d: dict) -> "IterationRecord":
-        return cls(*[read(d.get(name)) if read is _optional_float
-                     else read(d[name])
-                     for name, read in _RECORD_READERS.items()])
+    def from_json_obj(cls, d: dict, dim: int) -> "IterationRecord":
+        """Inverse of to_json_obj; a ValueError names the bad field, and
+        every array must hold ``dim`` values."""
+        try:
+            return cls(*[read(d[name], dim)
+                         for name, read in _RECORD_READERS.items()])
+        except (KeyError, ValueError):  # a missing tau, or a bad field
+            return cls(*[_field(d, name, read, dim)
+                         for name, read in _RECORD_READERS.items()])
 
 
-def _array(value):
-    return np.asarray(value, dtype=float)
+# --- trace arrays: base64 of little-endian float64 bytes, bit-exact
+
+ARRAY_ENCODING = "base64-f8le"
+_F8LE = np.dtype("<f8")
 
 
-def _optional_float(value):
-    return None if value is None else float(value)
+def _encode_array(a, name: str) -> str:
+    """``a`` as base64 of its "<f8" bytes; a non-finite value raises
+    ValueError, as ``allow_nan=False`` does for a number."""
+    a = np.asarray(a, _F8LE)
+    if not np.isfinite(a).all():
+        raise ValueError(f"field {name!r}: non-finite value")
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _decode_array(value, dim=None):
+    """A trace array: a base64 string, or a list of numbers as traces
+    written before the encoding hold; ``dim`` values unless ``dim`` is
+    None."""
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"invalid base64 ({exc})") from None
+        if len(raw) % 8:
+            raise ValueError(f"{len(raw)} bytes is not a whole number of "
+                             "float64 values")
+        a = np.frombuffer(raw, _F8LE)  # dtype by keyword costs 2x here
+    elif isinstance(value, list):
+        a = np.asarray(value)
+        if a.ndim != 1 or a.dtype.kind not in "if":
+            raise ValueError("expected a list of numbers")
+        a = a.astype(float)
+    else:
+        raise ValueError(f"expected a base64 string, got {value!r:.40}")
+    if dim is not None and a.size != dim:
+        raise ValueError(f"{a.size} values, the trace dimension is {dim}")
+    return a
+
+
+def _exactly(tp):
+    """Reader of a JSON value that must have type ``tp`` (bool is no int)."""
+    def read(value, dim=None):
+        if type(value) is not tp:
+            raise ValueError(f"expected {tp.__name__}, got {value!r:.40}")
+        return value
+    return read
+
+
+_int, _str, _dict = _exactly(int), _exactly(str), _exactly(dict)
+
+
+def _float(value, dim=None):
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r:.40}")
+    return float(value)
+
+
+def _optional_float(value, dim=None):
+    return None if value is None else _float(value)
+
+
+def _field(d: dict, name: str, read, dim=None):
+    """``d[name]`` read by ``read``; a ValueError names the field.  Only an
+    optional field may be missing."""
+    if name not in d and read is not _optional_float:
+        raise ValueError(f"field {name!r} is missing")
+    try:
+        return read(d.get(name), dim)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
 
 
 # field name -> reader of its JSON value, in field order since from_json_obj
 # passes the values positionally; the CSV gets every scalar field
 _RECORD_READERS = {
-    f.name: {np.ndarray: _array, int: int, float: float,
+    f.name: {np.ndarray: _decode_array, int: _int, float: _float,
              Optional[float]: _optional_float}[f.type]
     for f in fields(IterationRecord)
 }
 TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
-                     if read is not _array]
+                     if read is not _decode_array]
+_JSON = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,40 +499,68 @@ class Trace:
 
     def write_jsonl(self, path) -> None:
         """One meta line, then one record per line; a non-finite value
-        raises ValueError rather than writing a non-standard JSON token."""
+        raises ValueError rather than writing a non-standard JSON token.
+
+        Lines stream to ``<path>.partial``, which replaces ``path`` once
+        complete and is removed on any failure, so no partial trace is left.
+        """
         meta = {
             "problem_name": self.problem_name,
             "config": config_to_flat(self.config),
-            "x0": [float(v) for v in self.x0],
-            "final_x": [float(v) for v in self.final_x],
+            "arrays": ARRAY_ENCODING,
+            "x0": _encode_array(self.x0, "x0"),
+            "final_x": _encode_array(self.final_x, "final_x"),
             "final_phi": self.final_phi,
             "termination": self.termination.value,
         }
-        # serialize every line before opening, so a failure leaves no file
-        lines = [json.dumps(obj, allow_nan=False) + "\n" for obj in
-                 (meta, *(r.to_json_obj() for r in self.records))]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        partial = os.fspath(path) + ".partial"
+        try:
+            with open(partial, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_JSON.encode(meta) + "\n")
+                for r in self.records:
+                    fh.write(_JSON.encode(r.to_json_obj()) + "\n")
+            os.replace(partial, path)
+        except BaseException:
+            if os.path.exists(partial):
+                os.remove(partial)
+            raise
 
     @classmethod
     def read_jsonl(cls, path) -> "Trace":
+        """Inverse of write_jsonl, also reading arrays written as lists; a
+        malformed line raises ValueError naming its line number and field."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError(f"{path}: empty trace file")
-        meta = json.loads(lines[0])
-        if "problem_name" not in meta:
-            raise ValueError(f"{path}: first line is not a trace header")
-        records = [IterationRecord.from_json_obj(json.loads(ln)) for ln in lines[1:]]
-        return cls(
-            problem_name=meta["problem_name"],
-            config=config_from_flat(meta["config"]),
-            x0=np.asarray(meta["x0"], dtype=float),
-            records=records,
-            final_x=np.asarray(meta["final_x"], dtype=float),
-            final_phi=float(meta["final_phi"]),
-            termination=Termination(meta["termination"]),
-        )
+            lines = ((n, ln) for n, ln in enumerate(fh, 1) if not ln.isspace())
+            n, line = next(lines, (0, ""))
+            if not line:
+                raise ValueError("empty trace file")
+            try:
+                meta = json.loads(line)
+                if not isinstance(meta, dict) or "problem_name" not in meta:
+                    raise ValueError("not a trace header")
+                encoding = meta.get("arrays", ARRAY_ENCODING)
+                if encoding != ARRAY_ENCODING:
+                    raise ValueError(f"field 'arrays': unknown encoding "
+                                     f"{encoding!r:.40}")
+                x0 = _field(meta, "x0", _decode_array)
+                header = dict(
+                    problem_name=_field(meta, "problem_name", _str),
+                    config=config_from_flat(_field(meta, "config", _dict)),
+                    x0=x0,
+                    final_x=_field(meta, "final_x", _decode_array, x0.size),
+                    final_phi=_field(meta, "final_phi", _float),
+                    termination=_field(meta, "termination",
+                                       lambda v, dim: Termination(v)),
+                )
+                records = []
+                for n, line in lines:
+                    d = json.loads(line)
+                    if not isinstance(d, dict):
+                        raise ValueError("a record must be a JSON object")
+                    records.append(IterationRecord.from_json_obj(d, x0.size))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+        return cls(records=records, **header)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

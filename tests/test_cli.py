@@ -251,6 +251,60 @@ def test_run_options_are_pinned():
     assert actual == expected
 
 
+@pytest.fixture(scope="module")
+def stored_traces(tmp_path_factory):
+    """The lines of an ex2 trace and of a dim-3 random-sep trace."""
+    out = tmp_path_factory.mktemp("stored")
+    assert main(["run", "--problem", "ex2", "--out", str(out / "ex2"),
+                 "--start=5.0,5.0", *REF_FLAGS]) == 0
+    assert main(["run", "--problem", "random-sep(dim=3,seed=5)", "--out",
+                 str(out / "dim3"), "--start=1,2,3", *REF_FLAGS]) == 0
+    return {name: (out / name / "trace_000.jsonl").read_text().splitlines()
+            for name in ("ex2", "dim3")}
+
+
+def _set(line, name, value):
+    obj = json.loads(line)
+    obj[name] = value
+    return json.dumps(obj)
+
+
+def _drop(line, name):
+    obj = json.loads(line)
+    del obj[name]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("field, line_no, edit", [
+    ("k", 3, lambda ln: _set(ln, "k", None)),
+    ("phi_x", 3, lambda ln: _set(ln, "phi_x", None)),
+    ("y", 3, lambda ln: _set(ln, "y", [1, 2, 3])),
+    ("w", 3, lambda ln: _drop(ln, "w")),
+    ("x", 3, lambda ln: _set(ln, "x", "not base64!")),
+    ("xi", 3, lambda ln: _set(ln, "xi", "AAAAAAAAAAAAAAAA")),  # 12 bytes
+    ("final_x", 1, lambda ln: _set(ln, "final_x", [1.0])),
+    ("x0", None, None),  # a dim-3 trace that names ex2
+])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_malformed_trace_names_line_and_field(tmp_path, capsys, stored_traces,
+                                              command, field, line_no, edit):
+    if edit is None:
+        lines = list(stored_traces["dim3"])
+        lines[0] = _set(lines[0], "problem_name", "ex2")
+    else:
+        lines = list(stored_traces["ex2"])
+        lines[line_no - 1] = edit(lines[line_no - 1])
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: parse error: ")
+    assert f"field {field!r}" in err
+    if line_no is not None:
+        assert f"line {line_no}: " in err
+
+
 def test_check_rejects_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

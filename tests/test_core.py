@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -26,6 +27,7 @@ from dcboost.core import (
     validate,
 )
 from dcboost import problems
+from dcboost.cli import main
 
 
 # --- objective values --------------------------------------------------------
@@ -289,17 +291,95 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert back.records[0].tau is None and back.records[0].tau_hat is None
 
 
+def _with_record(trace, k, **changes):
+    records = list(trace.records)
+    records[k] = dataclasses.replace(records[k], **changes)
+    return dataclasses.replace(trace, records=records)
+
+
 def test_trace_jsonl_rejects_non_finite_values(tmp_path):
-    # a bad value in any record leaves no file, not a truncated trace
+    # a bad value anywhere leaves no file, neither a truncated trace nor
+    # the partial file the lines stream to
     trace = _tiny_trace()
     trace.records.extend(dataclasses.replace(trace.records[0], k=k)
                          for k in (1, 2, 3))
-    for k in (0, 3):
-        bad = dataclasses.replace(trace, records=list(trace.records))
-        bad.records[k] = dataclasses.replace(bad.records[k], phi_x=math.nan)
+    y_nan = trace.records[3].y.copy()
+    y_nan[1] = math.nan
+    for bad in (_with_record(trace, 0, phi_x=math.nan),
+                _with_record(trace, 3, phi_x=math.nan),
+                _with_record(trace, 3, y=y_nan),
+                dataclasses.replace(trace,
+                                    final_x=np.array([0.0, math.inf]))):
         with pytest.raises(ValueError):
             bad.write_jsonl(tmp_path / "t.jsonl")
         assert list(tmp_path.iterdir()) == []
+
+
+# float64 values a decimal or byte encoding could get wrong
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 1000])
+def test_trace_arrays_round_trip_bit_exact(tmp_path, dim):
+    base = np.concatenate([EDGE_FLOATS,
+                           np.random.default_rng(dim).standard_normal(dim)])
+    arrays = [base[(np.arange(dim) + i) % base.size] for i in range(6)]
+    trace = _tiny_trace()
+    trace = dataclasses.replace(
+        trace, x0=arrays[0], final_x=arrays[1],
+        records=[dataclasses.replace(trace.records[0], x=arrays[2],
+                                     w=arrays[3], y=arrays[4],
+                                     xi=arrays[5])])
+    trace.write_jsonl(tmp_path / "t.jsonl")
+    back = Trace.read_jsonl(tmp_path / "t.jsonl")
+    rec = back.records[0]
+    for got, want in zip((back.x0, back.final_x, rec.x, rec.w, rec.y,
+                          rec.xi), arrays):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0
+
+
+def test_trace_meta_names_the_array_encoding(tmp_path):
+    trace = _tiny_trace()
+    trace.write_jsonl(tmp_path / "t.jsonl")
+    meta, record = map(json.loads,
+                       (tmp_path / "t.jsonl").read_text().splitlines())
+    assert meta["arrays"] == "base64-f8le"
+    # the one-line decode the README gives
+    y = np.frombuffer(base64.b64decode(record["y"]), "<f8")
+    assert y.tobytes() == trace.records[0].y.tobytes()
+
+
+def test_legacy_list_trace_checks_like_base64(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex2", "--out", str(out),
+                 "--start=5.0,5.0", "--rho", "0.6", "--beta", "0.1",
+                 "--theta", "0.2", "--nu-kind", "ratio", "--nu-omega", "0.01",
+                 "--inexact-mode", "inner_solver"]) == 0
+    path = out / "trace_000.jsonl"
+
+    def as_list(s):
+        return np.frombuffer(base64.b64decode(s), "<f8").tolist()
+
+    meta, *records = map(json.loads, path.read_text().splitlines())
+    del meta["arrays"]
+    for obj, names in ((meta, ("x0", "final_x")),
+                       *((r, ("x", "w", "y", "xi")) for r in records)):
+        obj.update({name: as_list(obj[name]) for name in names})
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text("".join(json.dumps(obj) + "\n"
+                              for obj in (meta, *records)))
+
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    encoded = capsys.readouterr().out
+    assert main(["check", str(legacy)]) == 0
+    assert capsys.readouterr().out.replace(str(legacy), str(path)) == encoded
+    a, b = Trace.read_jsonl(path), Trace.read_jsonl(legacy)
+    for ra, rb in zip(a.records, b.records):
+        for name in ("x", "w", "y", "xi"):
+            assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes()
 
 
 def test_trace_jsonl_exact_floats(tmp_path):
