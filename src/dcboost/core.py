@@ -394,12 +394,8 @@ class IterationRecord:
     def from_json_obj(cls, d: dict, dim: int) -> "IterationRecord":
         """Inverse of to_json_obj; a ValueError names the bad field, and
         every array must hold ``dim`` values."""
-        try:
-            return cls(*[read(d[name], dim)
-                         for name, read in _RECORD_READERS.items()])
-        except (KeyError, ValueError):  # a missing tau, or a bad field
-            return cls(*[_field(d, name, read, dim)
-                         for name, read in _RECORD_READERS.items()])
+        return cls(*[_field(d, name, read, dim)
+                     for name, read in _RECORD_READERS.items()])
 
 
 # --- trace arrays: base64 of little-endian float64 bytes, bit-exact
@@ -417,10 +413,9 @@ def _encode_array(a, name: str) -> str:
     return base64.b64encode(a.tobytes()).decode("ascii")
 
 
-def _decode_array(value, dim=None):
+def _decode_array(value):
     """A trace array: a base64 string, or a list of numbers as traces
-    written before the encoding hold; ``dim`` values unless ``dim`` is
-    None."""
+    written before the encoding hold."""
     if isinstance(value, str):
         try:
             raw = base64.b64decode(value, validate=True)
@@ -437,14 +432,12 @@ def _decode_array(value, dim=None):
         a = a.astype(float)
     else:
         raise ValueError(f"expected a base64 string, got {value!r:.40}")
-    if dim is not None and a.size != dim:
-        raise ValueError(f"{a.size} values, the trace dimension is {dim}")
     return a
 
 
 def _exactly(tp):
     """Reader of a JSON value that must have type ``tp`` (bool is no int)."""
-    def read(value, dim=None):
+    def read(value):
         if type(value) is not tp:
             raise ValueError(f"expected {tp.__name__}, got {value!r:.40}")
         return value
@@ -454,23 +447,28 @@ def _exactly(tp):
 _int, _str, _dict = _exactly(int), _exactly(str), _exactly(dict)
 
 
-def _float(value, dim=None):
+def _float(value):
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r:.40}")
     return float(value)
 
 
-def _optional_float(value, dim=None):
+def _optional_float(value):
     return None if value is None else _float(value)
 
 
 def _field(d: dict, name: str, read, dim=None):
     """``d[name]`` read by ``read``; a ValueError names the field.  Only an
-    optional field may be missing."""
+    optional field may be missing, and an array must hold ``dim`` values
+    unless ``dim`` is None."""
     if name not in d and read is not _optional_float:
         raise ValueError(f"field {name!r} is missing")
     try:
-        return read(d.get(name), dim)
+        value = read(d.get(name))
+        if dim is not None and read is _decode_array and value.size != dim:
+            raise ValueError(f"{value.size} values, the trace dimension "
+                             f"is {dim}")
+        return value
     except ValueError as exc:
         raise ValueError(f"field {name!r}: {exc}") from None
 
@@ -549,8 +547,7 @@ class Trace:
                     x0=x0,
                     final_x=_field(meta, "final_x", _decode_array, x0.size),
                     final_phi=_field(meta, "final_phi", _float),
-                    termination=_field(meta, "termination",
-                                       lambda v, dim: Termination(v)),
+                    termination=_field(meta, "termination", Termination),
                 )
                 records = []
                 for n, line in lines:
