@@ -2,7 +2,8 @@
 inexactness, and per-iteration inequality checking."""
 
 from .certificates import CERTIFICATES, replay, slacks
-from .convex import L1, ConvexExpr, EpsSubgradCert, Linear, Quadratic, SubdiffBox, Sum
+from .convex import (L1, ConvexExpr, EpsSubgradCert, Linear, Quadratic, Sum,
+                     membership_gap, subdiff_bounds)
 from .core import (
     DcProblem,
     DirectNu,
@@ -37,7 +38,6 @@ from .nonmonotone import (
     nu_init,
     nu_next,
     step_domination_start,
-    verify_summability,
 )
 from .subproblem import (
     InexactCheck,

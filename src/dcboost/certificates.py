@@ -8,7 +8,7 @@ trace.  With d = y - x, c = sigma/2 - theta and phi_bar the problem's
 declared lower bound (-inf when none is declared), the slacks are
 
     eps_certificate     eps_k - eps_certified
-    subgrad_membership  -(distance of xi from the subdifferential box of g at y)
+    subgrad_membership  -(distance of xi from the subdifferential bounds of g at y)
     inexact_bound       theta ||y - x|| - ||w - xi||   (as the solver recorded them)
     descent_y           phi(x) - c ||d||^2 + eps_k - phi(y)
     linesearch          phi(y) - rho lambda^2 ||d||^2 + nu_k - phi(x+)
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .convex import membership_gap
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "replay"]
 
@@ -63,7 +65,7 @@ def slacks(record, problem, config) -> dict:
     return {
         "eps_certificate": r.eps_k - r.eps_certified,
         "subgrad_membership":
-            -problem.g.subdiff_box(r.y).membership_gap(r.xi),
+            -membership_gap(*problem.g.subdiff_box(r.y), r.xi),
         "inexact_bound": r.inexact_rhs - r.inexact_lhs,
         "descent_y": (r.phi_x - coef * d_sq + r.eps_k) - r.phi_y,
         "linesearch": (r.phi_y - step + r.nu_k) - r.phi_next,

@@ -3,14 +3,14 @@
 The atom set -- quadratic ``a*||x||^2``, linear ``<c, x>``, weighted l1
 ``b*sum_i |x_i|``, and sums thereof -- is coordinate-separable.  A ``Sum``
 aggregates its atoms once, at construction, into one (quad, lin, l1) triple
-and does all calculus on it; the atom classes only build and serialize.
-That keeps every piece of calculus exact: subdifferentials are
-per-coordinate interval boxes, strong-convexity moduli are read off the
-quadratic weight, and approximate subgradients carry a machine-checkable
-linearization-gap certificate.  Eps-widened boxes widen each *aggregated*
-atom by its own eps-interval: still a sound superset of the
-eps-subdifferential, and tighter than per-atom widening when a kind repeats.
-"""
+and does all calculus on it; the atom classes only validate and build.
+That keeps every piece of calculus exact: subdifferentials are the
+per-coordinate bounds ``(lo, hi)`` that ``subdiff_bounds`` reads off the
+triple, strong-convexity moduli are read off the quadratic weight, and
+approximate subgradients carry a machine-checkable linearization-gap
+certificate.  Eps-widened bounds widen each *aggregated* atom by its own
+eps-interval: still a sound superset of the eps-subdifferential, and
+tighter than per-atom widening when a kind repeats."""
 
 from __future__ import annotations
 
@@ -26,11 +26,11 @@ __all__ = [
     "Linear",
     "L1",
     "Sum",
-    "SubdiffBox",
     "EpsSubgradCert",
     "as_point",
-    "expr_from_dict",
+    "membership_gap",
     "separable_coefficients",
+    "subdiff_bounds",
 ]
 
 
@@ -46,66 +46,65 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class SubdiffBox:
-    """Per-coordinate interval box; exactly the subdifferential of a separable
-    convex function (the subdifferential of a separable sum is the product of
-    the 1-D subdifferentials)."""
+def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
+                   eps: float = 0.0):
+    """Per-coordinate bounds ``(lo, hi)`` of the eps-subdifferential at x of
+    ``quad*||.||^2 + <lin, .> + l1*sum_i |._i|`` (the subdifferential of a
+    separable sum is the product of the 1-D ones, so at eps = 0 the box is
+    exact).  For eps > 0 each part is widened by its own exact 1-D
+    eps-interval, so a zero gap between two such boxes never misses an
+    eps-critical point.  ``lin`` is a vector, zero when there is no linear
+    part, as ``separable_coefficients`` gives it.  ``lo`` and ``hi`` may be
+    one array, so treat them as read-only."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    # Summing into 0.0 first turns -0.0 into 0.0; parts are summed in the
+    # order quad, lin, l1.
+    g = 2.0 * quad * x
+    if eps == 0.0:
+        lo = 0.0 + g + lin
+        if not l1:
+            return lo, lo
+        # l1: [-b, b] at the kink, {sign(t) b} off it; base - b is base + (-b)
+        lo, hi = lo - l1, lo + l1
+        pos, neg = x > 0, x < 0
+        lo[pos] = hi[pos]
+        hi[neg] = lo[neg]
+        return lo, hi
+    # quadratic: {v : a s^2 >= a t^2 + v (s - t) - eps for all s} = 2at +- 2
+    # sqrt(a eps); linear: still {c}
+    r = 2.0 * math.sqrt(quad * eps)
+    lo = 0.0 + (g - r) + lin
+    hi = 0.0 + (g + r) + lin
+    if l1:
+        b = l1
+        # {v in [-b, b] : v t >= b|t| - eps}
+        l1_lo = np.full_like(x, -b)
+        l1_hi = np.full_like(x, b)
+        pos, neg = x > 0, x < 0
+        l1_lo[pos] = np.maximum(-b, b - eps / x[pos])
+        l1_hi[neg] = np.minimum(b, -b + eps / (-x[neg]))
+        lo = lo + l1_lo
+        hi = hi + l1_hi
+    return lo, hi
 
-    lo: np.ndarray
-    hi: np.ndarray
 
-    def __post_init__(self):
-        lo = as_point(self.lo)
-        hi = as_point(self.hi, lo.shape[0])
-        if np.any(lo > hi + 1e-15):
-            raise ValueError("box has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def membership_gap(self, v) -> float:
-        """Largest per-coordinate distance from v to the box (0 if inside)."""
-        v = as_point(v, self.dim)
-        return float(np.max(np.maximum(np.maximum(self.lo - v, v - self.hi), 0.0)))
-
-    def contains(self, v, tol: float = 1e-10) -> bool:
-        return self.membership_gap(v) <= tol
-
-    def project(self, v) -> np.ndarray:
-        v = as_point(v, self.dim)
-        return np.clip(v, self.lo, self.hi)
-
-    def gap_to(self, other: "SubdiffBox") -> float:
-        """Largest per-coordinate gap between two boxes; 0 iff they intersect
-        in every coordinate."""
-        if other.dim != self.dim:
-            raise ValueError("box dimension mismatch")
-        lo_gap = np.maximum(self.lo - other.hi, 0.0)
-        hi_gap = np.maximum(other.lo - self.hi, 0.0)
-        return float(np.max(np.maximum(lo_gap, hi_gap)))
-
-    def __add__(self, other):
-        if not isinstance(other, SubdiffBox):
-            return NotImplemented
-        return SubdiffBox(self.lo + other.lo, self.hi + other.hi)
+def membership_gap(lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> float:
+    """Largest per-coordinate distance from v to the box [lo, hi] (0 inside)."""
+    return float(np.max(np.maximum(np.maximum(lo - v, v - hi), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class EpsSubgradCert:
     """Approximate subgradient with a proof-carrying gap.
 
-    ``w`` is an exact subgradient at ``anchor_z`` and ``eps_achieved`` equals
+    ``w`` is an exact subgradient at an anchor z and ``eps_achieved`` equals
     ``f(x) - f(z) - <w, x - z> >= 0``, which certifies that ``w`` satisfies
     the subgradient inequality at ``x`` relaxed by ``eps_achieved``.
     """
 
     w: np.ndarray
     eps_achieved: float
-    anchor_z: np.ndarray
 
 
 class ConvexExpr:
@@ -124,14 +123,14 @@ class ConvexExpr:
         """Canonical subgradient selection; uses sign(0) = 0 at l1 kinks."""
         return self._sum.subgrad(x)
 
-    def eps_subdiff_box(self, x, eps: float) -> SubdiffBox:
-        """Box containing the eps-relaxed subdifferential; each aggregated
-        atom is widened by its own exact 1-D eps-interval, so a zero gap
-        between two such boxes never misses an eps-critical point."""
-        return self._sum.eps_subdiff_box(x, eps)
+    def eps_subdiff_box(self, x, eps: float):
+        """Bounds ``(lo, hi)`` of the eps-relaxed subdifferential at x, read
+        off the compiled triple by ``subdiff_bounds``."""
+        x = as_point(x)
+        return subdiff_bounds(*separable_coefficients(self, x.shape[0]), x, eps)
 
-    def subdiff_box(self, x) -> SubdiffBox:
-        """Exact subdifferential at x as a per-coordinate interval box."""
+    def subdiff_box(self, x):
+        """Bounds ``(lo, hi)`` of the exact subdifferential at x."""
         return self.eps_subdiff_box(x, 0.0)
 
     def modulus(self) -> float:
@@ -155,7 +154,7 @@ class ConvexExpr:
         z = as_point(z, x.shape[0])
         w = self.subgrad(z)
         gap = self.value(x) - self.value(z) - float(w @ (x - z))
-        return EpsSubgradCert(w=w, eps_achieved=max(gap, 0.0), anchor_z=z)
+        return EpsSubgradCert(w=w, eps_achieved=max(gap, 0.0))
 
     def eps_subgrad(self, x, eps_target: float, rng) -> EpsSubgradCert:
         """Approximate subgradient at x with certified gap <= eps_target.
@@ -168,7 +167,7 @@ class ConvexExpr:
         if eps_target < 0:
             raise ValueError("eps_target must be nonnegative")
         if eps_target == 0.0:
-            return EpsSubgradCert(self.subgrad(x), 0.0, x.copy())
+            return EpsSubgradCert(self.subgrad(x), 0.0)
         radius = min(0.1, math.sqrt(eps_target))
         for _ in range(64):
             u = rng.standard_normal(x.shape[0])
@@ -180,7 +179,7 @@ class ConvexExpr:
                 return cert
             radius *= 0.5
         # radius-0 fallback: the exact subgradient certifies with zero gap
-        return EpsSubgradCert(self.subgrad(x), 0.0, x.copy())
+        return EpsSubgradCert(self.subgrad(x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,6 @@ class Quadratic(ConvexExpr):
         if self.a < 0:
             raise ValueError("quadratic weight must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {"quad": self.a}
-
 
 @dataclass(frozen=True, eq=False)
 class Linear(ConvexExpr):
@@ -206,9 +202,6 @@ class Linear(ConvexExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_point(self.c))
-
-    def to_dict(self) -> dict:
-        return {"lin": [float(v) for v in self.c]}
 
 
 @dataclass(frozen=True)
@@ -221,9 +214,6 @@ class L1(ConvexExpr):
         object.__setattr__(self, "b", float(self.b))
         if self.b < 0:
             raise ValueError("l1 weight must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {"l1": self.b}
 
 
 @dataclass(frozen=True)
@@ -291,39 +281,6 @@ class Sum(ConvexExpr):
             out += self.l1 * np.sign(x)
         return out
 
-    def eps_subdiff_box(self, x, eps: float) -> SubdiffBox:
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        x = self._point(x)
-        lo = np.zeros_like(x)
-        hi = np.zeros_like(x)
-        if self.quad:
-            # {v : a s^2 >= a t^2 + v (s - t) - eps for all s} = 2at +- 2 sqrt(a eps)
-            g = 2.0 * self.quad * x
-            r = 2.0 * math.sqrt(self.quad * eps)
-            lo += g - r
-            hi += g + r
-        if self.lin is not None:
-            # the eps-relaxed subgradient set of an affine function is still {c}
-            lo += self.lin
-            hi += self.lin
-        if self.l1:
-            b = self.l1
-            l1_lo = np.full_like(x, -b)
-            l1_hi = np.full_like(x, b)
-            pos = x > 0
-            neg = x < 0
-            if eps == 0.0:
-                l1_lo[pos] = b
-                l1_hi[neg] = -b
-            else:
-                # {v in [-b, b] : v t >= b|t| - eps}
-                l1_lo[pos] = np.maximum(-b, b - eps / x[pos])
-                l1_hi[neg] = np.minimum(b, -b + eps / (-x[neg]))
-            lo += l1_lo
-            hi += l1_hi
-        return SubdiffBox(lo, hi)
-
     def modulus(self) -> float:
         return 2.0 * self.quad
 
@@ -333,25 +290,6 @@ class Sum(ConvexExpr):
                 f"dimension mismatch: linear term has {self.lin.shape[0]} "
                 f"coefficients, problem dimension is {dim}"
             )
-
-    def to_dict(self) -> dict:
-        return {"sum": [t.to_dict() for t in self.terms]}
-
-
-def expr_from_dict(d: dict) -> ConvexExpr:
-    """Inverse of ``ConvexExpr.to_dict``."""
-    if not isinstance(d, dict) or len(d) != 1:
-        raise ValueError(f"malformed expression node: {d!r}")
-    (key, payload), = d.items()
-    if key == "quad":
-        return Quadratic(payload)
-    if key == "lin":
-        return Linear(np.asarray(payload, dtype=float))
-    if key == "l1":
-        return L1(payload)
-    if key == "sum":
-        return Sum(tuple(expr_from_dict(t) for t in payload))
-    raise ValueError(f"unknown expression atom {key!r}")
 
 
 def separable_coefficients(f: ConvexExpr, dim: int):

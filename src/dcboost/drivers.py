@@ -189,14 +189,15 @@ def run_dca(problem: DcProblem, config: SolverConfig, x0,
 
 
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:
-    """Largest per-coordinate gap between the subdifferential boxes of g and
-    h at x; zero exactly at critical points.  For eps > 0 both boxes are
+    """Largest per-coordinate gap between the subdifferential bounds of g
+    and h at x; zero exactly at critical points.  For eps > 0 both are
     widened per aggregated atom, which makes a zero residual a sound (never
     missing) certificate of eps-criticality."""
     x = as_point(x, problem.dim)
-    return problem.g.eps_subdiff_box(x, eps).gap_to(
-        problem.h.eps_subdiff_box(x, eps)
-    )
+    g_lo, g_hi = problem.g.eps_subdiff_box(x, eps)
+    h_lo, h_hi = problem.h.eps_subdiff_box(x, eps)
+    return float(np.max(np.maximum(np.maximum(g_lo - h_hi, 0.0),
+                                   np.maximum(h_lo - g_hi, 0.0))))
 
 
 def final_residual(problem: DcProblem, trace: Trace) -> float:

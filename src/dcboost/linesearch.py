@@ -27,7 +27,6 @@ class LinesearchResult:
     lam: float
     n_backtracks: int
     accepted_value: float
-    condition_slack: float
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,14 @@ def nonmonotone_search(phi_eval, y, d, rho: float, beta: float,
 
     phi_y = float(phi_eval(y))
     if lambda_bar == 0.0:
-        return LinesearchResult(0.0, 0, phi_y, nu)
+        return LinesearchResult(0.0, 0, phi_y)
     for j in range(max_backtracks + 1):
         lam = lambda_bar * beta**j
         val = float(phi_eval(y + lam * d))
         bound = phi_y - rho * lam * lam * d_sq + nu
         if val <= bound:
-            return LinesearchResult(lam, j, val, bound - val)
-    return LinesearchResult(0.0, max_backtracks + 1, phi_y, nu)
+            return LinesearchResult(lam, j, val)
+    return LinesearchResult(0.0, max_backtracks + 1, phi_y)
 
 
 def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,

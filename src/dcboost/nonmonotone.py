@@ -1,9 +1,8 @@
 """Evolution of the nonmonotonicity allowance nu_k.
 
 Configuration dataclasses live in ``core``; this module carries strategy
-state through the solver loop and provides post-hoc verifiers for the
-summability and step-domination properties a finished trace may be expected
-to satisfy.
+state through the solver loop and provides a post-hoc verifier for the
+step-domination property a finished trace may be expected to satisfy.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "nu_init",
     "first_step_nu",
     "nu_next",
-    "SummabilityReport",
-    "verify_summability",
     "step_domination_start",
 ]
 
@@ -125,27 +122,6 @@ def nu_next(spec: NuStrategy, state: NuState, k: int, phi_prev: float,
     if isinstance(spec, ZeroNu):
         return None, 0.0
     raise TypeError(f"unknown nu strategy {type(spec)!r}")
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    partial_sums: list
-    bounded: bool
-
-
-def verify_summability(trace) -> SummabilityReport:
-    """Finite proxy for sum(nu_k) < infinity on a completed trace.
-
-    Reports the partial sums; ``bounded`` holds when the increments have
-    decayed below 1e-10 by the end of the trace.  The asymptotic statement
-    itself is not testable on a finite run and is reported, not asserted.
-    """
-    sums, total = [], 0.0
-    for r in trace.records:
-        total += r.nu_k
-        sums.append(total)
-    bounded = (not trace.records) or trace.records[-1].nu_k < 1e-10
-    return SummabilityReport(partial_sums=sums, bounded=bounded)
 
 
 def step_domination_start(trace, delta: float) -> Optional[int]:

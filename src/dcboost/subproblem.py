@@ -9,12 +9,14 @@ solution while keeping the certificate valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certificates import TOLERANCE
-from .convex import ConvexExpr, as_point, separable_coefficients
+from .convex import (ConvexExpr, as_point, membership_gap,
+                     separable_coefficients, subdiff_bounds)
 from .core import InexactMode, UnsupportedProblemError
 
 __all__ = [
@@ -76,7 +78,7 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
     w = as_point(w, x.shape[0])
     y = as_point(y, x.shape[0])
     xi = as_point(xi, x.shape[0])
-    gap = g.subdiff_box(y).membership_gap(xi)
+    gap = membership_gap(*g.subdiff_box(y), xi)
     lhs = float(np.linalg.norm(w - xi))
     rhs = float(theta * np.linalg.norm(y - x))
     ok = gap <= TOLERANCE["subgrad_membership"] and (
@@ -95,6 +97,11 @@ def _exact_solution(g, w, x, theta) -> SubproblemSolution:
         inner_iters=0,
         mode_used=InexactMode.EXACT,
     )
+
+
+def _norm(v) -> float:
+    # what np.linalg.norm computes for a 1-D float vector, without its overhead
+    return math.sqrt(v @ v)
 
 
 def _stationarity_residual(quad, lin, l1, w, t):
@@ -128,18 +135,20 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
 
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
-        xi = g.subdiff_box(y).project(w)
-        lhs = float(np.linalg.norm(w - xi))
-        dist = float(np.linalg.norm(y - x))
+        box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
+        xi = np.clip(w, box_lo, box_hi)
+        lhs = _norm(w - xi)
+        dist = _norm(y - x)
         if lhs <= theta * dist and dist > 0.0:
             return SubproblemSolution(
                 y=y, xi=xi, lhs=lhs, rhs=theta * dist, inner_iters=it,
                 mode_used=InexactMode.INNER_SOLVER,
             )
-        if float(np.max(hi - lo)) < 1e-13:
+        if (hi - lo).max() < 1e-13:
             break
-        res = _stationarity_residual(quad, lin, l1, w, y)
-        pos = res > 0
+        # the residual's sign: its selection 2 quad y + lin + l1 sign(y) is
+        # the box's one point off the kink and lin at it, where sign(0) = 0
+        pos = np.where(y == 0.0, lin, box_lo) > w
         hi[pos] = y[pos]
         lo[~pos] = y[~pos]
 
@@ -153,6 +162,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     the acceptance test satisfied; stresses downstream robustness."""
     y_star = solve_exact(g, w, x)
     dim = x.shape[0]
+    quad, lin, l1 = _coefficients(g, dim)
     u = rng.standard_normal(dim)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
@@ -163,9 +173,9 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
 
     def candidate(r):
         y = y_star + r * u
-        xi = g.subdiff_box(y).project(w)
-        lhs = float(np.linalg.norm(w - xi))
-        dist = float(np.linalg.norm(y - x))
+        xi = np.clip(w, *subdiff_bounds(quad, lin, l1, y))
+        lhs = _norm(w - xi)
+        dist = _norm(y - x)
         ok = lhs <= theta * dist and dist > 0.0
         return ok, y, xi, lhs, theta * dist
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,35 @@ def random_expr(rng, dim, min_quad=0.0, _depth=0):
     if not terms:
         terms.append(Quadratic(rng.uniform(0.1, 1.0)))
     return Sum(tuple(terms))
+
+
+def box_reference(f, x, eps):
+    """Subdifferential box of f at x, written out part by part: each present
+    part of the compiled Sum is summed into zeros in the order quad, lin, l1.
+    ``subdiff_bounds`` must reproduce it bit for bit."""
+    s = f if isinstance(f, Sum) else f._sum
+    lo, hi = np.zeros_like(x), np.zeros_like(x)
+    if s.quad:
+        g = 2.0 * s.quad * x
+        r = 2.0 * math.sqrt(s.quad * eps)
+        lo += g - r
+        hi += g + r
+    if s.lin is not None:
+        lo += s.lin
+        hi += s.lin
+    if s.l1:
+        b = s.l1
+        l1_lo, l1_hi = np.full_like(x, -b), np.full_like(x, b)
+        pos, neg = x > 0, x < 0
+        if eps == 0.0:
+            l1_lo[pos] = b
+            l1_hi[neg] = -b
+        else:
+            l1_lo[pos] = np.maximum(-b, b - eps / x[pos])
+            l1_hi[neg] = np.minimum(b, -b + eps / (-x[neg]))
+        lo += l1_lo
+        hi += l1_hi
+    return lo, hi
 
 
 def random_point(rng, dim, kink_prob=0.3, scale=3.0):

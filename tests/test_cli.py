@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -386,3 +388,48 @@ def test_dca_trace_has_zero_steps(tmp_path):
     trace = Trace.read_jsonl(f"{out}/trace_000.jsonl")
     assert all(r.lambda_k == 0.0 for r in trace.records)
     assert all(r.lambda_bar == 0.0 for r in trace.records)
+
+
+# Taken at the commit before the subdifferential bounds were read off the
+# compiled triple, over dim-2 problems only, so that numpy's reduction order
+# cannot differ between platforms.  A hot-path change that moves any decoded
+# trace value or summary residual by one bit fails here.
+GOLDEN_TRACE_SHA256 = (
+    "44b045f8081906ea59544a91882fca2f3cbf75afe1d7a251556f55468a1b6b19")
+GOLDEN_FINAL_RESIDUALS = {
+    f"{problem}_{mode}": ["0.0"] * 5
+    for problem in ("ex1", "ex2") for mode in ("inner_solver", "perturbed_exact")
+}
+
+
+def _trace_digest(paths) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        trace = Trace.read_jsonl(path)
+        h.update(repr((trace.problem_name, trace.final_phi,
+                       trace.termination.value)).encode())
+        h.update(trace.x0.tobytes() + trace.final_x.tobytes())
+        for r in trace.records:
+            for f in dataclasses.fields(r):
+                v = getattr(r, f.name)
+                h.update(v.tobytes() if isinstance(v, np.ndarray)
+                         else repr(v).encode())
+    return h.hexdigest()
+
+
+def test_golden_traces_and_residuals(tmp_path):
+    paths, residuals = [], {}
+    for problem in ("ex1", "ex2"):
+        for mode in ("inner_solver", "perturbed_exact"):
+            out = run_dir(tmp_path, f"{problem}_{mode}")
+            assert main(["run", "--problem", problem, "--out", out,
+                         "--starts-count", "5", "--starts-seed", "42",
+                         "--starts-box", "-10", "10", *REF_FLAGS,
+                         "--inexact-mode", mode]) == 0
+            paths += sorted(str(p) for p in
+                            (tmp_path / f"{problem}_{mode}").glob("trace_*.jsonl"))
+            residuals[f"{problem}_{mode}"] = [
+                row["final_residual"] for row in read_summary(out)]
+    assert len(paths) == 20
+    assert residuals == GOLDEN_FINAL_RESIDUALS
+    assert _trace_digest(paths) == GOLDEN_TRACE_SHA256

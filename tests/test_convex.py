@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -9,13 +8,15 @@ from dcboost.convex import (
     L1,
     Linear,
     Quadratic,
-    SubdiffBox,
     Sum,
-    expr_from_dict,
+    membership_gap,
     separable_coefficients,
+    subdiff_bounds,
 )
+from dcboost.core import DcProblem
+from dcboost.drivers import criticality_residual
 
-from conftest import random_expr, random_point
+from conftest import box_reference, random_expr, random_point
 
 
 # --- values ---------------------------------------------------------------
@@ -50,33 +51,33 @@ def test_subgrad_quad_plus_l1():
     f = Quadratic(0.5) + L1(1.0)
     v = f.subgrad([1.0, 1.0])
     np.testing.assert_allclose(v, [2.0, 2.0])
-    assert f.subdiff_box([1.0, 1.0]).contains(v)
+    assert membership_gap(*f.subdiff_box([1.0, 1.0]), v) <= 1e-10
 
 
 def test_subgrad_linear_constant():
     np.testing.assert_allclose(Linear([1.0, 1.0]).subgrad([9.0, -4.0]), [1.0, 1.0])
 
 
-# --- subdifferential boxes --------------------------------------------------
+# --- subdifferential bounds -------------------------------------------------
 
 
 def test_box_l1_kink_and_smooth():
-    box = L1(1.0).subdiff_box([0.0, 3.0])
-    np.testing.assert_allclose(box.lo, [-1.0, 1.0])
-    np.testing.assert_allclose(box.hi, [1.0, 1.0])
+    lo, hi = L1(1.0).subdiff_box([0.0, 3.0])
+    np.testing.assert_allclose(lo, [-1.0, 1.0])
+    np.testing.assert_allclose(hi, [1.0, 1.0])
 
 
 def test_box_degenerate_at_smooth_point():
     f = Quadratic(0.5) + L1(1.0)
     x = np.array([-1.0, -1.0])
-    box = f.subdiff_box(x)
-    np.testing.assert_allclose(box.lo, [-2.0, -2.0])
-    np.testing.assert_allclose(box.hi, [-2.0, -2.0])
+    lo, hi = f.subdiff_box(x)
+    np.testing.assert_allclose(lo, [-2.0, -2.0])
+    np.testing.assert_allclose(hi, [-2.0, -2.0])
     # definition check: every box corner satisfies the subgradient inequality
     rng = np.random.default_rng(7)
     for _ in range(100):
         z = rng.uniform(-4, 4, 2)
-        for v in ([box.lo[0], box.lo[1]], [box.hi[0], box.hi[1]]):
+        for v in ([lo[0], lo[1]], [hi[0], hi[1]]):
             assert f.value(z) >= f.value(x) + np.dot(v, z - x) - 1e-12
 
 
@@ -84,10 +85,10 @@ def test_box_sum_is_minkowski_sum():
     f1 = L1(1.0)
     f2 = Quadratic(0.5) + L1(1.0)
     x = np.array([0.0, 3.0])
-    combined = (f1 + f2).subdiff_box(x)
-    added = f1.subdiff_box(x) + f2.subdiff_box(x)
-    np.testing.assert_allclose(combined.lo, added.lo)
-    np.testing.assert_allclose(combined.hi, added.hi)
+    lo, hi = (f1 + f2).subdiff_box(x)
+    (lo1, hi1), (lo2, hi2) = f1.subdiff_box(x), f2.subdiff_box(x)
+    np.testing.assert_allclose(lo, lo1 + lo2)
+    np.testing.assert_allclose(hi, hi1 + hi2)
 
 
 @pytest.mark.parametrize("x0", [0.0, 0.7, -1.3])
@@ -97,7 +98,7 @@ def test_box_tightness_1d(x0):
     # O(1e-6) of the base point, with margin about delta^2 / (2 sigma))
     f = Quadratic(0.5) + L1(1.0)
     x = np.array([x0])
-    box = f.subdiff_box(x)
+    lo, hi = f.subdiff_box(x)
     coarse = np.linspace(-3, 3, 101)
     fine = x0 + np.linspace(-4e-6, 4e-6, 2001)
     zs = np.concatenate([coarse, fine])
@@ -106,17 +107,17 @@ def test_box_tightness_1d(x0):
         vals = 0.5 * zs**2 + np.abs(zs)
         return np.min(vals - (f.value(x) + v * (zs - x0)))
 
-    for v in np.linspace(box.lo[0], box.hi[0], 25):
+    for v in np.linspace(lo[0], hi[0], 25):
         assert worst_slack(v) >= -1e-12
-    for v in (box.lo[0] - 1e-6, box.hi[0] + 1e-6):
+    for v in (lo[0] - 1e-6, hi[0] + 1e-6):
         assert worst_slack(v) < -1e-14
 
 
 def test_membership_gap_and_projection():
-    box = SubdiffBox(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
-    assert box.membership_gap([0.0, 2.0]) == 0.0
-    assert box.membership_gap([1.5, 2.0]) == pytest.approx(0.5)
-    np.testing.assert_allclose(box.project([5.0, 0.0]), [1.0, 2.0])
+    lo, hi = np.array([-1.0, 2.0]), np.array([1.0, 2.0])
+    assert membership_gap(lo, hi, np.array([0.0, 2.0])) == 0.0
+    assert membership_gap(lo, hi, np.array([1.5, 2.0])) == pytest.approx(0.5)
+    np.testing.assert_allclose(np.clip([5.0, 0.0], lo, hi), [1.0, 2.0])
 
 
 # --- certified approximate subgradients --------------------------------------
@@ -181,27 +182,27 @@ def test_eps_box_reduces_to_exact_at_zero(rng):
         x = random_point(rng, dim)
         exact = f.subdiff_box(x)
         widened = f.eps_subdiff_box(x, 0.0)
-        np.testing.assert_allclose(widened.lo, exact.lo)
-        np.testing.assert_allclose(widened.hi, exact.hi)
+        np.testing.assert_allclose(widened[0], exact[0])
+        np.testing.assert_allclose(widened[1], exact[1])
 
 
 def test_eps_box_1d_atoms_are_exact():
     # quadratic: 2at +- 2 sqrt(a eps); l1: [-b,b] cut by v t >= b|t| - eps
     eps = 0.09
-    qbox = Quadratic(1.0).eps_subdiff_box([2.0], eps)
-    assert qbox.lo[0] == pytest.approx(4.0 - 2 * np.sqrt(eps))
-    assert qbox.hi[0] == pytest.approx(4.0 + 2 * np.sqrt(eps))
-    lbox = L1(1.0).eps_subdiff_box([0.5], eps)
-    assert lbox.lo[0] == pytest.approx(1.0 - eps / 0.5)
-    assert lbox.hi[0] == pytest.approx(1.0)
+    q_lo, q_hi = Quadratic(1.0).eps_subdiff_box([2.0], eps)
+    assert q_lo[0] == pytest.approx(4.0 - 2 * np.sqrt(eps))
+    assert q_hi[0] == pytest.approx(4.0 + 2 * np.sqrt(eps))
+    l_lo, l_hi = L1(1.0).eps_subdiff_box([0.5], eps)
+    assert l_lo[0] == pytest.approx(1.0 - eps / 0.5)
+    assert l_hi[0] == pytest.approx(1.0)
     # membership is exactly the relaxed inequality for the endpoint values
     f = L1(1.0)
     x = np.array([0.5])
-    for v in (lbox.lo[0], lbox.hi[0]):
+    for v in (l_lo[0], l_hi[0]):
         for z in np.linspace(-3, 3, 61):
             assert f.value([z]) >= f.value(x) + v * (z - 0.5) - eps - 1e-12
     for z in np.linspace(-3, 3, 61):
-        if f.value([z]) < f.value(x) + (lbox.lo[0] - 1e-3) * (z - 0.5) - eps:
+        if f.value([z]) < f.value(x) + (l_lo[0] - 1e-3) * (z - 0.5) - eps:
             break
     else:
         pytest.fail("value below the widened interval should violate somewhere")
@@ -257,36 +258,7 @@ def test_strong_monotonicity(data):
 @given(expr_and_points())
 def test_subgrad_lies_in_box(data):
     f, x, _ = data
-    assert f.subdiff_box(x).contains(f.subgrad(x), tol=1e-12)
-
-
-# --- serialization --------------------------------------------------------------
-
-
-def test_json_round_trip(rng):
-    for _ in range(20):
-        dim = int(rng.integers(1, 4))
-        f = random_expr(rng, dim)
-        d = f.to_dict()
-        json.dumps(d)  # must be plain data
-        f2 = expr_from_dict(d)
-        assert f2.to_dict() == d
-        x = random_point(rng, dim)
-        assert f.value(x) == pytest.approx(f2.value(x), abs=1e-15)
-
-
-def test_schema_shape():
-    f = Sum((Quadratic(2.0), Linear([1.0, -1.0]), L1(0.5)))
-    assert f.to_dict() == {
-        "sum": [{"quad": 2.0}, {"lin": [1.0, -1.0]}, {"l1": 0.5}]
-    }
-
-
-def test_expr_from_dict_rejects_garbage():
-    with pytest.raises(ValueError):
-        expr_from_dict({"nope": 1})
-    with pytest.raises(ValueError):
-        expr_from_dict({"quad": 1, "l1": 2})
+    assert membership_gap(*f.subdiff_box(x), f.subgrad(x)) <= 1e-12
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -350,22 +322,22 @@ def test_compiled_calculus_matches_per_atom_reference(rng):
                                            rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(f.subgrad(x), sum(p[1] for p in exact),
                                    rtol=1e-12, atol=1e-12)
-        box = f.subdiff_box(x)
-        np.testing.assert_allclose(box.lo, sum(p[2] for p in exact),
+        lo, hi = f.subdiff_box(x)
+        np.testing.assert_allclose(lo, sum(p[2] for p in exact),
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(box.hi, sum(p[3] for p in exact),
+        np.testing.assert_allclose(hi, sum(p[3] for p in exact),
                                    rtol=1e-12, atol=1e-12)
         # widening the aggregate is never looser than widening every atom,
         # and the same when no kind repeats
         eps = float(rng.uniform(0.0, 0.5))
         wide = [_atom_reference(a, x, eps) for a in atoms]
         ref_lo, ref_hi = sum(p[2] for p in wide), sum(p[3] for p in wide)
-        box = f.eps_subdiff_box(x, eps)
-        assert np.all(box.lo >= ref_lo - 1e-12)
-        assert np.all(box.hi <= ref_hi + 1e-12)
+        lo, hi = f.eps_subdiff_box(x, eps)
+        assert np.all(lo >= ref_lo - 1e-12)
+        assert np.all(hi <= ref_hi + 1e-12)
         if len(set(kinds)) == len(kinds):
-            np.testing.assert_allclose(box.lo, ref_lo, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(box.hi, ref_hi, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lo, ref_lo, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=1e-12)
     assert repeated > 50
 
 
@@ -374,3 +346,78 @@ def test_negative_weights_rejected():
         Quadratic(-1.0)
     with pytest.raises(ValueError):
         L1(-0.5)
+
+
+# --- bounds read off the triple, bit for bit against the box arithmetic -------
+
+
+def _membership_reference(lo, hi, v):
+    return float(np.max(np.maximum(np.maximum(lo - v, v - hi), 0.0)))
+
+
+def _gap_reference(g_box, h_box):
+    (g_lo, g_hi), (h_lo, h_hi) = g_box, h_box
+    return float(np.max(np.maximum(np.maximum(g_lo - h_hi, 0.0),
+                                   np.maximum(h_lo - g_hi, 0.0))))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+EXPLICIT_EXPRS = [
+    Quadratic(0.5) + L1(1.0),  # no linear atom
+    Quadratic(1.0) + Linear([-0.0, 0.0, 1.5]),  # no l1 atom, signed zeros
+    Sum((Quadratic(0.75), Linear([0.5, -0.0, -2.0]), L1(0.0))),  # l1 = 0
+    Sum((Quadratic(0.25), L1(0.5), Linear([1.0, -1.0, 0.0]),
+         Quadratic(0.25), L1(0.5), Linear([-1.0, 1.0, -0.0]))),  # repeated
+    L1(0.3) + Linear([0.0, -0.0, 0.7]),  # no quadratic atom
+    Linear([-0.0, -0.0, 1.0]),  # linear only
+]
+EPS_VALUES = [0.0, 1e-300, 0.09, 2.5]
+KINK_POINTS = [
+    np.array([0.0, -0.0, 1.0]),
+    np.array([-0.0, 0.0, -1.0]),
+    np.array([5e-324, -5e-324, 0.0]),
+]
+
+
+# eps / 5e-324 overflows to inf in the reference and in the bounds alike
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_bounds_match_box_reference_bit_for_bit(rng):
+    cases = [(f, x) for f in EXPLICIT_EXPRS for x in KINK_POINTS]
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        cases.append((random_expr(rng, dim), random_point(rng, dim)))
+    for f, x in cases:
+        dim = x.shape[0]
+        triple = separable_coefficients(f, dim)
+        for eps in EPS_VALUES:
+            ref_lo, ref_hi = box_reference(f, x, eps)
+            for lo, hi in (subdiff_bounds(*triple, x, eps),
+                           f.eps_subdiff_box(x, eps)):
+                assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
+            lo, hi = subdiff_bounds(*triple, x, eps)
+            for v in (rng.uniform(-4, 4, dim), np.zeros(dim), -np.zeros(dim),
+                      ref_lo, ref_hi, 0.5 * (ref_lo + ref_hi)):
+                assert _bits(np.clip(v, lo, hi)) == _bits(np.clip(v, ref_lo, ref_hi))
+                assert _bits(membership_gap(lo, hi, v)) == _bits(
+                    _membership_reference(ref_lo, ref_hi, v))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_criticality_gap_matches_box_reference_bit_for_bit(rng):
+    pairs = [(Quadratic(0.5) + L1(1.0), Quadratic(0.5) + Linear([1.0, -0.0, 0.0]), 3),
+             (EXPLICIT_EXPRS[3], EXPLICIT_EXPRS[2], 3)]
+    for _ in range(100):
+        dim = int(rng.integers(1, 5))
+        pairs.append((random_expr(rng, dim, min_quad=0.1),
+                      random_expr(rng, dim, min_quad=0.1), dim))
+    for g, h, dim in pairs:
+        prob = DcProblem.from_components("pair", g, h, dim)
+        points = [x for x in KINK_POINTS if x.shape[0] == dim]
+        for x in points + [random_point(rng, dim)]:
+            for eps in EPS_VALUES:
+                ref = _gap_reference(box_reference(g, x, eps),
+                                     box_reference(h, x, eps))
+                assert _bits(criticality_residual(prob, x, eps)) == _bits(ref)

@@ -21,7 +21,6 @@ from dcboost.nonmonotone import (
     nu_init,
     nu_next,
     step_domination_start,
-    verify_summability,
 )
 from dcboost.drivers import run_inmbdca
 from dcboost import problems
@@ -219,24 +218,6 @@ def test_zhang_hager_identity_on_real_run():
 
 
 # --- verifiers -----------------------------------------------------------------------
-
-
-def test_summability_zero_strategy():
-    report = verify_summability(make_trace([0.0] * 10, [1.0] * 10))
-    assert report.bounded
-    assert report.partial_sums == [0.0] * 10
-
-
-def test_summability_decaying_sequence():
-    nus = [0.01 * 0.5**k for k in range(80)]
-    report = verify_summability(make_trace(nus, [1.0] * 80))
-    assert report.bounded
-    assert report.partial_sums[-1] == pytest.approx(sum(nus))
-
-
-def test_summability_rejects_constant():
-    report = verify_summability(make_trace([1.0] * 20, [1.0] * 20))
-    assert not report.bounded
 
 
 def test_domination_ratio_schedule():

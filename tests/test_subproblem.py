@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dcboost.convex import L1, Linear, Quadratic
+from dcboost.convex import L1, Linear, Quadratic, separable_coefficients
 from dcboost.core import InexactMode, UnsupportedProblemError
 from dcboost.subproblem import check_inexact, solve_exact, solve_inexact
 from dcboost import problems
 
-from conftest import grid_argmin, random_expr, random_point
+from conftest import box_reference, grid_argmin, random_expr, random_point
 
 
 # --- exact solves -----------------------------------------------------------
@@ -187,3 +187,64 @@ def test_check_inexact_accepts_exact_pair():
     y = solve_exact(g, w, x)
     chk = check_inexact(g, w, x, y, w, theta=0.0)
     assert chk.ok and chk.lhs == 0.0
+
+
+def _inner_reference(g, w, x, theta):
+    """The inner bisection written with the box arithmetic and the
+    stationarity residual spelled out: each step clips w into the box at y
+    and moves the bracket by the residual's sign.  Returns (y, xi, lhs, rhs,
+    iterations), y None when no iterate passed."""
+    quad, lin, l1 = separable_coefficients(g, x.shape[0])
+
+    def residual(t):
+        return 2.0 * quad * t + lin + l1 * np.sign(t) - w
+
+    lo = np.minimum(x, 0.0) - 1.0
+    hi = np.maximum(x, 0.0) + 1.0
+    span = 1.0
+    for _ in range(80):
+        bad_lo, bad_hi = residual(lo) > 0, residual(hi) < 0
+        if not bad_lo.any() and not bad_hi.any():
+            break
+        lo[bad_lo] -= span
+        hi[bad_hi] += span
+        span *= 2.0
+    at_kink = (lo < 0.0) & (hi > 0.0) & (np.abs(w - lin) <= l1)
+    lo[at_kink] = hi[at_kink] = 0.0
+    for it in range(1, 201):
+        y = 0.5 * (lo + hi)
+        xi = np.clip(w, *box_reference(g, y, 0.0))
+        lhs = float(np.linalg.norm(w - xi))
+        dist = float(np.linalg.norm(y - x))
+        if lhs <= theta * dist and dist > 0.0:
+            return y, xi, lhs, theta * dist, it
+        if float(np.max(hi - lo)) < 1e-13:
+            break
+        pos = residual(y) > 0
+        hi[pos] = y[pos]
+        lo[~pos] = y[~pos]
+    return None, None, None, None, it
+
+
+def test_inner_solver_matches_reference_bit_for_bit(rng):
+    # w = fl(lin - l1) lies just below lin - l1: off the kink, yet equal to
+    # the box's lower end at 0, so the first step (y = 0) must take the
+    # residual's sign from lin, not from the box; the second step passes
+    lin, l1 = -1.234704295771199, 0.13151339987163393
+    cases = [(Quadratic(0.05) + Linear([lin]) + L1(l1), np.array([lin - l1]),
+              np.zeros(1))]
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        cases.append((random_expr(rng, dim, min_quad=0.25),
+                      rng.uniform(-3, 3, dim), random_point(rng, dim)))
+    for g, w, x in cases:
+        for theta in (0.05, 0.2, 0.45):
+            sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
+            y, xi, lhs, rhs, iters = _inner_reference(g, w, x, theta)
+            assert sol.inner_iters == iters
+            if y is None:
+                assert sol.mode_used is InexactMode.EXACT
+                continue
+            assert sol.y.tobytes() == y.tobytes()
+            assert sol.xi.tobytes() == xi.tobytes()
+            assert (sol.lhs, sol.rhs) == (lhs, rhs)
