@@ -55,21 +55,23 @@ def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
     eps-interval, so a zero gap between two such boxes never misses an
     eps-critical point.  ``lin`` is a vector, zero when there is no linear
     part, as ``separable_coefficients`` gives it.  ``lo`` and ``hi`` may be
-    one array, so treat them as read-only."""
+    one array, so treat them as read-only.  The exact (eps = 0) bounds are
+    whole-array arithmetic and selects, with no boolean-mask indexing."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     # Summing into 0.0 first turns -0.0 into 0.0; parts are summed in the
     # order quad, lin, l1.
     g = 2.0 * quad * x
     if eps == 0.0:
-        lo = 0.0 + g + lin
+        base = 0.0 + g + lin
         if not l1:
-            return lo, lo
-        # l1: [-b, b] at the kink, {sign(t) b} off it; base - b is base + (-b)
-        lo, hi = lo - l1, lo + l1
-        pos, neg = x > 0, x < 0
-        lo[pos] = hi[pos]
-        hi[neg] = lo[neg]
+            return base, base
+        # l1: [-b, b] at the kink, {sign(t) b} off it; base - b is base + (-b).
+        # x > 0 and x < 0 are disjoint, so the second copy reads lo where the
+        # first left it at base - b
+        lo, hi = base - l1, base + l1
+        np.copyto(lo, hi, where=x > 0)
+        np.copyto(hi, lo, where=x < 0)
         return lo, hi
     # quadratic: {v : a s^2 >= a t^2 + v (s - t) - eps for all s} = 2at +- 2
     # sqrt(a eps); linear: still {c}
@@ -91,7 +93,7 @@ def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
 
 def membership_gap(lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> float:
     """Largest per-coordinate distance from v to the box [lo, hi] (0 inside)."""
-    return float(np.max(np.maximum(np.maximum(lo - v, v - hi), 0.0)))
+    return float(np.maximum(np.maximum(lo - v, v - hi), 0.0).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +269,7 @@ class Sum(ConvexExpr):
         if self.lin is not None:
             total += float(self.lin @ x)
         if self.l1:
-            total += float(self.l1 * np.sum(np.abs(x)))
+            total += float(self.l1 * np.add.reduce(np.abs(x)))
         return total
 
     def subgrad(self, x) -> np.ndarray:

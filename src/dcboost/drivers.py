@@ -148,7 +148,8 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             break
 
         x_next = y + lam * d
-        step = float(np.linalg.norm(x_next - x))
+        step_vec = x_next - x
+        step = math.sqrt(step_vec @ step_vec)
         phi_prev, eps_prev = phi_x, eps_k
         x, phi_x = x_next, phi_next
         if step < config.stop_step_tol:

@@ -136,7 +136,8 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
         box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
-        xi = np.clip(w, box_lo, box_hi)
+        # np.clip bit for bit (pinned by a test), without its Python layers
+        xi = np.minimum(np.maximum(w, box_lo), box_hi)
         lhs = _norm(w - xi)
         dist = _norm(y - x)
         if lhs <= theta * dist and dist > 0.0:
@@ -149,8 +150,7 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
         # the residual's sign: its selection 2 quad y + lin + l1 sign(y) is
         # the box's one point off the kink and lin at it, where sign(0) = 0
         pos = np.where(y == 0.0, lin, box_lo) > w
-        hi[pos] = y[pos]
-        lo[~pos] = y[~pos]
+        lo, hi = np.where(pos, lo, y), np.where(pos, y, hi)
 
     # no iterate passed; fall back to the closed form (covers y* = x, where
     # the caller takes the d = 0 stopping path)
@@ -173,7 +173,8 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
 
     def candidate(r):
         y = y_star + r * u
-        xi = np.clip(w, *subdiff_bounds(quad, lin, l1, y))
+        box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
+        xi = np.minimum(np.maximum(w, box_lo), box_hi)
         lhs = _norm(w - xi)
         dist = _norm(y - x)
         ok = lhs <= theta * dist and dist > 0.0

@@ -66,6 +66,16 @@ def random_point(rng, dim, kink_prob=0.3, scale=3.0):
     return x
 
 
+def kinked_point(rng, dim, scale=3.0):
+    """Random point holding every sign of zero and of the smallest subnormal:
+    about a tenth each of 0.0, -0.0, 5e-324 and -5e-324."""
+    x = rng.uniform(-scale, scale, dim)
+    pick = rng.integers(0, 10, dim)
+    for k, v in enumerate((0.0, -0.0, 5e-324, -5e-324)):
+        x[pick == k] = v
+    return x
+
+
 def grid_argmin(g, w, x, lo=-8.0, hi=8.0):
     """Independent subproblem oracle: minimize g(y) - <w, y - x> per
     coordinate by a coarse grid with two local refinements (~1e-6 step)."""

@@ -16,7 +16,7 @@ from dcboost.convex import (
 from dcboost.core import DcProblem
 from dcboost.drivers import criticality_residual
 
-from conftest import box_reference, random_expr, random_point
+from conftest import box_reference, kinked_point, random_expr, random_point
 
 
 # --- values ---------------------------------------------------------------
@@ -382,6 +382,19 @@ KINK_POINTS = [
 ]
 
 
+def _wide_cases(seed=1000, dim=1000):
+    """(expression, point) pairs at a dimension past numpy's SIMD and blocked
+    loops, the points kinked on every sign of zero and of 5e-324; the first
+    expression's linear part holds signed zeros too."""
+    rng = np.random.default_rng(seed)
+    lin = rng.uniform(-2.0, 2.0, dim)
+    lin[::7], lin[3::7] = 0.0, -0.0
+    exprs = [Sum((Quadratic(0.75), Linear(lin), L1(0.5))),
+             Quadratic(1.0) + Linear(lin), L1(0.3) + Linear(lin)]
+    exprs += [random_expr(rng, dim) for _ in range(3)]
+    return [(f, kinked_point(rng, dim)) for f in exprs]
+
+
 # eps / 5e-324 overflows to inf in the reference and in the bounds alike
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_bounds_match_box_reference_bit_for_bit(rng):
@@ -389,6 +402,7 @@ def test_bounds_match_box_reference_bit_for_bit(rng):
     for _ in range(200):
         dim = int(rng.integers(1, 5))
         cases.append((random_expr(rng, dim), random_point(rng, dim)))
+    cases += _wide_cases()
     for f, x in cases:
         dim = x.shape[0]
         triple = separable_coefficients(f, dim)
@@ -421,3 +435,25 @@ def test_criticality_gap_matches_box_reference_bit_for_bit(rng):
                 ref = _gap_reference(box_reference(g, x, eps),
                                      box_reference(h, x, eps))
                 assert _bits(criticality_residual(prob, x, eps)) == _bits(ref)
+
+
+def _value_reference(f, x):
+    s = f if isinstance(f, Sum) else f._sum
+    total = 0.0
+    if s.quad:
+        total += float(s.quad * (x @ x))
+    if s.lin is not None:
+        total += float(s.lin @ x)
+    if s.l1:
+        total += float(s.l1 * np.sum(np.abs(x)))
+    return total
+
+
+def test_value_matches_reference_bit_for_bit(rng):
+    cases = [(f, x) for f in EXPLICIT_EXPRS for x in KINK_POINTS]
+    for _ in range(100):
+        dim = int(rng.integers(1, 5))
+        cases.append((random_expr(rng, dim), random_point(rng, dim)))
+    cases += _wide_cases()
+    for f, x in cases:
+        assert _bits(f.value(x)) == _bits(_value_reference(f, x))

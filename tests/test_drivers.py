@@ -84,6 +84,33 @@ def test_runs_are_deterministic_given_seed():
     assert records_equal(a, b, tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["ex2", "random-sep(dim=1000,seed=0)"])
+def test_step_tolerance_reads_the_step_norm_bit_for_bit(name):
+    # the run stops once ||x_{k+1} - x_k|| < stop_step_tol, the norm taken as
+    # np.linalg.norm takes it: at each new smallest step k, a tolerance one
+    # ulp above that step stops the run at k, and the step itself stops it
+    # at the next new smallest step
+    prob = problems.resolve(name)
+    x0 = np.linspace(-4.0, 3.0, prob.dim)
+    cfg = dataclasses.replace(REF, stop_step_tol=1e-300, max_iter=25)
+    xs = [r.x for r in run_inmbdca(prob, cfg, x0, seed=3).records]
+    steps = [float(np.linalg.norm(b - a)) for a, b in zip(xs, xs[1:])]
+    new_min = [k for k, s in enumerate(steps) if s < min(steps[:k], default=np.inf)]
+    assert len(new_min) > 10
+
+    def stops_at(tol):
+        trace = run_inmbdca(prob, dataclasses.replace(cfg, stop_step_tol=tol),
+                            x0, seed=3)
+        if trace.termination is Termination.STEP_TOL:
+            return len(trace.records) - 1
+        return None
+
+    for k in new_min:
+        assert stops_at(float(np.nextafter(steps[k], np.inf))) == k
+    for k, later in zip(new_min, new_min[1:]):
+        assert stops_at(steps[k]) == later
+
+
 # --- reductions --------------------------------------------------------------------
 
 

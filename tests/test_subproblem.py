@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dcboost.convex import L1, Linear, Quadratic, separable_coefficients
+from dcboost.convex import L1, Linear, Quadratic, Sum, separable_coefficients
 from dcboost.core import InexactMode, UnsupportedProblemError
 from dcboost.subproblem import check_inexact, solve_exact, solve_inexact
 from dcboost import problems
 
-from conftest import box_reference, grid_argmin, random_expr, random_point
+from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
+                      random_point)
 
 
 # --- exact solves -----------------------------------------------------------
@@ -61,6 +62,91 @@ def test_solve_exact_stationarity_membership(rng):
 
 
 # --- inexact solves -----------------------------------------------------------
+
+
+def test_min_max_clip_matches_np_clip_bit_for_bit(rng):
+    # the solvers clip w into the bounds as np.minimum(np.maximum(w, lo), hi),
+    # which numpy does not document as equal to np.clip: pin it on signed
+    # zeros, NaN in w and degenerate boxes, at dim 2 and past numpy's SIMD
+    # and blocked loops
+    ends = [-1.0, -0.0, 0.0, 1.0]
+    triples = [(w, lo, hi) for w in ends + [np.nan] for lo in ends
+               for hi in ends if lo <= hi]
+    for dim in (2, 1000):
+        for _ in range(60):
+            pick = rng.integers(0, len(triples), dim)
+            w, lo, hi = (np.array(col) for col in zip(*(triples[i] for i in pick)))
+            lo[::5] = hi[::5]  # lo == hi, with the signs each end has
+            for v in (w, w * rng.uniform(0.5, 2.0, dim)):
+                assert (np.minimum(np.maximum(v, lo), hi).tobytes()
+                        == np.clip(v, lo, hi).tobytes())
+
+
+def _perturbed_reference(g, w, x, theta, rng):
+    """The perturbed solve written with np.clip, the written-out box and
+    np.linalg.norm: the largest halving of a random-direction radius whose
+    candidate passes the relative test.  Returns (y, xi, lhs, rhs,
+    candidates), y None when no candidate passed."""
+    y_star = solve_exact(g, w, x)
+    u = rng.standard_normal(x.shape[0])
+    norm = float(np.linalg.norm(u))
+    assert norm > 0.0
+    u = u / norm
+
+    def candidate(r):
+        y = y_star + r * u
+        xi = np.clip(w, *box_reference(g, y, 0.0))
+        lhs = float(np.linalg.norm(w - xi))
+        dist = float(np.linalg.norm(y - x))
+        return lhs <= theta * dist and dist > 0.0, (y, xi, lhs, theta * dist)
+
+    r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
+    ok, sol = candidate(r_hi)
+    if ok:
+        return (*sol, 1)
+    r_lo, best = 0.0, None
+    for _ in range(40):
+        mid = 0.5 * (r_lo + r_hi)
+        ok, sol = candidate(mid)
+        if ok:
+            r_lo, best = mid, sol
+        else:
+            r_hi = mid
+    return (*(best or (None,) * 4), 41)
+
+
+def test_perturbed_solver_matches_reference_bit_for_bit(rng):
+    # w = x on a pure quadratic makes the exact solution x itself, so no
+    # candidate passes and the solve falls back to the closed form
+    cases = [(Quadratic(0.5), np.array([1.0, 1.0]), np.array([1.0, 1.0]))]
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        cases.append((random_expr(rng, dim, min_quad=0.25),
+                      rng.uniform(-3, 3, dim), random_point(rng, dim)))
+    cases += _wide_cases()
+    paths = set()
+    for i, (g, w, x) in enumerate(cases):
+        for theta in (0.05, 0.2, 0.45, 2.0):
+            sol = solve_inexact(g, w, x, theta, InexactMode.PERTURBED_EXACT,
+                                np.random.default_rng(i))
+            y, xi, lhs, rhs, iters = _perturbed_reference(
+                g, w, x, theta, np.random.default_rng(i))
+            assert sol.inner_iters == iters
+            if y is None:
+                paths.add("fallback")
+                assert sol.mode_used is InexactMode.EXACT
+                assert sol.y.tobytes() == solve_exact(g, w, x).tobytes()
+                continue
+            paths.add("first" if iters == 1 else "halved")
+            assert sol.mode_used is InexactMode.PERTURBED_EXACT
+            assert sol.y.tobytes() == y.tobytes()
+            assert sol.xi.tobytes() == xi.tobytes()
+            assert _bits(sol.lhs) == _bits(lhs) and _bits(sol.rhs) == _bits(rhs)
+    assert paths == {"first", "halved", "fallback"}
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
 
 
 def test_exact_mode_returns_w_as_xi(rng):
@@ -189,6 +275,27 @@ def test_check_inexact_accepts_exact_pair():
     assert chk.ok and chk.lhs == 0.0
 
 
+def _wide_cases(seed=1000, dim=1000):
+    """(g, w, x) at a dimension past numpy's SIMD and blocked loops: x holds
+    every sign of zero and of 5e-324, and w puts some coordinates' solutions
+    exactly on the kink (w = lin), at either end of the kink's interval
+    (w = fl(lin -+ l1)) or at a signed zero."""
+    rng = np.random.default_rng(seed)
+    lin = rng.uniform(-2.0, 2.0, dim)
+    lin[::7], lin[3::7] = 0.0, -0.0
+    cases = []
+    for g in (Sum((Quadratic(0.75), Linear(lin), L1(0.5))),
+              random_expr(rng, dim, min_quad=0.25),
+              random_expr(rng, dim, min_quad=0.25)):
+        _, c, b = separable_coefficients(g, dim)
+        w = rng.uniform(-3.0, 3.0, dim)
+        pick = rng.integers(0, 10, dim)
+        for k, v in enumerate((c, c - b, c + b, np.zeros(dim), -np.zeros(dim))):
+            w[pick == k] = v[pick == k]
+        cases.append((g, w, kinked_point(rng, dim)))
+    return cases
+
+
 def _inner_reference(g, w, x, theta):
     """The inner bisection written with the box arithmetic and the
     stationarity residual spelled out: each step clips w into the box at y
@@ -237,6 +344,7 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
         dim = int(rng.integers(1, 5))
         cases.append((random_expr(rng, dim, min_quad=0.25),
                       rng.uniform(-3, 3, dim), random_point(rng, dim)))
+    cases += _wide_cases()
     for g, w, x in cases:
         for theta in (0.05, 0.2, 0.45):
             sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
