@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .convex import membership_gap
+from .convex import l2_norm, membership_gap
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "replay"]
 
@@ -91,6 +89,6 @@ def replay(trace, problem) -> dict:
             _note(worst, name, slack, r.k)
     ends = [r.x for r in trace.records[1:]] + [trace.final_x]
     for r, end in zip(trace.records, ends):
-        err = float(np.linalg.norm(end - (r.y + r.lambda_k * (r.y - r.x))))
+        err = l2_norm(end - (r.y + r.lambda_k * (r.y - r.x)))
         _note(worst, "reconstruction", -err, r.k)
     return worst

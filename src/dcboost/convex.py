@@ -28,6 +28,7 @@ __all__ = [
     "Sum",
     "EpsSubgradCert",
     "as_point",
+    "l2_norm",
     "membership_gap",
     "separable_coefficients",
     "subdiff_bounds",
@@ -44,6 +45,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[0]}")
     return p
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector: what ``np.linalg.norm`` computes
+    for one, ``sqrt(v @ v)``, bit for bit, without its Python layers."""
+    return math.sqrt(v @ v)
 
 
 def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
@@ -173,7 +180,7 @@ class ConvexExpr:
         radius = min(0.1, math.sqrt(eps_target))
         for _ in range(64):
             u = rng.standard_normal(x.shape[0])
-            norm = float(np.linalg.norm(u))
+            norm = l2_norm(u)
             if norm == 0.0:
                 continue
             cert = self.linearization_cert(x, x + (radius / norm) * u)

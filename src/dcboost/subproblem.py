@@ -10,12 +10,13 @@ solution while keeping the certificate valid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certificates import TOLERANCE
-from .convex import (ConvexExpr, as_point, membership_gap,
+from .convex import (ConvexExpr, as_point, l2_norm, membership_gap,
                      separable_coefficients, subdiff_bounds)
 from .core import InexactMode, UnsupportedProblemError
 
@@ -79,8 +80,8 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
     y = as_point(y, x.shape[0])
     xi = as_point(xi, x.shape[0])
     gap = membership_gap(*g.subdiff_box(y), xi)
-    lhs = float(np.linalg.norm(w - xi))
-    rhs = float(theta * np.linalg.norm(y - x))
+    lhs = l2_norm(w - xi)
+    rhs = theta * l2_norm(y - x)
     ok = gap <= TOLERANCE["subgrad_membership"] and (
         lhs <= rhs + TOLERANCE["inexact_bound"])
     return InexactCheck(ok=ok, lhs=lhs, rhs=rhs, membership_gap=gap)
@@ -88,7 +89,7 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
 
 def _exact_solution(g, w, x, theta) -> SubproblemSolution:
     y = solve_exact(g, w, x)
-    rhs = float(theta * np.linalg.norm(y - x))
+    rhs = theta * l2_norm(y - x)
     return SubproblemSolution(
         y=y,
         xi=w.copy(),
@@ -97,11 +98,6 @@ def _exact_solution(g, w, x, theta) -> SubproblemSolution:
         inner_iters=0,
         mode_used=InexactMode.EXACT,
     )
-
-
-def _norm(v) -> float:
-    # what np.linalg.norm computes for a 1-D float vector, without its overhead
-    return math.sqrt(v @ v)
 
 
 def _stationarity_residual(quad, lin, l1, w, t):
@@ -138,8 +134,8 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
         box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
         # np.clip bit for bit (pinned by a test), without its Python layers
         xi = np.minimum(np.maximum(w, box_lo), box_hi)
-        lhs = _norm(w - xi)
-        dist = _norm(y - x)
+        lhs = l2_norm(w - xi)
+        dist = l2_norm(y - x)
         if lhs <= theta * dist and dist > 0.0:
             return SubproblemSolution(
                 y=y, xi=xi, lhs=lhs, rhs=theta * dist, inner_iters=it,
@@ -157,14 +153,67 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     return replace(_exact_solution(g, w, x, theta), inner_iters=it)
 
 
+def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:
+    """Whether every perturbed candidate between two failed end radii fails
+    too, read off the ends' v = w - xi and e = y - x alone.
+
+    Between the ends, |e_i| <= E_i, the larger |e_i| of the two ends, and
+    where both ends' v_i share a strict sign, |v_i| >= m_i, the smaller of
+    the two (see ``_solve_perturbed``); let M = max_i m_i.  A rounded dot
+    product of squares, in any order and with or without FMA, is at least
+    its largest rounded term, so lhs >= fl(sqrt(fl(M M))).  With u = 2^-53
+    and both fl(E @ E) and fl(theta sqrt(fl(E @ E))) normal (>= 2^-1022, so
+    that gradual underflow adds at most u 2^-1022 per product), the n-term
+    sum bounds give fl(e @ e) <= rho fl(E @ E) with
+    rho = ((1+u)/(1-u))^n (1 + n u) + n u (1+u)^n, and the two square roots
+    and two products then give rhs <= fl(fl(theta sqrt(fl(E @ E))) slack)
+    whenever slack >= F(n) = ((1+u)^2 sqrt(rho) / (1-u) + u (1+u) / (1-u))
+    / ((1-u) (1 - u - u (1+u) / (1-u))) = 1 + (2n + 7) u + O(n^2 u^2).
+    slack = 1 + 4 (n + 4) u covers F(n) from n = 1 to 2^50 (checked in
+    80-digit arithmetic by a test) and is exact in floating point.  So when fl(sqrt(fl(M M))) exceeds that bound, lhs > rhs
+    at every candidate.  Any non-finite value skips the certificate."""
+    lo, hi = np.minimum(v_hi, v_end), np.maximum(v_hi, v_end)
+    # lo.max() > 0 or hi.min() < 0 only where both ends share a strict sign
+    m = max(lo.max(), -hi.min(), 0.0)
+    big = np.maximum(np.abs(e_hi), np.abs(e_end))
+    e2 = big @ big
+    # lo.min() and hi.max() bound every entry of both v
+    if not math.isfinite(lo.min() + hi.max() + e2):
+        return False
+    bound = theta * math.sqrt(e2)
+    slack = 1.0 + (v_hi.shape[0] + 4) * 2.0**-51
+    return (e2 >= sys.float_info.min and bound >= sys.float_info.min
+            and math.sqrt(m * m) > bound * slack)
+
+
 def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     """Exact solve, then the largest random-direction perturbation that keeps
-    the acceptance test satisfied; stresses downstream robustness."""
+    the acceptance test satisfied; stresses downstream robustness.
+
+    The radius starts at r_hi and is halved 40 times, toward the first pass,
+    so when every candidate fails the radii are r_hi 2^-j, j = 0..40.  Once
+    the r_hi candidate fails, the r_hi 2^-40 one is evaluated next, and
+    ``_fails_between`` tries to prove from these two ends that all 41 fail;
+    then the closed form returns without the 39 candidates between them.
+    That is the common case at l1 kinks where w lies strictly inside the
+    kink interval: there |w_i - xi_i| stays near the interval's end whatever
+    the radius.  inner_iters counts the candidates evaluated.
+
+    Why the two ends bound the rest: per coordinate, each rounded step from
+    r to y_i = fl(y*_i + fl(r u_i)), to e_i = fl(y_i - x_i) and to both ends
+    of the box at y_i is monotone, and both box ends are nondecreasing in
+    y_i, through the kink too: with base the rounded 2 quad y_i + lin_i,
+    left of it both are base - l1, at it the box is [base - l1, base + l1],
+    and right of it both are base + l1.  So the clip
+    xi_i and v_i = fl(w_i - xi_i) are monotone in r, and at any radius
+    between the ends e_i and v_i lie between their values at the ends.
+    ``_fails_between`` turns that into a bound on both norms that holds
+    under rounding."""
     y_star = solve_exact(g, w, x)
     dim = x.shape[0]
     quad, lin, l1 = _coefficients(g, dim)
     u = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(u))
+    norm = l2_norm(u)
     if norm == 0.0:
         u = np.zeros(dim)
         u[0] = 1.0
@@ -175,31 +224,34 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
         y = y_star + r * u
         box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
         xi = np.minimum(np.maximum(w, box_lo), box_hi)
-        lhs = _norm(w - xi)
-        dist = _norm(y - x)
+        v, e = w - xi, y - x
+        lhs, dist = l2_norm(v), l2_norm(e)
         ok = lhs <= theta * dist and dist > 0.0
-        return ok, y, xi, lhs, theta * dist
+        return ok, (y, xi, lhs, theta * dist), v, e
 
-    # inner_iters counts the candidates evaluated
-    r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
-    ok, y, xi, lhs, rhs = candidate(r_hi)
+    r_hi = max(1.0, l2_norm(y_star - x))
+    ok, sol, v_hi, e_hi = candidate(r_hi)
     if ok:
-        return SubproblemSolution(y, xi, lhs, rhs, 1,
-                                  InexactMode.PERTURBED_EXACT)
-    r_lo, best = 0.0, None
+        return SubproblemSolution(*sol, 1, InexactMode.PERTURBED_EXACT)
+    r_end = r_hi * 0.5**_PERTURB_HALVINGS
+    ok_end, sol_end, v_end, e_end = candidate(r_end)
+    if _fails_between(v_hi, e_hi, v_end, e_end, theta):
+        return replace(_exact_solution(g, w, x, theta), inner_iters=2)
+    r_lo, best, evals = 0.0, None, 2
     for _ in range(_PERTURB_HALVINGS):
         mid = 0.5 * (r_lo + r_hi)
-        ok, y, xi, lhs, rhs = candidate(mid)
+        if mid == r_end:  # the last halving, every candidate before it failed
+            ok, sol = ok_end, sol_end
+        else:
+            ok, sol, _, _ = candidate(mid)
+            evals += 1
         if ok:
-            r_lo, best = mid, (y, xi, lhs, rhs)
+            r_lo, best = mid, sol
         else:
             r_hi = mid
     if best is not None:
-        y, xi, lhs, rhs = best
-        return SubproblemSolution(y, xi, lhs, rhs, 1 + _PERTURB_HALVINGS,
-                                  InexactMode.PERTURBED_EXACT)
-    return replace(_exact_solution(g, w, x, theta),
-                   inner_iters=1 + _PERTURB_HALVINGS)
+        return SubproblemSolution(*best, evals, InexactMode.PERTURBED_EXACT)
+    return replace(_exact_solution(g, w, x, theta), inner_iters=evals)
 
 
 def solve_inexact(g: ConvexExpr, w, x, theta: float, mode: InexactMode,

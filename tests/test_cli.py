@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from dcboost import cli
+from dcboost import cli, problems
+from dcboost.certificates import slacks
 from dcboost.cli import main
 from dcboost.core import Trace
 
@@ -417,19 +418,48 @@ def _trace_digest(paths) -> str:
     return h.hexdigest()
 
 
-def test_golden_traces_and_residuals(tmp_path):
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """The 20 golden traces' paths and each run's summary residuals."""
+    root = tmp_path_factory.mktemp("golden")
     paths, residuals = [], {}
     for problem in ("ex1", "ex2"):
         for mode in ("inner_solver", "perturbed_exact"):
-            out = run_dir(tmp_path, f"{problem}_{mode}")
+            out = run_dir(root, f"{problem}_{mode}")
             assert main(["run", "--problem", problem, "--out", out,
                          "--starts-count", "5", "--starts-seed", "42",
                          "--starts-box", "-10", "10", *REF_FLAGS,
                          "--inexact-mode", mode]) == 0
             paths += sorted(str(p) for p in
-                            (tmp_path / f"{problem}_{mode}").glob("trace_*.jsonl"))
+                            (root / f"{problem}_{mode}").glob("trace_*.jsonl"))
             residuals[f"{problem}_{mode}"] = [
                 row["final_residual"] for row in read_summary(out)]
+    return paths, residuals
+
+
+def test_golden_traces_and_residuals(golden_runs):
+    paths, residuals = golden_runs
     assert len(paths) == 20
     assert residuals == GOLDEN_FINAL_RESIDUALS
     assert _trace_digest(paths) == GOLDEN_TRACE_SHA256
+
+
+def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
+    # descent_step's slack is, term for term, descent_y's plus linesearch's;
+    # on every golden record the computed slacks agree to a few ulps of the
+    # largest term, so descent_step checks nothing the other two miss
+    paths, _ = golden_runs
+    records = 0
+    for path in paths:
+        trace = Trace.read_jsonl(path)
+        problem, config = problems.resolve(trace.problem_name), trace.config
+        for r in trace.records:
+            s = slacks(r, problem, config)
+            d_sq = r.d_norm**2
+            terms = (r.phi_x, (problem.sigma / 2 - config.theta) * d_sq,
+                     config.rho * r.lambda_k**2 * d_sq, r.nu_k, r.eps_k,
+                     r.phi_y, r.phi_next)
+            gap = s["descent_step"] - (s["descent_y"] + s["linesearch"])
+            assert abs(gap) <= 4 * math.ulp(max(map(abs, terms))), (path, r.k)
+            records += 1
+    assert records > 100

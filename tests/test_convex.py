@@ -9,6 +9,7 @@ from dcboost.convex import (
     Linear,
     Quadratic,
     Sum,
+    l2_norm,
     membership_gap,
     separable_coefficients,
     subdiff_bounds,
@@ -457,3 +458,16 @@ def test_value_matches_reference_bit_for_bit(rng):
     cases += _wide_cases()
     for f, x in cases:
         assert _bits(f.value(x)) == _bits(_value_reference(f, x))
+
+
+def test_l2_norm_matches_np_linalg_norm_bit_for_bit(rng):
+    # l2_norm stands in for np.linalg.norm on 1-D float vectors; pin it on
+    # signed zeros and subnormals, at dim 1, 2 and past numpy's SIMD and
+    # blocked loops
+    for dim in (1, 2, 1000):
+        for scale in (3.0, 1e-160, 1e150):
+            for _ in range(40):
+                v = kinked_point(rng, dim, scale)
+                for w in (v, -v, np.zeros(dim), -np.zeros(dim)):
+                    assert (np.float64(l2_norm(w)).tobytes()
+                            == np.linalg.norm(w).tobytes())

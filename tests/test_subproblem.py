@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -84,9 +86,11 @@ def test_min_max_clip_matches_np_clip_bit_for_bit(rng):
 
 def _perturbed_reference(g, w, x, theta, rng):
     """The perturbed solve written with np.clip, the written-out box and
-    np.linalg.norm: the largest halving of a random-direction radius whose
-    candidate passes the relative test.  Returns (y, xi, lhs, rhs,
-    candidates), y None when no candidate passed."""
+    np.linalg.norm, evaluating every candidate: the largest halving of a
+    random-direction radius whose candidate passes the relative test, else
+    the closed form.  Returns (y, xi, lhs, rhs, mode, scale), scale the
+    returned candidate's radius over the first one's (None for the closed
+    form)."""
     y_star = solve_exact(g, w, x)
     u = rng.standard_normal(x.shape[0])
     norm = float(np.linalg.norm(u))
@@ -100,10 +104,10 @@ def _perturbed_reference(g, w, x, theta, rng):
         dist = float(np.linalg.norm(y - x))
         return lhs <= theta * dist and dist > 0.0, (y, xi, lhs, theta * dist)
 
-    r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
+    r_first = r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
     ok, sol = candidate(r_hi)
     if ok:
-        return (*sol, 1)
+        return (*sol, InexactMode.PERTURBED_EXACT, 1.0)
     r_lo, best = 0.0, None
     for _ in range(40):
         mid = 0.5 * (r_lo + r_hi)
@@ -112,7 +116,36 @@ def _perturbed_reference(g, w, x, theta, rng):
             r_lo, best = mid, sol
         else:
             r_hi = mid
-    return (*(best or (None,) * 4), 41)
+    if best is None:
+        rhs = float(theta * np.linalg.norm(y_star - x))
+        return y_star, w.copy(), 0.0, rhs, InexactMode.EXACT, None
+    return (*best, InexactMode.PERTURBED_EXACT, r_lo / r_first)
+
+
+def _perturbed_path(g, w, x, theta, seed):
+    """Solve in perturbed_exact mode and with the reference on the same
+    seeded draws, compare the two bit for bit, and name the path the solve
+    took."""
+    sol = solve_inexact(g, w, x, theta, InexactMode.PERTURBED_EXACT,
+                        np.random.default_rng(seed))
+    y, xi, lhs, rhs, mode, scale = _perturbed_reference(
+        g, w, x, theta, np.random.default_rng(seed))
+    assert sol.mode_used is mode
+    assert sol.y.tobytes() == y.tobytes()
+    assert sol.xi.tobytes() == xi.tobytes()
+    assert _bits(sol.lhs) == _bits(lhs) and _bits(sol.rhs) == _bits(rhs)
+    if scale is None:
+        # no candidate passes: the closed form, after the two end radii
+        # when the certificate proves it, else after all 41 candidates
+        assert sol.inner_iters in (2, 41)
+        return "certified" if sol.inner_iters == 2 else "searched"
+    if scale == 1.0:
+        assert sol.inner_iters == 1
+        return "first"
+    # the end radius r_hi 2^-40 is evaluated before the halvings and reused
+    # by the last one, which reaches it only when every earlier one failed
+    assert sol.inner_iters == (41 if scale == 2.0**-40 else 42)
+    return "halved"
 
 
 def test_perturbed_solver_matches_reference_bit_for_bit(rng):
@@ -127,22 +160,82 @@ def test_perturbed_solver_matches_reference_bit_for_bit(rng):
     paths = set()
     for i, (g, w, x) in enumerate(cases):
         for theta in (0.05, 0.2, 0.45, 2.0):
-            sol = solve_inexact(g, w, x, theta, InexactMode.PERTURBED_EXACT,
-                                np.random.default_rng(i))
-            y, xi, lhs, rhs, iters = _perturbed_reference(
-                g, w, x, theta, np.random.default_rng(i))
-            assert sol.inner_iters == iters
-            if y is None:
-                paths.add("fallback")
-                assert sol.mode_used is InexactMode.EXACT
-                assert sol.y.tobytes() == solve_exact(g, w, x).tobytes()
-                continue
-            paths.add("first" if iters == 1 else "halved")
-            assert sol.mode_used is InexactMode.PERTURBED_EXACT
-            assert sol.y.tobytes() == y.tobytes()
-            assert sol.xi.tobytes() == xi.tobytes()
-            assert _bits(sol.lhs) == _bits(lhs) and _bits(sol.rhs) == _bits(rhs)
-    assert paths == {"first", "halved", "fallback"}
+            paths.add(_perturbed_path(g, w, x, theta, i))
+    assert paths == {"first", "halved", "certified", "searched"}
+
+
+def _kinked_cases(rng):
+    """(g, w, x) whose exact solution has l1 kinks with w strictly inside the
+    kink interval: the solution is built as a ``kinked_point``, w is strictly
+    inside [lin - l1, lin + l1] where it holds a zero or a subnormal and
+    satisfies stationarity elsewhere, and x is the solution plus another
+    kinked point, of scale 3 or, as near the end of a run, 0.01."""
+    cases = []
+    for dim, count in ((1, 30), (2, 30), (3, 30), (4, 30), (5, 30), (50, 12),
+                       (1000, 4)):
+        for _ in range(count):
+            g = random_expr(rng, dim, min_quad=0.25) + L1(rng.uniform(0.1, 1.0))
+            quad, lin, l1 = separable_coefficients(g, dim)
+            target = kinked_point(rng, dim)
+            w = 2.0 * quad * target + lin + l1 * np.sign(target)
+            kink = np.abs(target) < 1e-300
+            w[kink] = lin[kink] + l1 * rng.uniform(-0.99, 0.99, kink.sum())
+            scale = 3.0 if len(cases) % 2 else 0.01
+            cases.append((g, w, target + kinked_point(rng, dim, scale)))
+    return cases
+
+
+def test_perturbed_certificate_matches_reference_bit_for_bit(rng):
+    # every path against the reference, which evaluates all 41 candidates;
+    # a certificate that fires where some candidate passes returns the closed
+    # form where the reference returns that candidate, and fails here
+    paths, certified_dims = set(), set()
+    for i, (g, w, x) in enumerate(_kinked_cases(rng)):
+        for theta in (0.05, 0.2, 0.45, 2.0):
+            path = _perturbed_path(g, w, x, theta, i)
+            paths.add(path)
+            if path == "certified":
+                certified_dims.add(x.shape[0])
+    assert paths == {"first", "halved", "certified", "searched"}
+    assert certified_dims == {1, 2, 3, 4, 5, 50, 1000}
+
+    # Two one-dimensional cases where the end radii nearly certify a search
+    # that does find a passing candidate.  Seed 0 draws a positive direction.
+    assert np.random.default_rng(0).standard_normal(1)[0] > 0.0
+    # The solution is the kink 0, w is 0.12 (1 - 1e-4) inside the interval's
+    # upper end, and x = 0.6: |w - xi| = 0.119988 + r and |y - x| = 0.6 - r
+    # for small r, so the ends bound the candidates within 1e-4 of the test's
+    # threshold, and r = 2^-17 passes.  A slack below 1 or a bound on
+    # |y - x| from the ends' smaller value certifies it.
+    g = Quadratic(0.5) + L1(1.0)
+    w = np.array([1.0 - 0.12 * (1.0 - 1e-4)])
+    assert _perturbed_path(g, w, np.array([0.6]), 0.2, 0) == "halved"
+    # At 2^52 the box lands on integers: the closed-form solution y* gets
+    # |w - xi| = 1, the next float above y* gets 0, and r_hi = 16 moves y*
+    # four floats up, where w - xi = -2.  w - xi changes sign between the
+    # ends, so nothing bounds it away from 0 between them; a certificate
+    # that takes the smaller |w - xi| of the ends regardless of sign fires.
+    g = Quadratic(0.1) + Linear([0.5]) + L1(0.75)
+    w = np.array([2.0**52 + 1.0])
+    x = solve_exact(g, w, np.zeros(1)) + 16.0
+    assert _perturbed_path(g, w, x, 0.05, 0) == "halved"
+
+
+def test_certificate_slack_covers_the_rounding_bound():
+    # F(n) from the derivation in _fails_between's docstring, in 80-digit
+    # arithmetic, against the slack 1 + 4 (n + 4) 2^-53 it uses; the
+    # first-order term 2n + 7 leaves the rest of the slack for the O(n^2 u^2)
+    # remainder
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        u = decimal.Decimal(2) ** -53
+        for n in [1, 2, 3, 4, 5, 50, 1000] + [2**k for k in range(4, 51, 2)]:
+            rho = ((1 + u) / (1 - u)) ** n * (1 + n * u) + n * u * (1 + u) ** n
+            f = (((1 + u) ** 2 * rho.sqrt() / (1 - u) + u * (1 + u) / (1 - u))
+                 / ((1 - u) * (1 - u - u * (1 + u) / (1 - u))))
+            slack = 1.0 + (n + 4) * 2.0**-51
+            assert decimal.Decimal(slack) == 1 + 4 * (n + 4) * u  # exact
+            assert f <= decimal.Decimal(slack), n
 
 
 def _bits(v):
