@@ -12,7 +12,6 @@ from .core import (
     InexactMode,
     InvariantViolation,
     IterationRecord,
-    LambdaBarRule,
     RatioNu,
     SolverConfig,
     Termination,

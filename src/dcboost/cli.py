@@ -76,11 +76,10 @@ def _build_run_parser(sub):
     p.add_argument("--out", required=True, help="output directory")
     for key, (tp, choices) in _FLAT_KEYS.items():
         name = key.replace(".", "_")
-        if key != "lambda_bar.kind":  # file-only: flags set a constant step
-            p.add_argument("--" + name.replace("_", "-"), dest=key,
-                           type=tp if tp in (int, float) else None,
-                           choices=choices,
-                           metavar=None if choices else name.upper())
+        p.add_argument("--" + name.replace("_", "-"), dest=key,
+                       type=tp if tp in (int, float) else None,
+                       choices=choices,
+                       metavar=None if choices else name.upper())
     p.add_argument("--starts-box", dest="starts_box", nargs=2, type=float,
                    metavar=("LO", "HI"))
     p.add_argument("--start", action="append", default=None,

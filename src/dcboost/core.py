@@ -18,7 +18,7 @@ import os
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "InexactMode",
     "Termination",
     "EpsSchedule",
-    "LambdaBarRule",
     "DirectNu",
     "ZhangHagerNu",
     "GrippoNu",
@@ -120,36 +119,6 @@ class EpsSchedule:
         return cls("harmonic2", eps0)
 
 
-@dataclass(frozen=True)
-class LambdaBarRule:
-    """Trial step size for the boosted move along d.
-
-    ``constant`` tries lambda_bar every iteration; ``zero_boost`` forces the
-    trial step to 0, which collapses the update to the plain subproblem
-    iterate (the DCA baseline).
-    """
-
-    kind: str = "constant"
-    value: float = 1.0
-
-    KINDS = ("constant", "zero_boost")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown lambda_bar rule {self.kind!r}")
-
-    def trial(self, k: int) -> float:
-        return 0.0 if self.kind == "zero_boost" else self.value
-
-    @classmethod
-    def constant(cls, value: float) -> "LambdaBarRule":
-        return cls("constant", float(value))
-
-    @classmethod
-    def zero_boost(cls) -> "LambdaBarRule":
-        return cls("zero_boost", 0.0)
-
-
 # --- nonmonotonicity allowance strategies (behavior lives in nonmonotone.py)
 
 
@@ -160,7 +129,6 @@ class DirectNu:
 
     delta_min: float = 0.0
     delta: Optional[float] = None
-    delta_rule: Optional[Callable[[int], float]] = None
     nu0: float = 0.0
     fraction: float = 1.0
 
@@ -176,16 +144,9 @@ class DirectNu:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
 
-    def delta_at(self, k: int) -> float:
-        if self.delta_rule is not None:
-            d = float(self.delta_rule(k))
-        elif self.delta is not None:
-            d = self.delta
-        else:
-            d = self.delta_min
-        if not self.delta_min <= d <= 1.0:
-            raise ValueError(f"delta rule returned {d} outside [delta_min, 1]")
-        return d
+    @property
+    def delta_used(self) -> float:
+        return self.delta_min if self.delta is None else self.delta
 
 
 @dataclass(frozen=True)
@@ -197,26 +158,20 @@ class ZhangHagerNu:
     eta_max: float = 0.85
     c0_offset: float = 1.0
     eta: Optional[float] = None
-    eta_rule: Optional[Callable[[int], float]] = None
 
     kind = "zhang_hager"
 
     def __post_init__(self):
         if not 0.0 <= self.eta_min <= self.eta_max < 1.0:
             raise ValueError("need 0 <= eta_min <= eta_max < 1")
+        if self.eta is not None and not self.eta_min <= self.eta <= self.eta_max:
+            raise ValueError("eta must lie in [eta_min, eta_max]")
         if not 0.0 < self.c0_offset < math.inf:
             raise ValueError("c0_offset must be finite and positive")
 
-    def eta_at(self, k: int) -> float:
-        if self.eta_rule is not None:
-            e = float(self.eta_rule(k))
-        elif self.eta is not None:
-            e = self.eta
-        else:
-            e = self.eta_max
-        if not self.eta_min <= e <= self.eta_max:
-            raise ValueError(f"eta rule returned {e} outside [eta_min, eta_max]")
-        return e
+    @property
+    def eta_used(self) -> float:
+        return self.eta_max if self.eta is None else self.eta
 
 
 @dataclass(frozen=True)
@@ -235,23 +190,15 @@ class GrippoNu:
 
 @dataclass(frozen=True)
 class RatioNu:
-    """Step-ratio schedule: nu_k = omega * ||d^k||^2 / u_k with u_k -> inf
-    (default u_k = k + 1)."""
+    """Step-ratio schedule: nu_k = omega * ||d^k||^2 / (k + 1)."""
 
     omega: float
-    u_rule: Optional[Callable[[int], float]] = None
 
     kind = "ratio"
 
     def __post_init__(self):
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be finite and positive")
-
-    def u_at(self, k: int) -> float:
-        u = float(self.u_rule(k)) if self.u_rule is not None else float(k + 1)
-        if u <= 0:
-            raise ValueError(f"u rule returned {u}, must be positive")
-        return u
 
 
 @dataclass(frozen=True)
@@ -269,7 +216,7 @@ class SolverConfig:
     rho: float = 1.0
     beta: float = 0.5
     theta: float = 0.0
-    lambda_bar: LambdaBarRule = LambdaBarRule.constant(1.0)
+    lambda_bar: float = 1.0
     eps: EpsSchedule = EpsSchedule.zero()
     nu: NuStrategy = ZeroNu()
     stop_step_tol: float = 1e-6
@@ -344,15 +291,17 @@ def validate(problem: DcProblem, config: SolverConfig) -> list:
         v.append(
             f"theta ≥ sigma/2 (theta={config.theta}, sigma={problem.sigma})"
         )
+    elif config.theta == 0 and config.inexact_mode is not InexactMode.EXACT:
+        # at theta 0 every mode returns the exact solution
+        v.append(f"inexact_mode {config.inexact_mode.value} needs theta > 0 "
+                 f"(theta={config.theta})")
     if not 0.0 < config.stop_step_tol < math.inf:
         v.append("stop_step_tol ∉ (0,inf) "
                  f"(stop_step_tol={config.stop_step_tol})")
     if not 0.0 < config.d_zero_tol < math.inf:
         v.append(f"d_zero_tol ∉ (0,inf) (d_zero_tol={config.d_zero_tol})")
-    if config.lambda_bar.kind == "constant" and not (
-            0.0 <= config.lambda_bar.value < math.inf):
-        v.append("lambda_bar ∉ [0,inf) "
-                 f"(lambda_bar={config.lambda_bar.value})")
+    if not 0.0 <= config.lambda_bar < math.inf:
+        v.append(f"lambda_bar ∉ [0,inf) (lambda_bar={config.lambda_bar})")
     if config.max_iter < 0:
         v.append(f"max_iter < 0 (max_iter={config.max_iter})")
     if config.max_backtracks < 0:
@@ -569,13 +518,13 @@ class Trace:
                                  if isinstance(v, float) else v for v in row])
 
 
-# --- flat config: one key per constant field, derived once from the fields
+# --- flat config: one key per field, derived once from the fields
 
 
 def _keys(cls, prefix=""):
     """(flat key, field name, value type, required) per field of ``cls``:
-    Optional[X] holds an X, a rule callable has no key, and a nested part
-    has key None and its class as the type."""
+    Optional[X] holds an X, a nested part has key None and its class as the
+    type, and the nu union is left to config_to_flat."""
     out = []
     for f in fields(cls):
         args = [a for a in typing.get_args(f.type) if a is not type(None)]
@@ -594,10 +543,6 @@ _NU_KINDS = {cls.kind: cls
 _KEYS = {cls: _keys(cls, "nu.") for cls in _NU_KINDS.values()}
 _KEYS[SolverConfig] = _keys(SolverConfig)
 _KEYS[EpsSchedule] = _keys(EpsSchedule, "eps.")
-# the one special case: the trial step's value is the bare key "lambda_bar",
-# written before its kind
-_kind, _value = _keys(LambdaBarRule, "lambda_bar.")
-_KEYS[LambdaBarRule] = (("lambda_bar",) + _value[1:], _kind)
 
 
 def _flat_keys(cls, out: dict) -> dict:
@@ -639,8 +584,8 @@ def _put(part, out: dict) -> None:
 
 
 def config_to_flat(config: SolverConfig) -> dict:
-    """Flat key/value form of a configuration (rule callables are dropped;
-    only the declared constants survive the round trip)."""
+    """Flat key/value form of a configuration; every field has one key, so
+    config_from_flat gives the configuration back."""
     out = {}
     _put(config, out)
     out["nu.kind"] = config.nu.kind

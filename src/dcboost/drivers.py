@@ -27,7 +27,6 @@ from .core import (
     InexactMode,
     InvariantViolation,
     IterationRecord,
-    LambdaBarRule,
     SolverConfig,
     Termination,
     Trace,
@@ -98,7 +97,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         d_sq = float(d @ d)
         d_norm = math.sqrt(d_sq)
         phi_y = problem.phi(y)
-        lam_bar = config.lambda_bar.trial(k)
 
         # live-only: replaying it would cost two evaluations of g per record
         lin_gap = problem.g.value(x) - problem.g.value(y) + float(w @ d)
@@ -122,7 +120,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             if nu_k > 0.0:
                 tau_pair = tau_bound(problem.g, x, y, d, nu_k, eps_k, sigma, rho)
             ls = nonmonotone_search(
-                problem.phi, y, d, rho, config.beta, lam_bar, nu_k,
+                problem.phi, y, d, rho, config.beta, config.lambda_bar, nu_k,
                 config.max_backtracks,
             )
             lam, n_backtracks = ls.lam, ls.n_backtracks
@@ -132,7 +130,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
             eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
             xi=xi.copy(), d_norm=d_norm, inexact_lhs=sol.lhs,
-            inexact_rhs=sol.rhs, nu_k=nu_k, lambda_bar=lam_bar,
+            inexact_rhs=sol.rhs, nu_k=nu_k, lambda_bar=config.lambda_bar,
             lambda_k=lam, n_backtracks=n_backtracks, phi_y=phi_y,
             phi_next=phi_next,
             tau_hat=None if tau_pair is None else tau_pair.tau_hat,
@@ -185,7 +183,7 @@ def run_dca(problem: DcProblem, config: SolverConfig, x0,
             strict: bool = True) -> Trace:
     """Classical baseline: exact subproblems and no boosted move, so the
     update is x <- y."""
-    cfg = replace(config, lambda_bar=LambdaBarRule.zero_boost())
+    cfg = replace(config, lambda_bar=0.0)
     return run_nmbdca(problem, cfg, x0, strict=strict)
 
 

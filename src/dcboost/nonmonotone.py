@@ -78,7 +78,7 @@ def first_step_nu(spec: NuStrategy, nu0, d_norm_sq: float) -> float:
     if nu0 is not None:
         return float(nu0)
     assert isinstance(spec, RatioNu)
-    return spec.omega * d_norm_sq / spec.u_at(0)
+    return spec.omega * d_norm_sq  # the divisor k + 1 is 1 at k = 0
 
 
 def _check_budget(budget: float, k: int) -> float:
@@ -100,14 +100,14 @@ def nu_next(spec: NuStrategy, state: NuState, k: int, phi_prev: float,
     """
     if isinstance(spec, DirectNu):
         budget = _check_budget(phi_prev - phi_curr + state.nu_prev + eps_k, k)
-        nu = spec.fraction * (1.0 - spec.delta_at(k)) * budget
+        nu = spec.fraction * (1.0 - spec.delta_used) * budget
         return DirectState(nu_prev=nu), nu
     if isinstance(spec, ZhangHagerNu):
         # the allowance actually usable by the search is the floored gap:
         # with eps_k > 0 the raw gap C - phi may dip below zero by up to eps
         nu_prev = max(0.0, state.c - phi_prev)
         _check_budget(phi_prev - phi_curr + nu_prev + eps_k, k)
-        eta = spec.eta_at(k)
+        eta = spec.eta_used
         q_next = eta * state.q + 1.0
         c_next = (eta * state.q * state.c + phi_curr) / q_next
         return ZhangHagerState(q=q_next, c=c_next), max(0.0, c_next - phi_curr)
@@ -118,7 +118,7 @@ def nu_next(spec: NuStrategy, state: NuState, k: int, phi_prev: float,
         window = (state.window + (phi_curr,))[-(spec.m + 1):]
         return GrippoState(window=window), max(window) - phi_curr
     if isinstance(spec, RatioNu):
-        return None, spec.omega * d_norm_sq / spec.u_at(k + 1)
+        return None, spec.omega * d_norm_sq / (k + 2)
     if isinstance(spec, ZeroNu):
         return None, 0.0
     raise TypeError(f"unknown nu strategy {type(spec)!r}")

@@ -16,7 +16,6 @@ from .core import (
     DcProblem,
     EpsSchedule,
     InexactMode,
-    LambdaBarRule,
     RatioNu,
     SolverConfig,
 )
@@ -103,7 +102,7 @@ def experiment_config(
         rho=0.6,
         beta=0.1,
         theta=0.2,
-        lambda_bar=LambdaBarRule.constant(1.0),
+        lambda_bar=1.0,
         eps=EpsSchedule.zero(),
         nu=RatioNu(omega=nu_omega),
         stop_step_tol=1e-5,

@@ -20,7 +20,6 @@ from dcboost.core import (
     EpsSchedule,
     GrippoNu,
     InexactMode,
-    LambdaBarRule,
     Termination,
     ZeroNu,
     ZhangHagerNu,
@@ -203,7 +202,7 @@ def test_criterion_7_reduction_equivalence():
         ok = ok and traces_field_equal(a, b, tol=1e-12)
         c = run_inmbdca(
             prob,
-            dataclasses.replace(exact_cfg, lambda_bar=LambdaBarRule.zero_boost()),
+            dataclasses.replace(exact_cfg, lambda_bar=0.0),
             x0, seed=1,
         )
         d = run_dca(prob, noisy_cfg, x0)

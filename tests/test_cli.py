@@ -161,6 +161,7 @@ def test_check_flags_nan_phi(tmp_path, capsys):
     ([], {"nu.omgea": 0.01}),
     ([], {"rhoo": 0.6}),
     ([], {"workers": 2}),
+    (["--nu-kind", "zhang_hager", "--nu-eta", "0.95"], None),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -197,6 +198,19 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, flags):
                  *REF_FLAGS, *flags]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("run: ")
+
+
+@pytest.mark.parametrize("mode", ["inner_solver", "perturbed_exact"])
+def test_inexact_mode_without_theta_rejected(tmp_path, capsys, mode):
+    # at theta 0 every mode returns the exact solution, so the mode would
+    # have no effect
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex2", "--out", str(out),
+                 "--inexact-mode", mode]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "inexact_mode" in err
+    assert "theta" in err
 
 
 @pytest.mark.parametrize("kind, key", [("ratio", "nu.omega"),
@@ -340,9 +354,9 @@ def test_config_file_with_flag_override(tmp_path):
     }))
     out = run_dir(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", out,
-                 "--theta", "0.0"]) == 0
+                 "--theta", "0.1"]) == 0
     trace = Trace.read_jsonl(f"{out}/trace_000.jsonl")
-    assert trace.config.theta == 0.0  # flag wins over the file
+    assert trace.config.theta == 0.1  # flag wins over the file
     assert trace.config.rho == 0.6
 
 
@@ -389,6 +403,32 @@ def test_dca_trace_has_zero_steps(tmp_path):
     trace = Trace.read_jsonl(f"{out}/trace_000.jsonl")
     assert all(r.lambda_k == 0.0 for r in trace.records)
     assert all(r.lambda_bar == 0.0 for r in trace.records)
+
+
+def test_dca_trace_with_lambda_bar_kind_still_reads(tmp_path, capsys):
+    # dca trace headers written before the trial step became a plain float
+    # hold "lambda_bar.kind": "zero_boost" beside "lambda_bar": 0.0
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex1", "--out", out,
+                 "--start", "4.0,-3.0", "--solver", "dca"]) == 0
+    path = tmp_path / "out" / "trace_000.jsonl"
+    meta, *records = path.read_text().splitlines()
+    meta = json.loads(meta)
+    config = {**meta["config"], "lambda_bar.kind": "zero_boost"}
+    assert config["lambda_bar"] == 0.0
+    meta["config"] = config
+    path.write_text("\n".join([json.dumps(meta), *records]) + "\n")
+    assert Trace.read_jsonl(path).config.lambda_bar == 0.0
+    assert main(["check", str(path)]) == 0
+    # the old header is no longer a valid run config: the key is unknown
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "problem": "ex1",
+                               "starts": [[4.0, -3.0]]}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out",
+                 run_dir(tmp_path, "rerun")]) == 2
+    assert not (tmp_path / "rerun").exists()
+    assert "'lambda_bar.kind'" in capsys.readouterr().err
 
 
 # Taken at the commit before the subdifferential bounds were read off the

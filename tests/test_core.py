@@ -8,13 +8,13 @@ import pytest
 
 from dcboost.convex import L1, Linear, Quadratic
 from dcboost.core import (
+    CONFIG_KEYS,
     DcProblem,
     DirectNu,
     EpsSchedule,
     GrippoNu,
     InexactMode,
     IterationRecord,
-    LambdaBarRule,
     RatioNu,
     SolverConfig,
     Termination,
@@ -136,11 +136,6 @@ def test_eps_schedule_validation():
         EpsSchedule("nope")
 
 
-def test_lambda_bar_rules():
-    assert LambdaBarRule.constant(2.5).trial(7) == 2.5
-    assert LambdaBarRule.zero_boost().trial(0) == 0.0
-
-
 # --- nu strategy specs -------------------------------------------------------------
 
 
@@ -153,6 +148,10 @@ def test_nu_spec_validation():
         ZhangHagerNu(eta_min=0.5, eta_max=0.4)
     with pytest.raises(ValueError):
         ZhangHagerNu(c0_offset=0.0)
+    with pytest.raises(ValueError, match="eta must"):
+        ZhangHagerNu(eta=0.95)
+    with pytest.raises(ValueError, match="eta must"):
+        ZhangHagerNu(eta_min=0.2, eta=0.1)
     with pytest.raises(ValueError):
         GrippoNu(m=0)
     with pytest.raises(ValueError):
@@ -160,13 +159,8 @@ def test_nu_spec_validation():
 
 
 def test_direct_delta_resolution():
-    assert DirectNu(delta_min=0.2).delta_at(3) == 0.2
-    assert DirectNu(delta_min=0.2, delta=0.6).delta_at(3) == 0.6
-    spec = DirectNu(delta_min=0.2, delta_rule=lambda k: 0.5 + 0.1 * (k % 2))
-    assert spec.delta_at(0) == 0.5
-    assert spec.delta_at(1) == 0.6
-    with pytest.raises(ValueError, match="delta rule"):
-        DirectNu(delta_min=0.5, delta_rule=lambda k: 0.1).delta_at(0)
+    assert DirectNu(delta_min=0.2).delta_used == 0.2
+    assert DirectNu(delta_min=0.2, delta=0.6).delta_used == 0.6
 
 
 # --- config round trip ----------------------------------------------------------------
@@ -183,20 +177,31 @@ def test_direct_delta_resolution():
     ],
 )
 def test_config_flat_round_trip(nu):
+    # every field of every part is off its default and has exactly one flat
+    # key, so a field that config_to_flat dropped would fail the round trip
     cfg = SolverConfig(
         rho=0.6,
         beta=0.1,
         theta=0.2,
-        lambda_bar=LambdaBarRule.constant(1.0),
-        eps=EpsSchedule.harmonic2(0.5),
+        lambda_bar=2.5,
+        eps=EpsSchedule.geometric(0.5, 0.25),
         nu=nu,
         stop_step_tol=1e-5,
-        d_zero_tol=1e-12,
+        d_zero_tol=1e-11,
         max_iter=321,
         max_backtracks=42,
         inexact_mode=InexactMode.PERTURBED_EXACT,
     )
+    keys = ["nu.kind"]
+    for part, prefix in ((cfg, ""), (cfg.eps, "eps."), (nu, "nu.")):
+        for f in dataclasses.fields(part):
+            if dataclasses.is_dataclass(getattr(part, f.name)):
+                continue  # a part, keyed by its own fields
+            assert getattr(part, f.name) != f.default, f.name
+            assert prefix + f.name in CONFIG_KEYS, f.name
+            keys.append(prefix + f.name)
     flat = config_to_flat(cfg)
+    assert sorted(flat) == sorted(keys)
     json.dumps(flat)
     assert config_from_flat(flat) == cfg
 
@@ -209,12 +214,12 @@ def test_config_flat_round_trip(nu):
     (ZhangHagerNu(eta=0.5),
      ["nu.eta_min", "nu.eta_max", "nu.c0_offset", "nu.eta"]),
     (GrippoNu(m=4), ["nu.m"]),
-    (RatioNu(omega=0.01, u_rule=lambda k: k + 2), ["nu.omega"]),
+    (RatioNu(omega=0.01), ["nu.omega"]),
 ])
 def test_config_flat_key_order(nu, nu_keys):
-    # the key order of every trace's meta line; rule callables have no key
+    # the key order of every trace's meta line
     assert list(config_to_flat(SolverConfig(nu=nu))) == [
-        "rho", "beta", "theta", "lambda_bar", "lambda_bar.kind",
+        "rho", "beta", "theta", "lambda_bar",
         "eps.kind", "eps.eps0", "eps.q", "stop_step_tol", "d_zero_tol",
         "max_iter", "max_backtracks", "inexact_mode", "nu.kind", *nu_keys,
     ]

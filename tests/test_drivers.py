@@ -11,7 +11,6 @@ from dcboost.core import (
     EpsSchedule,
     InexactMode,
     InvariantViolation,
-    LambdaBarRule,
     Termination,
     ZeroNu,
 )
@@ -78,6 +77,18 @@ def test_invalid_config_rejected():
         run_inmbdca(EX1, cfg, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("mode", [InexactMode.INNER_SOLVER,
+                                  InexactMode.PERTURBED_EXACT])
+def test_inexact_mode_without_theta_rejected(mode):
+    cfg = dataclasses.replace(REF, theta=0.0, inexact_mode=mode)
+    with pytest.raises(ValueError, match=f"inexact_mode {mode.value} needs "
+                                         "theta > 0"):
+        run_inmbdca(EX2, cfg, [1.0, 1.0])
+    # the exact-subproblem drivers set the exact mode before validating
+    for run in (run_nmbdca, run_bdca, run_dca):
+        assert run(EX2, cfg, [1.0, 1.0]).records
+
+
 def test_runs_are_deterministic_given_seed():
     a = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=9)
     b = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=9)
@@ -133,11 +144,10 @@ def test_zero_boost_collapses_to_dca():
     base = dataclasses.replace(
         REF, nu=ZeroNu(), theta=0.0, eps=EpsSchedule.zero(),
         inexact_mode=InexactMode.EXACT,
-        lambda_bar=LambdaBarRule.zero_boost(),
+        lambda_bar=0.0,
     )
     a = run_inmbdca(EX1, base, [6.2945, 8.1158], seed=2)
-    b = run_dca(EX1, dataclasses.replace(base, lambda_bar=LambdaBarRule.constant(1.0)),
-                [6.2945, 8.1158])
+    b = run_dca(EX1, dataclasses.replace(base, lambda_bar=1.0), [6.2945, 8.1158])
     assert records_equal(a, b)
     assert all(r.lambda_k == 0.0 for r in a.records)
 

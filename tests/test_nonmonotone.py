@@ -100,9 +100,10 @@ def test_direct_update_rejects_negative_budget():
                 d_norm_sq=1.0)
 
 
-def test_direct_update_stays_inside_admissible_band(rng):
+@pytest.mark.parametrize("delta", [0.3, 0.55, 0.75, 1.0])
+def test_direct_update_stays_inside_admissible_band(rng, delta):
     # 0 <= nu_{k+1} <= (1 - delta_min) * budget for any admissible delta
-    spec = DirectNu(delta_min=0.3, delta_rule=lambda k: 0.3 + 0.05 * (k % 10))
+    spec = DirectNu(delta_min=0.3, delta=delta)
     state, _ = nu_init(spec, 0.0)
     for k in range(200):
         drop = float(rng.uniform(-0.9 * state.nu_prev, 2.0))
@@ -151,12 +152,6 @@ def test_ratio_update_uses_next_index():
     assert nu == pytest.approx(0.01 * 2.0 / 2.0)  # u(k+1) = k + 2 at k = 0
     _, nu = nu_next(spec, None, 8, 1.0, 0.5, 0.0, d_norm_sq=3.0)
     assert nu == pytest.approx(0.01 * 3.0 / 10.0)
-
-
-def test_ratio_custom_divisor():
-    spec = RatioNu(omega=0.5, u_rule=lambda k: 2.0 ** k)
-    _, nu = nu_next(spec, None, 2, 0.0, 0.0, 0.0, d_norm_sq=4.0)
-    assert nu == pytest.approx(0.5 * 4.0 / 8.0)
 
 
 # --- zhang-hager algebra -----------------------------------------------------------

@@ -13,7 +13,6 @@ from dcboost.core import (
     EpsSchedule,
     GrippoNu,
     InexactMode,
-    LambdaBarRule,
     RatioNu,
     ZeroNu,
     ZhangHagerNu,
@@ -50,7 +49,7 @@ def test_randomized_configurations_keep_certificates():
             rho=float(rng.uniform(0.1, 2.0)),
             beta=float(rng.uniform(0.05, 0.9)),
             theta=float(rng.uniform(0.0, 0.49)) * prob.sigma,
-            lambda_bar=LambdaBarRule.constant(float(rng.uniform(0.0, 3.0))),
+            lambda_bar=float(rng.uniform(0.0, 3.0)),
             nu=nu,
             eps=eps,
             inexact_mode=modes[rng.integers(0, 3)],
