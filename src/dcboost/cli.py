@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .drivers import (
     run_dca,
     run_inmbdca,
     run_nmbdca,
+    solver_config,
 )
 
 __all__ = ["main"]
@@ -197,7 +199,11 @@ def cmd_run(args) -> int:
     try:
         problem = problems.resolve(problem_name)
         config = config_from_flat(flat)
-        violations = validate(problem, config)
+        # values are range-checked as given (a trial step of -1 is an error
+        # although dca runs 0), and the theta > 0 rule against the mode the
+        # solver runs
+        mode = solver_config(solver, config).inexact_mode
+        violations = validate(problem, replace(config, inexact_mode=mode))
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE

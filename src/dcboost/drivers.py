@@ -42,6 +42,7 @@ __all__ = [
     "run_nmbdca",
     "run_dca",
     "run_bdca",
+    "solver_config",
     "criticality_residual",
     "final_residual",
     "ComplexityReport",
@@ -165,26 +166,43 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     )
 
 
+def solver_config(solver: str, config: SolverConfig) -> SolverConfig:
+    """The configuration ``solver`` runs.  nmbdca, bdca and dca take exact
+    subgradients of h and exact subproblem solves (zero eps, exact mode);
+    bdca also takes zero allowance and dca no boosted move."""
+    if solver == "inmbdca":
+        return config
+    cfg = replace(config, eps=EpsSchedule.zero(), inexact_mode=InexactMode.EXACT)
+    if solver == "nmbdca":
+        return cfg
+    if solver == "bdca":
+        return replace(cfg, nu=ZeroNu())
+    if solver == "dca":
+        return replace(cfg, lambda_bar=0.0)
+    raise ValueError(f"unknown solver {solver!r}")
+
+
 def run_nmbdca(problem: DcProblem, config: SolverConfig, x0,
                strict: bool = True) -> Trace:
     """Exact-subproblem variant: subgradient of h taken exactly and the
     subproblem solved to its unique minimizer (same loop otherwise)."""
-    cfg = replace(config, eps=EpsSchedule.zero(), inexact_mode=InexactMode.EXACT)
-    return run_inmbdca(problem, cfg, x0, seed=0, strict=strict)
+    return run_inmbdca(problem, solver_config("nmbdca", config), x0, seed=0,
+                       strict=strict)
 
 
 def run_bdca(problem: DcProblem, config: SolverConfig, x0,
              strict: bool = True) -> Trace:
     """Monotone boosted variant: exact subproblems and zero allowance."""
-    return run_nmbdca(problem, replace(config, nu=ZeroNu()), x0, strict=strict)
+    return run_inmbdca(problem, solver_config("bdca", config), x0, seed=0,
+                       strict=strict)
 
 
 def run_dca(problem: DcProblem, config: SolverConfig, x0,
             strict: bool = True) -> Trace:
     """Classical baseline: exact subproblems and no boosted move, so the
     update is x <- y."""
-    cfg = replace(config, lambda_bar=0.0)
-    return run_nmbdca(problem, cfg, x0, strict=strict)
+    return run_inmbdca(problem, solver_config("dca", config), x0, seed=0,
+                       strict=strict)
 
 
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:

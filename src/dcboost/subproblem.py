@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,36 +87,46 @@ def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
     return InexactCheck(ok=ok, lhs=lhs, rhs=rhs, membership_gap=gap)
 
 
-def _exact_solution(g, w, x, theta) -> SubproblemSolution:
-    y = solve_exact(g, w, x)
-    rhs = theta * l2_norm(y - x)
+def _closed_form(y_star, w, x, theta, inner_iters) -> SubproblemSolution:
+    """The exact pair (y*, w), y* the closed-form solution at (w, x)."""
     return SubproblemSolution(
-        y=y,
+        y=y_star,
         xi=w.copy(),
         lhs=0.0,
-        rhs=rhs,
-        inner_iters=0,
+        rhs=theta * l2_norm(y_star - x),
+        inner_iters=inner_iters,
         mode_used=InexactMode.EXACT,
     )
 
 
-def _stationarity_residual(quad, lin, l1, w, t):
-    # monotone selection of the optimality inclusion, sign(0) = 0 at the kink
-    return 2.0 * quad * t + lin + l1 * np.sign(t) - w
+def _selection(q2, lin, l1, t):
+    # the monotone selection (2 quad) t + lin + l1 sign(t) of the
+    # subdifferential of g, sign(0) = 0 at the kink
+    return q2 * t + lin + l1 * np.sign(t)
 
 
 def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     """Coordinate-wise bisection on the stationarity inclusion, stopped at the
-    first iterate whose projected subgradient passes the relative test."""
+    first iterate whose clipped subgradient passes the relative test.
+
+    Each step reads its move and its test off one selection s of the
+    subdifferential at y.  Off the kink the box at y is the one point s, so
+    w - xi is w - s; at y = 0 it is w - clip(w, box at 0), computed once.
+    The bracket moves by s > w (s = lin at y = 0).  Only the accepted
+    iterate builds the box and its xi.  For finite coefficients this is the
+    box-and-clip step bit for bit, up to signs of zeros that no norm or
+    comparison sees (pinned by a test)."""
     quad, lin, l1 = _coefficients(g, x.shape[0])
+    q2 = 2.0 * quad
 
     lo = np.minimum(x, 0.0) - 1.0
     hi = np.maximum(x, 0.0) + 1.0
     span = 1.0
-    # widen until the monotone residual brackets its sign change everywhere
+    # widen until the monotone selection brackets w everywhere (s > w is
+    # the sign of the rounded residual s - w, which is 0 only at s = w)
     for _ in range(80):
-        bad_lo = _stationarity_residual(quad, lin, l1, w, lo) > 0
-        bad_hi = _stationarity_residual(quad, lin, l1, w, hi) < 0
+        bad_lo = _selection(q2, lin, l1, lo) > w
+        bad_hi = _selection(q2, lin, l1, hi) < w
         if not bad_lo.any() and not bad_hi.any():
             break
         lo[bad_lo] -= span
@@ -129,28 +139,29 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     lo[at_kink] = 0.0
     hi[at_kink] = 0.0
 
+    # np.clip bit for bit (pinned by a test), without its Python layers
+    kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros_like(x))
+    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
-        box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
-        # np.clip bit for bit (pinned by a test), without its Python layers
-        xi = np.minimum(np.maximum(w, box_lo), box_hi)
-        lhs = l2_norm(w - xi)
+        s = _selection(q2, lin, l1, y)
+        lhs = l2_norm(np.where(y == 0.0, v_kink, w - s))
         dist = l2_norm(y - x)
         if lhs <= theta * dist and dist > 0.0:
+            box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
+            xi = np.minimum(np.maximum(w, box_lo), box_hi)
             return SubproblemSolution(
                 y=y, xi=xi, lhs=lhs, rhs=theta * dist, inner_iters=it,
                 mode_used=InexactMode.INNER_SOLVER,
             )
         if (hi - lo).max() < 1e-13:
             break
-        # the residual's sign: its selection 2 quad y + lin + l1 sign(y) is
-        # the box's one point off the kink and lin at it, where sign(0) = 0
-        pos = np.where(y == 0.0, lin, box_lo) > w
+        pos = s > w
         lo, hi = np.where(pos, lo, y), np.where(pos, y, hi)
 
     # no iterate passed; fall back to the closed form (covers y* = x, where
     # the caller takes the d = 0 stopping path)
-    return replace(_exact_solution(g, w, x, theta), inner_iters=it)
+    return _closed_form(solve_exact(g, w, x), w, x, theta, it)
 
 
 def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:
@@ -158,32 +169,47 @@ def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:
     too, read off the ends' v = w - xi and e = y - x alone.
 
     Between the ends, |e_i| <= E_i, the larger |e_i| of the two ends, and
-    where both ends' v_i share a strict sign, |v_i| >= m_i, the smaller of
-    the two (see ``_solve_perturbed``); let M = max_i m_i.  A rounded dot
-    product of squares, in any order and with or without FMA, is at least
-    its largest rounded term, so lhs >= fl(sqrt(fl(M M))).  With u = 2^-53
-    and both fl(E @ E) and fl(theta sqrt(fl(E @ E))) normal (>= 2^-1022, so
-    that gradual underflow adds at most u 2^-1022 per product), the n-term
-    sum bounds give fl(e @ e) <= rho fl(E @ E) with
+    |v_i| >= m_i, the smaller of the two where both ends' v_i share a strict
+    sign and 0 elsewhere (see ``_solve_perturbed``).  Let u = 2^-53 and n the
+    dimension.  A rounded n-term dot product, in any order and with or
+    without FMA, is within (1 -+ u)^n of the exact one, and gradual
+    underflow adds at most u 2^-1022 per product; fl(m @ m), fl(E @ E) and
+    fl(theta sqrt(fl(E @ E))) must be normal (>= 2^-1022) so that the
+    underflow terms fold into the factors below.
+
+    Lower bound.  fl(v @ v) >= (1-u)^n v.v - n u 2^-1022 and
+    fl(m @ m) <= (1+u)^n m.m + n u (1+u)^n 2^-1022, with v.v >= m.m exactly,
+    so fl(v @ v) >= lam fl(m @ m) with
+    lam = ((1-u)/(1+u))^n (1 - n u (1+u)^n) - n u.  The two square roots and
+    the product by floor then give lhs >= fl(fl(sqrt(fl(m @ m))) floor)
+    whenever floor <= G(n) = (1-u) sqrt(lam) / (1+u)^2
+    = 1 - (2n + 3) u + O(n^2 u^2).
+
+    Upper bound.  fl(e @ e) <= rho fl(E @ E) with
     rho = ((1+u)/(1-u))^n (1 + n u) + n u (1+u)^n, and the two square roots
     and two products then give rhs <= fl(fl(theta sqrt(fl(E @ E))) slack)
     whenever slack >= F(n) = ((1+u)^2 sqrt(rho) / (1-u) + u (1+u) / (1-u))
     / ((1-u) (1 - u - u (1+u) / (1-u))) = 1 + (2n + 7) u + O(n^2 u^2).
-    slack = 1 + 4 (n + 4) u covers F(n) from n = 1 to 2^50 (checked in
-    80-digit arithmetic by a test) and is exact in floating point.  So when fl(sqrt(fl(M M))) exceeds that bound, lhs > rhs
-    at every candidate.  Any non-finite value skips the certificate."""
+
+    floor = 1 - 4 (n + 4) u and slack = 1 + 4 (n + 4) u cover G(n) and F(n)
+    from n = 1 to 2^50 (checked in 80-digit arithmetic by a test) and are
+    exact in floating point.  So when the lower bound exceeds the upper one,
+    lhs > rhs at every candidate.  Any non-finite value skips the
+    certificate."""
     lo, hi = np.minimum(v_hi, v_end), np.maximum(v_hi, v_end)
-    # lo.max() > 0 or hi.min() < 0 only where both ends share a strict sign
-    m = max(lo.max(), -hi.min(), 0.0)
+    # lo_i > 0 or hi_i < 0 only where both ends share a strict sign
+    m = np.maximum(np.maximum(lo, -hi), 0.0)
+    m2 = m @ m
     big = np.maximum(np.abs(e_hi), np.abs(e_end))
     e2 = big @ big
     # lo.min() and hi.max() bound every entry of both v
-    if not math.isfinite(lo.min() + hi.max() + e2):
+    if not math.isfinite(lo.min() + hi.max() + m2 + e2):
         return False
     bound = theta * math.sqrt(e2)
-    slack = 1.0 + (v_hi.shape[0] + 4) * 2.0**-51
-    return (e2 >= sys.float_info.min and bound >= sys.float_info.min
-            and math.sqrt(m * m) > bound * slack)
+    step = (v_hi.shape[0] + 4) * 2.0**-51
+    normal = sys.float_info.min
+    return (m2 >= normal and e2 >= normal and bound >= normal
+            and math.sqrt(m2) * (1.0 - step) > bound * (1.0 + step))
 
 
 def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
@@ -197,7 +223,10 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     then the closed form returns without the 39 candidates between them.
     That is the common case at l1 kinks where w lies strictly inside the
     kink interval: there |w_i - xi_i| stays near the interval's end whatever
-    the radius.  inner_iters counts the candidates evaluated.
+    the radius, and over many such coordinates the norm of these floors
+    exceeds theta ||y - x|| even where no single one does.  Every closed-form
+    return reuses the y* solved first.  inner_iters counts the candidates
+    evaluated.
 
     Why the two ends bound the rest: per coordinate, each rounded step from
     r to y_i = fl(y*_i + fl(r u_i)), to e_i = fl(y_i - x_i) and to both ends
@@ -236,7 +265,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     r_end = r_hi * 0.5**_PERTURB_HALVINGS
     ok_end, sol_end, v_end, e_end = candidate(r_end)
     if _fails_between(v_hi, e_hi, v_end, e_end, theta):
-        return replace(_exact_solution(g, w, x, theta), inner_iters=2)
+        return _closed_form(y_star, w, x, theta, 2)
     r_lo, best, evals = 0.0, None, 2
     for _ in range(_PERTURB_HALVINGS):
         mid = 0.5 * (r_lo + r_hi)
@@ -251,7 +280,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
             r_hi = mid
     if best is not None:
         return SubproblemSolution(*best, evals, InexactMode.PERTURBED_EXACT)
-    return replace(_exact_solution(g, w, x, theta), inner_iters=evals)
+    return _closed_form(y_star, w, x, theta, evals)
 
 
 def solve_inexact(g: ConvexExpr, w, x, theta: float, mode: InexactMode,
@@ -266,7 +295,7 @@ def solve_inexact(g: ConvexExpr, w, x, theta: float, mode: InexactMode,
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if mode == InexactMode.EXACT or theta == 0.0:
-        return _exact_solution(g, w, x, theta)
+        return _closed_form(solve_exact(g, w, x), w, x, theta, 0)
     if mode == InexactMode.INNER_SOLVER:
         return _solve_inner(g, w, x, theta)
     if mode == InexactMode.PERTURBED_EXACT:

@@ -503,3 +503,32 @@ def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
             assert abs(gap) <= 4 * math.ulp(max(map(abs, terms))), (path, r.k)
             records += 1
     assert records > 100
+
+
+@pytest.mark.parametrize("solver", ["nmbdca", "bdca", "dca"])
+@pytest.mark.parametrize("theta", [[], ["--theta", "0.2"]])
+def test_exact_solvers_record_the_mode_they_run(tmp_path, solver, theta):
+    # nmbdca, bdca and dca always solve exactly, so the mode flag has no
+    # effect with or without theta, and the header says what ran
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex1", "--out", out, "--start=1,1",
+                 "--solver", solver, "--inexact-mode", "inner_solver",
+                 *theta]) == 0
+    with open(f"{out}/trace_000.jsonl", encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+    assert header["config"]["inexact_mode"] == "exact"
+
+
+@pytest.mark.parametrize("solver", ["inmbdca", "nmbdca", "bdca", "dca"])
+@pytest.mark.parametrize("flag, value", [("--lambda-bar", "-1"),
+                                         ("--theta", "nan")])
+def test_out_of_range_values_rejected_for_every_solver(tmp_path, capsys,
+                                                       solver, flag, value):
+    # dca runs with trial step 0, yet a trial step of -1 is still an error
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "ex1", "--out", str(out), "--start=1,1",
+                 "--solver", solver, flag, value]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("run: invalid configuration")
+    assert flag[2:].replace("-", "_") in err

@@ -13,6 +13,7 @@ from dcboost.core import (
     InvariantViolation,
     Termination,
     ZeroNu,
+    config_to_flat,
 )
 from dcboost.drivers import (
     _flag,
@@ -23,6 +24,7 @@ from dcboost.drivers import (
     run_dca,
     run_inmbdca,
     run_nmbdca,
+    solver_config,
 )
 from dcboost import problems
 
@@ -432,3 +434,15 @@ def test_wrong_lower_bound_aborts_run():
                                     phi_lower_bound=999.0)
     with pytest.raises(InvariantViolation, match="lower bound"):
         run_inmbdca(bad, REF, [1.0, 1.0], seed=0)
+
+
+@pytest.mark.parametrize("solver, run", [("inmbdca", run_inmbdca),
+                                         ("nmbdca", run_nmbdca),
+                                         ("bdca", run_bdca), ("dca", run_dca)])
+def test_solver_config_is_what_each_driver_runs(solver, run):
+    cfg = dataclasses.replace(REF, eps=EpsSchedule.geometric(1e-2, 0.5))
+    trace = run(EX2, cfg, [1.0, 1.0])
+    assert config_to_flat(trace.config) == config_to_flat(
+        solver_config(solver, cfg))
+    with pytest.raises(ValueError, match="unknown solver 'pdca'"):
+        solver_config("pdca", cfg)

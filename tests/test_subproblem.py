@@ -5,7 +5,8 @@ import pytest
 
 from dcboost.convex import L1, Linear, Quadratic, Sum, separable_coefficients
 from dcboost.core import InexactMode, UnsupportedProblemError
-from dcboost.subproblem import check_inexact, solve_exact, solve_inexact
+from dcboost.subproblem import (_fails_between, check_inexact, solve_exact,
+                                 solve_inexact)
 from dcboost import problems
 
 from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
@@ -236,6 +237,14 @@ def test_certificate_slack_covers_the_rounding_bound():
             slack = 1.0 + (n + 4) * 2.0**-51
             assert decimal.Decimal(slack) == 1 + 4 * (n + 4) * u  # exact
             assert f <= decimal.Decimal(slack), n
+            # the lower bound's G(n) against its floor 1 - 4 (n + 4) 2^-53,
+            # first-order term 2n + 3
+            lam = (((1 - u) / (1 + u)) ** n * (1 - n * u * (1 + u) ** n)
+                   - n * u)
+            g = (1 - u) * lam.sqrt() / (1 + u) ** 2
+            floor = 1.0 - (n + 4) * 2.0**-51
+            assert decimal.Decimal(floor) == 1 - 4 * (n + 4) * u  # exact
+            assert decimal.Decimal(floor) <= g, n
 
 
 def _bits(v):
@@ -449,3 +458,34 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
             assert sol.y.tobytes() == y.tobytes()
             assert sol.xi.tobytes() == xi.tobytes()
             assert (sol.lhs, sol.rhs) == (lhs, rhs)
+
+
+def test_perturbed_certificate_bounds_the_norm_of_the_floors():
+    # 64 kink coordinates whose |w_i - xi_i| each stay near c, a quarter of
+    # theta ||E||: no one coordinate proves that the search fails, but the
+    # norm of the floors, 8 c, is twice theta ||E||, so every candidate
+    # fails and the two end radii prove it.  w_i sits c inside the end of
+    # its kink interval that the direction's sign u_i moves the box to.
+    dim, seed, theta = 64, 0, 0.2
+    rng = np.random.default_rng(11)
+    u = np.random.default_rng(seed).standard_normal(dim)  # the solve's draw
+    u /= np.linalg.norm(u)
+    x = rng.uniform(-0.05, 0.05, dim)  # r_hi = max(1, ||y* - x||) = 1
+    big = np.maximum(np.abs(u - x), np.abs(2.0**-40 * u - x))
+    c = theta * np.linalg.norm(big) / 4.0
+    lin, l1 = rng.uniform(-1.0, 1.0, dim), 1.0
+    g = Quadratic(0.5) + Linear(lin) + L1(l1)
+    w = lin + np.sign(u) * (l1 - c)
+    assert not solve_exact(g, w, x).any()  # every coordinate at the kink
+    assert _perturbed_path(g, w, x, theta, seed) == "certified"
+
+
+def test_certificate_margin_inside_the_rounding_slack_does_not_fire():
+    # ||m|| = 1 exactly and theta ||E|| = 1 - 100 2^-51 to an ulp, so at
+    # n = 64 theta ||E|| slack = 1 - 32 2^-51 lies between ||m|| floor and
+    # ||m||: that margin is inside the rounding bounds and must not certify
+    v, e = np.full(64, 0.125), np.zeros(64)
+    e[0] = 2.0 * (1.0 - 100 * 2.0**-51)
+    assert not _fails_between(v, e, v, e, 0.5)
+    e[0] = 2.0 * (1.0 - 200 * 2.0**-51)  # a margin past both bounds
+    assert _fails_between(v, e, v, e, 0.5)
