@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 
-from .convex import l2_norm, membership_gap
+from .convex import l2_norm, membership_gap, separable_coefficients, \
+    subdiff_bounds
+from .core import next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "replay"]
 
@@ -50,8 +52,10 @@ def holds(name: str, slack: float) -> bool:
     return slack >= -TOLERANCE[name]
 
 
-def slacks(record, problem, config) -> dict:
-    """Slack of every catalogue inequality on one record, by name."""
+def slacks(record, problem, config, g_coefficients) -> dict:
+    """Slack of every catalogue inequality on one record, by name, given
+    ``g_coefficients`` = ``separable_coefficients(problem.g, problem.dim)``,
+    which a caller checking many records reads once."""
     r = record
     d_sq = r.d_norm**2
     coef = problem.sigma / 2 - config.theta
@@ -63,7 +67,7 @@ def slacks(record, problem, config) -> dict:
     return {
         "eps_certificate": r.eps_k - r.eps_certified,
         "subgrad_membership":
-            -membership_gap(*problem.g.subdiff_box(r.y), r.xi),
+            -membership_gap(*subdiff_bounds(*g_coefficients, r.y), r.xi),
         "inexact_bound": r.inexact_rhs - r.inexact_lhs,
         "descent_y": (r.phi_x - coef * d_sq + r.eps_k) - r.phi_y,
         "linesearch": (r.phi_y - step + r.nu_k) - r.phi_next,
@@ -84,11 +88,13 @@ def replay(trace, problem) -> dict:
     """Worst slack and its iteration, ``{name: (slack, k)}``, over every
     record of a stored trace; a name with no record to check is absent."""
     worst = {}
+    g_coefficients = separable_coefficients(problem.g, problem.dim)
     for r in trace.records:
-        for name, slack in slacks(r, problem, trace.config).items():
+        for name, slack in slacks(r, problem, trace.config,
+                                  g_coefficients).items():
             _note(worst, name, slack, r.k)
     ends = [r.x for r in trace.records[1:]] + [trace.final_x]
     for r, end in zip(trace.records, ends):
-        err = l2_norm(end - (r.y + r.lambda_k * (r.y - r.x)))
+        err = l2_norm(end - next_x(r.y, r.x, r.lambda_k))
         _note(worst, "reconstruction", -err, r.k)
     return worst

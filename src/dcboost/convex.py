@@ -193,36 +193,38 @@ class ConvexExpr:
 
 @dataclass(frozen=True)
 class Quadratic(ConvexExpr):
-    """``a * ||x||^2`` with a >= 0."""
+    """``a * ||x||^2`` with finite a >= 0."""
 
     a: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
-        if self.a < 0:
-            raise ValueError("quadratic weight must be nonnegative")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError("quadratic weight must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class Linear(ConvexExpr):
-    """``<c, x>``."""
+    """``<c, x>`` with finite c."""
 
     c: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_point(self.c))
+        if not np.isfinite(self.c).all():
+            raise ValueError("linear coefficients must be finite")
 
 
 @dataclass(frozen=True)
 class L1(ConvexExpr):
-    """``b * sum_i |x_i|`` with b >= 0."""
+    """``b * sum_i |x_i|`` with finite b >= 0."""
 
     b: float
 
     def __post_init__(self):
         object.__setattr__(self, "b", float(self.b))
-        if self.b < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not 0.0 <= self.b < math.inf:
+            raise ValueError("l1 weight must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

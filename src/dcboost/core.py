@@ -40,6 +40,7 @@ __all__ = [
     "DcProblem",
     "IterationRecord",
     "Trace",
+    "next_x",
     "validate",
     "config_to_flat",
     "config_from_flat",
@@ -334,23 +335,21 @@ class IterationRecord:
     tau_hat: Optional[float] = None
     tau: Optional[float] = None
 
-    def to_json_obj(self) -> dict:
-        return {name: _encode_array(getattr(self, name), name)
-                if read is _decode_array else getattr(self, name)
-                for name, read in _RECORD_READERS.items()}
 
-    @classmethod
-    def from_json_obj(cls, d: dict, dim: int) -> "IterationRecord":
-        """Inverse of to_json_obj; a ValueError names the bad field, and
-        every array must hold ``dim`` values."""
-        return cls(*[_field(d, name, read, dim)
-                     for name, read in _RECORD_READERS.items()])
-
-
-# --- trace arrays: base64 of little-endian float64 bytes, bit-exact
+# --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  Under
+# DERIVED_ARRAYS a record may also leave out x and xi, which read_jsonl
+# fills back in bit for bit; ARRAY_ENCODING traces store every array.
 
 ARRAY_ENCODING = "base64-f8le"
+DERIVED_ARRAYS = "base64-f8le-derived"
 _F8LE = np.dtype("<f8")
+
+
+def next_x(y, x, lambda_k) -> np.ndarray:
+    """The point ``run_inmbdca`` moves to from a record's ``x``, ``y`` and
+    ``lambda_k``: y + lambda_k (y - x), by the same float operations, so it
+    equals the next record's x (or the final point) bit for bit."""
+    return y + lambda_k * (y - x)
 
 
 def _encode_array(a, name: str) -> str:
@@ -422,8 +421,8 @@ def _field(d: dict, name: str, read, dim=None):
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-# field name -> reader of its JSON value, in field order since from_json_obj
-# passes the values positionally; the CSV gets every scalar field
+# field name -> reader of its JSON value, in field order; the CSV gets
+# every scalar field
 _RECORD_READERS = {
     f.name: {np.ndarray: _decode_array, int: _int, float: _float,
              Optional[float]: _optional_float}[f.type]
@@ -432,6 +431,38 @@ _RECORD_READERS = {
 TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
                      if read is not _decode_array]
 _JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _record_obj(r: IterationRecord, x_derived):
+    """``r`` as a DERIVED_ARRAYS JSON object, scalars first, and the x the
+    next record derives.  ``x`` is left out when its "<f8" bytes equal
+    ``x_derived``'s, ``xi`` when they equal ``w``'s.  The next x is derived
+    from the "<f8" values a reader decodes, and is None when not finite, so
+    an omitted array is always finite."""
+    x, w, y, xi = (np.asarray(a, _F8LE) for a in (r.x, r.w, r.y, r.xi))
+    obj = {name: getattr(r, name) for name in TRACE_CSV_COLUMNS}
+    if x_derived is None or x.tobytes() != x_derived.tobytes():
+        obj["x"] = _encode_array(x, "x")
+    obj["w"] = _encode_array(w, "w")
+    obj["y"] = _encode_array(y, "y")
+    if xi.tobytes() != w.tobytes():
+        obj["xi"] = _encode_array(xi, "xi")
+    derived = next_x(y, x, r.lambda_k)
+    return obj, derived if np.isfinite(derived).all() else None
+
+
+def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
+    """Inverse of _record_obj: a missing ``x`` is ``x_derived`` and a
+    missing ``xi`` is ``w``, unless ``x_derived`` is None (a trace that
+    stores every array).  A ValueError names the bad field, and every
+    array must hold ``dim`` values."""
+    values = {}
+    for name, read in _RECORD_READERS.items():
+        if name in d or x_derived is None or name not in ("x", "xi"):
+            values[name] = _field(d, name, read, dim)
+        else:
+            values[name] = x_derived if name == "x" else values["w"]
+    return IterationRecord(**values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,13 +479,19 @@ class Trace:
         """One meta line, then one record per line; a non-finite value
         raises ValueError rather than writing a non-standard JSON token.
 
+        A record leaves out ``x`` when its bytes equal those of next_x of
+        the record before (``x0`` for the first), and ``xi`` when they
+        equal ``w``'s; the header's ``"arrays": DERIVED_ARRAYS`` says so.
+        Bytes are compared, so a signed zero or one ulp keeps the array,
+        and read_jsonl gives back every record bit for bit.
+
         Lines stream to ``<path>.partial``, which replaces ``path`` once
         complete and is removed on any failure, so no partial trace is left.
         """
         meta = {
             "problem_name": self.problem_name,
             "config": config_to_flat(self.config),
-            "arrays": ARRAY_ENCODING,
+            "arrays": DERIVED_ARRAYS,
             "x0": _encode_array(self.x0, "x0"),
             "final_x": _encode_array(self.final_x, "final_x"),
             "final_phi": self.final_phi,
@@ -462,10 +499,13 @@ class Trace:
         }
         partial = os.fspath(path) + ".partial"
         try:
-            with open(partial, "w", encoding="utf-8", newline="") as fh:
+            with open(partial, "w", encoding="utf-8", newline="") as fh, \
+                    np.errstate(over="ignore", invalid="ignore"):
                 fh.write(_JSON.encode(meta) + "\n")
+                x_derived = np.asarray(self.x0, _F8LE)
                 for r in self.records:
-                    fh.write(_JSON.encode(r.to_json_obj()) + "\n")
+                    obj, x_derived = _record_obj(r, x_derived)
+                    fh.write(_JSON.encode(obj) + "\n")
             os.replace(partial, path)
         except BaseException:
             if os.path.exists(partial):
@@ -474,8 +514,11 @@ class Trace:
 
     @classmethod
     def read_jsonl(cls, path) -> "Trace":
-        """Inverse of write_jsonl, also reading arrays written as lists; a
-        malformed line raises ValueError naming its line number and field."""
+        """Inverse of write_jsonl.  Also reads traces that store every
+        array (``"arrays": ARRAY_ENCODING`` or no ``arrays`` key), in
+        base64 or as lists; only a DERIVED_ARRAYS trace may leave out
+        ``x`` or ``xi``.  A malformed line raises ValueError naming its
+        line number and field."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = ((n, ln) for n, ln in enumerate(fh, 1) if not ln.isspace())
             n, line = next(lines, (0, ""))
@@ -486,9 +529,10 @@ class Trace:
                 if not isinstance(meta, dict) or "problem_name" not in meta:
                     raise ValueError("not a trace header")
                 encoding = meta.get("arrays", ARRAY_ENCODING)
-                if encoding != ARRAY_ENCODING:
+                if encoding not in (ARRAY_ENCODING, DERIVED_ARRAYS):
                     raise ValueError(f"field 'arrays': unknown encoding "
                                      f"{encoding!r:.40}")
+                derived = encoding == DERIVED_ARRAYS
                 x0 = _field(meta, "x0", _decode_array)
                 header = dict(
                     problem_name=_field(meta, "problem_name", _str),
@@ -499,11 +543,16 @@ class Trace:
                     termination=_field(meta, "termination", Termination),
                 )
                 records = []
-                for n, line in lines:
-                    d = json.loads(line)
-                    if not isinstance(d, dict):
-                        raise ValueError("a record must be a JSON object")
-                    records.append(IterationRecord.from_json_obj(d, x0.size))
+                x_derived = x0 if derived else None
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for n, line in lines:
+                        d = json.loads(line)
+                        if not isinstance(d, dict):
+                            raise ValueError("a record must be a JSON object")
+                        r = _read_record(d, x0.size, x_derived)
+                        records.append(r)
+                        if derived:
+                            x_derived = next_x(r.y, r.x, r.lambda_k)
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from None
         return cls(records=records, **header)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import TOLERANCE, holds, slacks
-from .convex import as_point
+from .convex import as_point, separable_coefficients
 from .core import (
     DcProblem,
     DirectNu,
@@ -31,6 +31,7 @@ from .core import (
     Termination,
     Trace,
     ZeroNu,
+    next_x,
     validate,
 )
 from .linesearch import nonmonotone_search, tau_bound
@@ -79,9 +80,20 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     sigma, theta, rho = problem.sigma, config.theta, config.rho
+    g, h = problem.g, problem.h
+    g_coefficients = separable_coefficients(g, problem.dim)
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
-    phi_x = problem.phi(x)
+    g_x = g.value(x)
+    phi_x = g_x - h.value(x)
+    g_trial = None
+
+    def phi_trial(z):
+        # phi at a linesearch trial point, keeping g there: the accepted
+        # trial point is the next x
+        nonlocal g_trial
+        g_trial = g.value(z)
+        return g_trial - h.value(z)
 
     nu_state, nu_pending = nu_init(config.nu, phi_x)
     records = []
@@ -90,17 +102,18 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
 
     for k in range(config.max_iter):
         eps_k = config.eps.at(k)
-        cert = problem.h.eps_subgrad(x, eps_k, rng)
+        cert = h.eps_subgrad(x, eps_k, rng)
         w = cert.w
-        sol = solve_inexact(problem.g, w, x, theta, config.inexact_mode, rng)
+        sol = solve_inexact(g, w, x, theta, config.inexact_mode, rng)
         y, xi = sol.y, sol.xi
         d = y - x
         d_sq = float(d @ d)
         d_norm = math.sqrt(d_sq)
-        phi_y = problem.phi(y)
+        g_y = g.value(y)
+        phi_y = g_y - h.value(y)
 
         # live-only: replaying it would cost two evaluations of g per record
-        lin_gap = problem.g.value(x) - problem.g.value(y) + float(w @ d)
+        lin_gap = g_x - g_y + float(w @ d)
         if not lin_gap >= -TOLERANCE["subgrad_membership"]:
             _flag(strict,
                   f"subproblem linearization bound g(x) >= g(y) - <w, y-x> "
@@ -119,10 +132,10 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
                     config.nu, nu_state, k - 1, phi_prev, phi_x, eps_prev, d_sq
                 )
             if nu_k > 0.0:
-                tau_pair = tau_bound(problem.g, x, y, d, nu_k, eps_k, sigma, rho)
+                tau_pair = tau_bound(g, x, y, d, nu_k, eps_k, sigma, rho)
             ls = nonmonotone_search(
-                problem.phi, y, d, rho, config.beta, config.lambda_bar, nu_k,
-                config.max_backtracks,
+                phi_trial, y, d, phi_y, rho, config.beta, config.lambda_bar,
+                nu_k, config.max_backtracks,
             )
             lam, n_backtracks = ls.lam, ls.n_backtracks
             phi_next = ls.accepted_value
@@ -137,7 +150,8 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             tau_hat=None if tau_pair is None else tau_pair.tau_hat,
             tau=None if tau_pair is None else tau_pair.tau,
         )
-        for name, slack in slacks(record, problem, config).items():
+        for name, slack in slacks(record, problem, config,
+                                  g_coefficients).items():
             if not holds(name, slack):
                 _flag(strict, f"{name.replace('_', ' ')} failed at iteration "
                               f"{k}: slack={slack}")
@@ -146,11 +160,13 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             termination = Termination.D_ZERO
             break
 
-        x_next = y + lam * d
+        x_next = next_x(y, x, lam)
         step_vec = x_next - x
         step = math.sqrt(step_vec @ step_vec)
         phi_prev, eps_prev = phi_x, eps_k
         x, phi_x = x_next, phi_next
+        # a nonzero lam's point is the last one the search evaluated
+        g_x = g_trial if lam != 0.0 else g.value(x)
         if step < config.stop_step_tol:
             termination = Termination.STEP_TOL
             break

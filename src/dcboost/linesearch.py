@@ -35,14 +35,17 @@ class TauBound:
     tau: float
 
 
-def nonmonotone_search(phi_eval, y, d, rho: float, beta: float,
-                       lambda_bar: float, nu: float,
+def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
+                       beta: float, lambda_bar: float, nu: float,
                        max_backtracks: int) -> LinesearchResult:
-    """Backtrack from lambda_bar by factor beta until acceptance.
+    """Backtrack from lambda_bar by factor beta until acceptance, given
+    ``phi_y`` = phi(y); ``phi_eval`` is called only at trial points.
 
     lambda_bar = 0 returns lambda = 0 immediately (the condition holds with
     slack nu); an exhausted budget also falls back to lambda = 0, which keeps
-    the outer update well defined since nu >= 0.
+    the outer update well defined since nu >= 0.  A nonzero returned lambda
+    is that of the last ``phi_eval`` call, whose argument was y + lambda * d:
+    ``run_inmbdca`` keeps g from that call as g at its next x.
     """
     y = as_point(y)
     d = as_point(d, y.shape[0])
@@ -56,7 +59,7 @@ def nonmonotone_search(phi_eval, y, d, rho: float, beta: float,
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0,1)")
 
-    phi_y = float(phi_eval(y))
+    phi_y = float(phi_y)
     if lambda_bar == 0.0:
         return LinesearchResult(0.0, 0, phi_y)
     for j in range(max_backtracks + 1):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dcboost.certificates import slacks
+from dcboost.convex import separable_coefficients
 from dcboost.core import (
     DirectNu,
     EpsSchedule,
@@ -105,9 +106,10 @@ def test_criterion_3_descent_certificates(study):
     count = 0
     for name in ("ex1", "ex2"):
         prob, traces, _ = study[name]
+        coefficients = separable_coefficients(prob.g, prob.dim)
         for trace in traces:
             for r in trace.records:
-                s = slacks(r, prob, trace.config)
+                s = slacks(r, prob, trace.config, coefficients)
                 worst = min(worst, s["descent_y"], s["descent_step"])
                 count += 1
     ok = worst >= -1e-9

@@ -8,9 +8,11 @@ import pytest
 
 from dcboost import cli, drivers, problems
 from dcboost.certificates import CERTIFICATES, TOLERANCE, replay, slacks
+from dcboost.convex import separable_coefficients
 from dcboost.core import InvariantViolation, IterationRecord
 
 EX2 = problems.resolve("ex2")
+EX2_G = separable_coefficients(EX2.g, EX2.dim)
 REF = problems.experiment_config()
 START = [5.0, 5.0]
 K_BAD = 0
@@ -40,7 +42,7 @@ CORRUPTIONS = {
 def test_catalogue_names_match_the_slacks():
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     names = [name for name, _ in CERTIFICATES]
-    assert list(slacks(trace.records[0], EX2, REF)) == names
+    assert list(slacks(trace.records[0], EX2, REF, EX2_G)) == names
     assert list(CORRUPTIONS) == names
     assert list(TOLERANCE) == names + ["reconstruction"]
 
@@ -55,8 +57,8 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
 
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     trace.records[K_BAD] = corrupted(trace.records[K_BAD])
-    failing = {n for n, s in slacks(trace.records[K_BAD], EX2, REF).items()
-               if not s >= -TOLERANCE[n]}
+    slack = slacks(trace.records[K_BAD], EX2, REF, EX2_G)
+    failing = {n for n, s in slack.items() if not s >= -TOLERANCE[n]}
     assert failing == {name}
 
     path = tmp_path / "trace.jsonl"

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import pytest
 
 from dcboost import cli, problems
 from dcboost.certificates import slacks
+from dcboost.convex import separable_coefficients
 from dcboost.cli import main
 from dcboost.core import Trace
 
@@ -322,6 +324,68 @@ def test_malformed_trace_names_line_and_field(tmp_path, capsys, stored_traces,
         assert f"line {line_no}: " in err
 
 
+@pytest.mark.parametrize("field", ["x", "xi"])
+@pytest.mark.parametrize("marker", [{"arrays": "base64-f8le"}, {}],
+                         ids=["base64-f8le", "no-arrays-key"])
+def test_unmarked_trace_may_not_leave_out_x_or_xi(tmp_path, capsys,
+                                                   stored_traces, field,
+                                                   marker):
+    # a header without the derived-arrays marker stores every array, as
+    # traces written before it did; such a trace checks clean, and one of
+    # them without x or xi is a parse error naming the field
+    lines = stored_traces["ex2"]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    full = Trace.read_jsonl(path)
+    meta = json.loads(lines[0])
+    del meta["arrays"]
+    meta.update(marker)
+    records = [json.loads(line) for line in lines[1:]]
+    for obj, r in zip(records, full.records):
+        obj.update({name: base64.b64encode(getattr(r, name).tobytes())
+                    .decode("ascii") for name in ("x", "xi")})
+
+    def write():
+        path.write_text("".join(json.dumps(obj) + "\n"
+                                for obj in (meta, *records)))
+
+    write()
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    del records[1][field]
+    write()
+    assert main(["check", str(path)]) == 2
+    assert (f"{path}: parse error: line 3: field {field!r} is missing"
+            in capsys.readouterr().err)
+
+
+def test_check_flags_x_shifted_off_its_derivation(tmp_path, capsys):
+    # shifting one record's x by 1e-6 keeps it on disk, bit for bit, and
+    # breaks the reconstruction of the step that led to it; the next x,
+    # derived from the shifted one, no longer matches either and is kept
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex2", "--out", out, "--start=5.0,5.0",
+                 *REF_FLAGS]) == 0
+    path = f"{out}/trace_000.jsonl"
+    trace = Trace.read_jsonl(path)
+    k = 2
+    records = list(trace.records)
+    records[k] = dataclasses.replace(records[k], x=records[k].x + 1e-6)
+    dataclasses.replace(trace, records=records).write_jsonl(path)
+    with open(path, encoding="utf-8") as fh:
+        stored = [json.loads(line) for line in fh.readlines()[1:]]
+    assert ["x" in obj for obj in stored] == [i in (k, k + 1)
+                                              for i in range(len(records))]
+    assert (Trace.read_jsonl(path).records[k].x.tobytes()
+            == records[k].x.tobytes())
+    capsys.readouterr()
+    assert main(["check", path]) == 1
+    report = capsys.readouterr().out
+    assert f"reconstruction: worst slack -1.414e-06 at k={k - 1} [VIOLATED]" \
+        in report
+    assert report.count("VIOLATED") == 1
+
+
 def test_check_rejects_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -493,8 +557,9 @@ def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
     for path in paths:
         trace = Trace.read_jsonl(path)
         problem, config = problems.resolve(trace.problem_name), trace.config
+        coefficients = separable_coefficients(problem.g, problem.dim)
         for r in trace.records:
-            s = slacks(r, problem, config)
+            s = slacks(r, problem, config, coefficients)
             d_sq = r.d_norm**2
             terms = (r.phi_x, (problem.sigma / 2 - config.theta) * d_sq,
                      config.rho * r.lambda_k**2 * d_sq, r.nu_k, r.eps_k,

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,20 @@ def test_negative_weights_rejected():
         Quadratic(-1.0)
     with pytest.raises(ValueError):
         L1(-0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Quadratic(math.nan),
+    lambda: Quadratic(math.inf),
+    lambda: L1(math.nan),
+    lambda: L1(math.inf),
+    lambda: Linear([math.nan, 1.0]),
+    lambda: Linear([1.0, -math.inf]),
+], ids=["quad-nan", "quad-inf", "l1-nan", "l1-inf", "lin-nan", "lin-inf"])
+def test_non_finite_weights_rejected(build):
+    # NaN passes a bare `a < 0` test, so each weight must lie in [0, inf)
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 # --- bounds read off the triple, bit for bit against the box arithmetic -------

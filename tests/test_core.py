@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dcboost.core import (
     config_to_flat,
     validate,
 )
-from dcboost import problems
+from dcboost import drivers, problems
 from dcboost.cli import main
 
 
@@ -350,7 +351,7 @@ def test_trace_meta_names_the_array_encoding(tmp_path):
     trace.write_jsonl(tmp_path / "t.jsonl")
     meta, record = map(json.loads,
                        (tmp_path / "t.jsonl").read_text().splitlines())
-    assert meta["arrays"] == "base64-f8le"
+    assert meta["arrays"] == "base64-f8le-derived"
     # the one-line decode the README gives
     y = np.frombuffer(base64.b64decode(record["y"]), "<f8")
     assert y.tobytes() == trace.records[0].y.tobytes()
@@ -367,11 +368,14 @@ def test_legacy_list_trace_checks_like_base64(tmp_path, capsys):
     def as_list(s):
         return np.frombuffer(base64.b64decode(s), "<f8").tolist()
 
+    # the file leaves x (and xi where it equals w) out, so the all-arrays
+    # legacy records take every array from the decoded trace
     meta, *records = map(json.loads, path.read_text().splitlines())
     del meta["arrays"]
-    for obj, names in ((meta, ("x0", "final_x")),
-                       *((r, ("x", "w", "y", "xi")) for r in records)):
-        obj.update({name: as_list(obj[name]) for name in names})
+    meta.update({name: as_list(meta[name]) for name in ("x0", "final_x")})
+    for obj, r in zip(records, Trace.read_jsonl(path).records):
+        obj.update({name: getattr(r, name).tolist()
+                    for name in ("x", "w", "y", "xi")})
     legacy = tmp_path / "legacy.jsonl"
     legacy.write_text("".join(json.dumps(obj) + "\n"
                               for obj in (meta, *records)))
@@ -385,6 +389,107 @@ def test_legacy_list_trace_checks_like_base64(tmp_path, capsys):
     for ra, rb in zip(a.records, b.records):
         for name in ("x", "w", "y", "xi"):
             assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes()
+
+
+def _two_step_trace(x1, xi0=None):
+    """A two-record trace whose first step derives x = (0.5, 0.0); the
+    second record holds ``x1`` and the first ``xi0`` (default: w)."""
+    rec = _tiny_trace().records[0]
+    w = np.array([2.0, -0.0])
+    first = dataclasses.replace(rec, x=np.array([1.0, 0.0]), w=w,
+                                y=np.array([0.75, 0.0]),
+                                xi=w.copy() if xi0 is None else xi0)
+    second = dataclasses.replace(first, k=1, x=x1, xi=w.copy())
+    return dataclasses.replace(_tiny_trace(), x0=first.x.copy(),
+                               records=[first, second],
+                               final_x=np.array([0.25, 0.0]))
+
+
+def _stored(path):
+    """The record lines of a written trace, as JSON objects."""
+    return [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+
+
+def _assert_records_bit_equal(back, trace):
+    for a, b in zip(trace.records, back.records, strict=True):
+        for name in ("x", "w", "y", "xi"):
+            assert getattr(b, name).tobytes() == getattr(a, name).tobytes()
+
+
+@pytest.mark.parametrize("x1, stored", [
+    ([0.5, 0.0], False),
+    ([np.nextafter(0.5, 1.0), 0.0], True),  # one ulp
+    ([0.5, -0.0], True),  # signed zero
+    ([0.5 + 1e-6, 0.0], True),
+], ids=["derived", "one-ulp", "signed-zero", "offset-1e-6"])
+def test_x_is_left_out_only_when_its_bytes_are_derived(tmp_path, x1, stored):
+    trace = _two_step_trace(np.array(x1))
+    path = tmp_path / "t.jsonl"
+    trace.write_jsonl(path)
+    first, second = _stored(path)
+    assert "x" not in first  # x0's bytes
+    assert ("x" in second) is stored
+    _assert_records_bit_equal(Trace.read_jsonl(path), trace)
+
+
+def test_xi_one_ulp_from_w_is_stored(tmp_path):
+    w = np.array([2.0, -0.0])
+    for xi0, stored in ((w.copy(), False),
+                        (np.array([np.nextafter(2.0, 3.0), -0.0]), True),
+                        (np.array([2.0, 0.0]), True)):
+        trace = _two_step_trace(np.array([0.5, 0.0]), xi0)
+        path = tmp_path / "t.jsonl"
+        trace.write_jsonl(path)
+        first, second = _stored(path)
+        assert ("xi" in first) is stored and "xi" not in second
+        back = Trace.read_jsonl(path)
+        _assert_records_bit_equal(back, trace)
+        assert back.records[1].xi is back.records[1].w  # w decoded once
+
+
+def test_x_is_stored_when_its_derivation_overflows(tmp_path):
+    # y + lambda (y - x) overflows to inf: the finite next x is stored, and
+    # neither writing nor reading warns
+    big = 1.7976931348623157e308
+    rec = dataclasses.replace(_tiny_trace().records[0],
+                              x=np.array([-big, 0.0]), y=np.array([big, 0.0]))
+    trace = dataclasses.replace(
+        _tiny_trace(), x0=rec.x.copy(),
+        records=[rec, dataclasses.replace(rec, k=1)])
+    path = tmp_path / "t.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace.write_jsonl(path)
+        back = Trace.read_jsonl(path)
+    assert ["x" in obj for obj in _stored(path)] == [False, True]
+    _assert_records_bit_equal(back, trace)
+
+
+def test_solver_trace_leaves_out_x_and_closed_form_xi(tmp_path, monkeypatch):
+    # every x is derived; xi is left out exactly where the subproblem took
+    # its closed form (xi = w), and kept where it was solved inexactly
+    modes = []
+    solve = drivers.solve_inexact
+
+    def logged(*args):
+        sol = solve(*args)
+        modes.append(sol.mode_used)
+        return sol
+
+    monkeypatch.setattr(drivers, "solve_inexact", logged)
+    problem = problems.resolve("random-sep(dim=200,seed=0)")
+    config = problems.experiment_config(mode=InexactMode.PERTURBED_EXACT)
+    x0 = np.random.default_rng(1).uniform(-10.0, 10.0, 200)
+    trace = drivers.run_inmbdca(problem, config, x0, seed=[42, 0])
+    path = tmp_path / "t.jsonl"
+    trace.write_jsonl(path)
+    stored = _stored(path)
+    assert len(stored) == len(modes) == len(trace.records)
+    assert not any("x" in obj for obj in stored)
+    closed = [m is InexactMode.EXACT for m in modes]
+    assert ["xi" not in obj for obj in stored] == closed
+    assert any(closed) and not all(closed)
+    _assert_records_bit_equal(Trace.read_jsonl(path), trace)
 
 
 def test_trace_jsonl_exact_floats(tmp_path):

@@ -19,29 +19,30 @@ D = np.array([-2 / 3, -2 / 3])
 
 def test_full_step_accepted_on_reference_state():
     # phi(y) = 2/9, phi(y + d) = -10/9 <= 2/9 - 0.6 * 8/9
-    res = nonmonotone_search(EX1.phi, Y, D, rho=0.6, beta=0.1, lambda_bar=1.0,
-                             nu=0.0, max_backtracks=60)
+    res = nonmonotone_search(EX1.phi, Y, D, EX1.phi(Y), rho=0.6, beta=0.1,
+                             lambda_bar=1.0, nu=0.0, max_backtracks=60)
     assert res.lam == 1.0
     assert res.n_backtracks == 0
     assert res.accepted_value == pytest.approx(-10 / 9, abs=1e-14)
 
 
 def test_zero_trial_step_returns_immediately():
-    res = nonmonotone_search(EX1.phi, Y, D, 0.6, 0.1, lambda_bar=0.0, nu=0.0,
-                             max_backtracks=60)
+    res = nonmonotone_search(EX1.phi, Y, D, EX1.phi(Y), 0.6, 0.1,
+                             lambda_bar=0.0, nu=0.0, max_backtracks=60)
     assert res.lam == 0.0 and res.n_backtracks == 0
     assert res.accepted_value == pytest.approx(EX1.phi(Y))
 
 
 def test_huge_allowance_accepts_trial_step():
-    res = nonmonotone_search(EX1.phi, Y, D, 0.6, 0.1, lambda_bar=1.0, nu=1e6,
-                             max_backtracks=60)
+    res = nonmonotone_search(EX1.phi, Y, D, EX1.phi(Y), 0.6, 0.1,
+                             lambda_bar=1.0, nu=1e6, max_backtracks=60)
     assert res.lam == 1.0 and res.n_backtracks == 0
 
 
 def test_zero_direction_rejected():
     with pytest.raises(ValueError, match="zero direction"):
-        nonmonotone_search(EX1.phi, Y, np.zeros(2), 0.6, 0.1, 1.0, 0.0, 60)
+        nonmonotone_search(EX1.phi, Y, np.zeros(2), EX1.phi(Y), 0.6, 0.1, 1.0,
+                           0.0, 60)
 
 
 def test_exhausted_budget_falls_back_to_zero():
@@ -50,16 +51,37 @@ def test_exhausted_budget_falls_back_to_zero():
     phi = lambda p: float(abs(p[0]))
     y = np.array([0.0])
     d = np.array([1.0])
-    res = nonmonotone_search(phi, y, d, rho=0.0, beta=0.5, lambda_bar=1.0,
-                             nu=0.0, max_backtracks=5)
+    res = nonmonotone_search(phi, y, d, phi(y), rho=0.0, beta=0.5,
+                             lambda_bar=1.0, nu=0.0, max_backtracks=5)
     assert res.lam == 0.0
     assert res.n_backtracks == 6
 
 
 def test_determinism():
-    a = nonmonotone_search(EX1.phi, Y, D, 0.6, 0.1, 1.0, 0.01, 60)
-    b = nonmonotone_search(EX1.phi, Y, D, 0.6, 0.1, 1.0, 0.01, 60)
+    a = nonmonotone_search(EX1.phi, Y, D, EX1.phi(Y), 0.6, 0.1, 1.0, 0.01, 60)
+    b = nonmonotone_search(EX1.phi, Y, D, EX1.phi(Y), 0.6, 0.1, 1.0, 0.01, 60)
     assert a == b
+
+
+@pytest.mark.parametrize("lambda_bar, want_backtracks", [
+    (1.0, 0),    # the full step is accepted at once
+    (50.0, 2),   # 50 and 5 fail, 0.5 is accepted
+])
+def test_accepted_lambda_is_the_last_evaluated_point(lambda_bar,
+                                                     want_backtracks):
+    # run_inmbdca keeps g from the last phi_eval call as g at its next x
+    seen = []
+
+    def phi(p):
+        seen.append(p.copy())
+        return EX1.phi(p)
+
+    res = nonmonotone_search(phi, Y, D, EX1.phi(Y), 0.6, 0.1, lambda_bar, 0.0,
+                             60)
+    assert res.lam != 0.0 and res.n_backtracks == want_backtracks
+    assert len(seen) == want_backtracks + 1
+    assert seen[-1].tobytes() == (Y + res.lam * D).tobytes()
+    assert res.accepted_value == EX1.phi(seen[-1])
 
 
 # --- the guaranteed floor ------------------------------------------------------
@@ -161,7 +183,8 @@ def test_backtrack_count_bounded_by_tau(rng):
         rho, beta, lambda_bar = 0.6, 0.5, 1.0
         tb = tau_bound(g, x, sol.y, d, nu, eps, sigma, rho)
         phi = lambda p: g.value(p) - h.value(p)
-        res = nonmonotone_search(phi, sol.y, d, rho, beta, lambda_bar, nu, 200)
+        res = nonmonotone_search(phi, sol.y, d, phi(sol.y), rho, beta,
+                                 lambda_bar, nu, 200)
         bound = max(0, math.ceil(math.log(min(tb.tau, lambda_bar) / lambda_bar)
                                  / math.log(beta))) + 1
         assert res.n_backtracks <= bound
