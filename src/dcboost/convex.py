@@ -98,9 +98,16 @@ def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
     return lo, hi
 
 
-def membership_gap(lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> float:
-    """Largest per-coordinate distance from v to the box [lo, hi] (0 inside)."""
-    return float(np.maximum(np.maximum(lo - v, v - hi), 0.0).max())
+def membership_gap(lo: np.ndarray, hi: np.ndarray, v: np.ndarray):
+    """Largest per-coordinate distance from v to the box [lo, hi] (0 inside),
+    a float; for a 2-D v, an array of the gap of each row."""
+    # clamping the largest excess at 0 gives the bits of clamping each
+    # coordinate first: a zero gap is +0.0 either way, and a NaN stays NaN
+    # (NaN <= 0.0 is false)
+    gap = np.maximum.reduce(np.maximum(lo - v, v - hi), -1)
+    if v.ndim > 1:
+        return np.maximum(gap, 0.0)
+    return 0.0 if gap <= 0.0 else float(gap)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,10 @@ rather than postponing their evaluation.
 import base64
 import binascii
 import csv
+import itertools
 import json
 import math
+import operator
 import os
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -398,7 +400,10 @@ _int, _str, _dict = _exactly(int), _exactly(str), _exactly(dict)
 def _float(value):
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r:.40}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond float range
+        raise ValueError(str(exc)) from None
 
 
 def _optional_float(value):
@@ -430,7 +435,24 @@ _RECORD_READERS = {
 }
 TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
                      if read is not _decode_array]
+_ARRAY_FIELDS = [name for name, read in _RECORD_READERS.items()
+                 if read is _decode_array]
+_SCALARS_OF = operator.itemgetter(*TRACE_CSV_COLUMNS)
+# the types of a record's scalars, in TRACE_CSV_COLUMNS order, that read as
+# they are: an int or float field holding its own type, an optional float
+# a float or null
+_PLAIN_SCALARS = frozenset(itertools.product(*(
+    {_int: (int,), _float: (float,), _optional_float: (float, type(None))}[
+        _RECORD_READERS[name]] for name in TRACE_CSV_COLUMNS)))
 _JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not a finite JSON number")
+
+
+# strict JSON: the writer never emits NaN, Infinity or -Infinity
+_JSON_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
 def _record_obj(r: IterationRecord, x_derived):
@@ -451,18 +473,40 @@ def _record_obj(r: IterationRecord, x_derived):
     return obj, derived if np.isfinite(derived).all() else None
 
 
-def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
-    """Inverse of _record_obj: a missing ``x`` is ``x_derived`` and a
-    missing ``xi`` is ``w``, unless ``x_derived`` is None (a trace that
-    stores every array).  A ValueError names the bad field, and every
-    array must hold ``dim`` values."""
-    values = {}
-    for name, read in _RECORD_READERS.items():
+def _read_fields(d: dict, names, dim: int, x_derived, values: dict) -> dict:
+    """``values`` with each of ``names`` read from ``d`` by ``_field``, in
+    order: a missing ``x`` is ``x_derived`` and a missing ``xi`` is ``w``,
+    unless ``x_derived`` is None (a trace that stores every array)."""
+    for name in names:
         if name in d or x_derived is None or name not in ("x", "xi"):
-            values[name] = _field(d, name, read, dim)
+            values[name] = _field(d, name, _RECORD_READERS[name], dim)
         else:
             values[name] = x_derived if name == "x" else values["w"]
-    return IterationRecord(**values)
+    return values
+
+
+def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
+    """Inverse of _record_obj.  A ValueError names the bad field, and every
+    array must hold ``dim`` values.
+
+    A record whose scalars all hold their field's type keeps them as they
+    are, and only its arrays go through ``_field``; any other record is read
+    field by field, so every error message and int -> float conversion is
+    that of the field-by-field read."""
+    try:
+        scalars = _SCALARS_OF(d)
+    except KeyError:  # a missing field; the field-by-field read names it
+        scalars = ()
+    if tuple(map(type, scalars)) in _PLAIN_SCALARS:
+        values = _read_fields(d, _ARRAY_FIELDS, dim, x_derived,
+                              dict(zip(TRACE_CSV_COLUMNS, scalars)))
+    else:
+        values = _read_fields(d, _RECORD_READERS, dim, x_derived, {})
+    # the fields at once, not one object.__setattr__ each as the dataclass
+    # __init__ sets them; assigning to the record still raises
+    record = object.__new__(IterationRecord)
+    record.__dict__.update(values)
+    return record
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,14 +562,15 @@ class Trace:
         array (``"arrays": ARRAY_ENCODING`` or no ``arrays`` key), in
         base64 or as lists; only a DERIVED_ARRAYS trace may leave out
         ``x`` or ``xi``.  A malformed line raises ValueError naming its
-        line number and field."""
+        line number and field; the tokens NaN, Infinity and -Infinity,
+        which write_jsonl never emits, make a line malformed."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = ((n, ln) for n, ln in enumerate(fh, 1) if not ln.isspace())
             n, line = next(lines, (0, ""))
             if not line:
                 raise ValueError("empty trace file")
             try:
-                meta = json.loads(line)
+                meta = _JSON_DECODER.decode(line)
                 if not isinstance(meta, dict) or "problem_name" not in meta:
                     raise ValueError("not a trace header")
                 encoding = meta.get("arrays", ARRAY_ENCODING)
@@ -546,7 +591,7 @@ class Trace:
                 x_derived = x0 if derived else None
                 with np.errstate(over="ignore", invalid="ignore"):
                     for n, line in lines:
-                        d = json.loads(line)
+                        d = _JSON_DECODER.decode(line)
                         if not isinstance(d, dict):
                             raise ValueError("a record must be a JSON object")
                         r = _read_record(d, x0.size, x_derived)

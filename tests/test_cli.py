@@ -133,7 +133,9 @@ def test_check_flags_corrupted_linesearch(tmp_path, capsys):
     assert "VIOLATED" in captured
 
 
-def test_check_flags_nan_phi(tmp_path, capsys):
+def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
+    # the writer never emits NaN, so a trace holding it is malformed; a NaN
+    # slack is still the worst value (tests/test_certificates.py)
     out = run_dir(tmp_path)
     assert main(["run", "--problem", "ex2", "--out", out, "--start=5.0,5.0",
                  *REF_FLAGS]) == 0
@@ -144,9 +146,9 @@ def test_check_flags_nan_phi(tmp_path, capsys):
     lines[2] = json.dumps(rec)
     open(path, "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["check", path]) == 1
-    captured = capsys.readouterr().out
-    assert f"nan at k={rec['k']} [VIOLATED]" in captured
+    assert main(["check", path]) == 2
+    assert (f"{path}: parse error: line 3: NaN is not a finite JSON number"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -322,6 +324,90 @@ def test_malformed_trace_names_line_and_field(tmp_path, capsys, stored_traces,
     assert f"field {field!r}" in err
     if line_no is not None:
         assert f"line {line_no}: " in err
+
+
+@pytest.mark.parametrize("line_no, name, value, token", [
+    (1, "final_phi", math.nan, "NaN"),
+    (3, "tau", math.nan, "NaN"),
+    (3, "lambda_bar", math.inf, "Infinity"),
+    (2, "phi_next", -math.inf, "-Infinity"),
+])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_non_finite_token_is_a_parse_error(tmp_path, capsys, stored_traces,
+                                           command, line_no, name, value,
+                                           token):
+    lines = list(stored_traces["ex2"])
+    lines[line_no - 1] = _set(lines[line_no - 1], name, value)
+    assert token in lines[line_no - 1]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}: parse error: line {line_no}: {token} is not a finite JSON "
+        "number\n")
+
+
+@pytest.mark.parametrize("line_no, name", [(3, "phi_x"), (1, "final_phi")])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_integer_beyond_float_range_is_a_parse_error(
+        tmp_path, capsys, stored_traces, command, line_no, name):
+    lines = list(stored_traces["ex2"])
+    lines[line_no - 1] = _set(lines[line_no - 1], name, 10**400)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}: parse error: line {line_no}: field {name!r}: int too large "
+        "to convert to float\n")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k", True), ("k", 1.0), ("n_backtracks", 0.0), ("tau", "x"),
+    ("phi_y", False), ("tau_hat", [1.0]),
+])
+def test_scalar_of_the_wrong_type_names_its_field(tmp_path, capsys,
+                                                  stored_traces, name, value):
+    # the reader takes a record whose scalars all have their field's type
+    # as it is; any other record is read field by field
+    lines = list(stored_traces["ex2"])
+    lines[2] = _set(lines[2], name, value)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{path}: parse error: line 3: field {name!r}: expected ")
+
+
+def test_reader_converts_ints_and_fills_missing_optionals(tmp_path,
+                                                          stored_traces):
+    lines = list(stored_traces["ex2"])
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    plain = Trace.read_jsonl(path)
+    lines[2] = _set(lines[2], "phi_x", 1)
+    lines[3] = _drop(_drop(lines[3], "tau"), "tau_hat")
+    path.write_text("\n".join(lines) + "\n")
+    edited = Trace.read_jsonl(path)
+    r1, r2 = edited.records[1], edited.records[2]
+    assert type(r1.phi_x) is float and r1.phi_x == 1.0
+    assert r2.tau is None and r2.tau_hat is None
+    ref = plain.records[1]
+    assert (r1.k, r1.phi_y, r1.tau) == (ref.k, ref.phi_y, ref.tau)
+    assert r1.x.tobytes() == ref.x.tobytes()
+
+
+def test_read_record_is_frozen_and_replaceable(tmp_path, stored_traces):
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(stored_traces["ex2"]) + "\n")
+    r = Trace.read_jsonl(path).records[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.phi_x = 0.0
+    moved = dataclasses.replace(r, phi_x=2.5)
+    assert moved.phi_x == 2.5 and r.phi_x != 2.5
+    assert moved.k == r.k and moved.y is r.y
 
 
 @pytest.mark.parametrize("field", ["x", "xi"])

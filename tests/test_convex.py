@@ -429,11 +429,20 @@ def test_bounds_match_box_reference_bit_for_bit(rng):
                            f.eps_subdiff_box(x, eps)):
                 assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
             lo, hi = subdiff_bounds(*triple, x, eps)
-            for v in (rng.uniform(-4, 4, dim), np.zeros(dim), -np.zeros(dim),
-                      ref_lo, ref_hi, 0.5 * (ref_lo + ref_hi)):
+            vs = [rng.uniform(-4, 4, dim), np.zeros(dim), -np.zeros(dim),
+                  ref_lo, ref_hi, 0.5 * (ref_lo + ref_hi)]
+            for v in vs:
                 assert _bits(np.clip(v, lo, hi)) == _bits(np.clip(v, ref_lo, ref_hi))
                 assert _bits(membership_gap(lo, hi, v)) == _bits(
                     _membership_reference(ref_lo, ref_hi, v))
+            # stacked rows, as the trace replay passes them
+            assert _bits(membership_gap(lo, hi, np.array(vs))) == _bits(
+                [_membership_reference(ref_lo, ref_hi, v) for v in vs])
+        points = np.array([x, -x, np.zeros(dim), -np.zeros(dim)])
+        rows = [subdiff_bounds(*triple, p) for p in points]
+        lo, hi = subdiff_bounds(*triple, points)
+        assert _bits(lo) == _bits([r[0] for r in rows])
+        assert _bits(hi) == _bits([r[1] for r in rows])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
