@@ -2,8 +2,7 @@
 inexactness, and per-iteration inequality checking."""
 
 from .certificates import CERTIFICATES, replay, slacks
-from .convex import (L1, ConvexExpr, EpsSubgradCert, Linear, Quadratic, Sum,
-                     membership_gap, subdiff_bounds)
+from .convex import EpsSubgradCert, Sum, membership_gap, subdiff_bounds
 from .core import (
     DcProblem,
     DirectNu,

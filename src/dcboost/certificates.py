@@ -13,12 +13,13 @@ declared lower bound (-inf when none is declared), the slacks are
     inexact_bound       theta ||y - x|| - ||w - xi||   (as the solver recorded them)
     descent_y           phi(x) - c ||d||^2 + eps_k - phi(y)
     linesearch          phi(y) - rho lambda^2 ||d||^2 + nu_k - phi(x+)
-    descent_step        phi(x) - (c + rho lambda^2) ||d||^2 + nu_k + eps_k - phi(x+)
     phi_lower_bound     min(phi(x), phi(y), phi(x+)) - phi_bar
 
 and, over a whole trace, ``reconstruction``: -||x+ - (y + lambda d)||, where
 x+ is the next record's x or the trace's final point.  An inequality fails
-when ``not slack >= -tol``, so a NaN slack fails.
+when ``not slack >= -tol``, so a NaN slack fails.  The descent of a whole
+step, phi(x+) <= phi(x) - (c + rho lambda^2) ||d||^2 + nu_k + eps_k, is the
+sum of descent_y and linesearch and is not checked on its own.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import types
 
 import numpy as np
 
-from .convex import l2_norm, membership_gap, separable_coefficients, \
-    subdiff_bounds
+from .convex import l2_norm, membership_gap, subdiff_bounds
 from .core import TRACE_CSV_COLUMNS, next_x
 
-__all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "replay"]
+__all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "replay", "square"]
 
 # (name, tolerance), in the order slacks() returns them.  Membership
 # balances closed-form exactness against interval-arithmetic rounding; the
@@ -45,7 +45,6 @@ CERTIFICATES = (
     ("inexact_bound", 1e-12),
     ("descent_y", 1e-9),
     ("linesearch", 1e-9),
-    ("descent_step", 1e-9),
     ("phi_lower_bound", 1e-9),
 )
 
@@ -66,16 +65,27 @@ def _lowest(a, b, c):
 _lowest_rows = np.frompyfunc(_lowest, 3, 1)
 
 
-def slacks(record, problem, config, g_coefficients) -> dict:
-    """Slack of every catalogue inequality by name, given
-    ``g_coefficients`` = ``separable_coefficients(problem.g, problem.dim)``,
-    which a caller checking many records reads once.  ``record`` is one
+def square(v):
+    """v**2 of a float, or of each float of an object column, as a stored
+    value is squared wherever a trace is checked; a float's ** raises
+    OverflowError past float range, where this gives inf."""
+    try:
+        return v**2
+    except OverflowError:
+        return _square_rows(v) if isinstance(v, np.ndarray) else math.inf
+
+
+_square_rows = np.frompyfunc(square, 1, 1)
+
+
+def slacks(record, problem, config) -> dict:
+    """Slack of every catalogue inequality by name.  ``record`` is one
     record, or a trace's records stacked by ``_columns``, for which each
     slack is an array with one value per record."""
-    r = record
-    d_sq = r.d_norm**2
+    r, g = record, problem.g
+    d_sq = square(r.d_norm)
     decrease = (problem.sigma / 2 - config.theta) * d_sq
-    step = config.rho * r.lambda_k**2 * d_sq
+    step = config.rho * square(r.lambda_k) * d_sq
     floor = problem.phi_lower_bound
     phi_x, phi_y, phi_next = r.phi_x, r.phi_y, r.phi_next
     lowest = (_lowest_rows if isinstance(phi_x, np.ndarray) else _lowest)(
@@ -83,12 +93,10 @@ def slacks(record, problem, config, g_coefficients) -> dict:
     return {
         "eps_certificate": r.eps_k - r.eps_certified,
         "subgrad_membership":
-            -membership_gap(*subdiff_bounds(*g_coefficients, r.y), r.xi),
+            -membership_gap(*subdiff_bounds(g.quad, g.lin, g.l1, r.y), r.xi),
         "inexact_bound": r.inexact_rhs - r.inexact_lhs,
         "descent_y": (phi_x - decrease + r.eps_k) - phi_y,
         "linesearch": (phi_y - step + r.nu_k) - phi_next,
-        "descent_step":
-            (phi_x - decrease - step + r.nu_k + r.eps_k) - phi_next,
         "phi_lower_bound": lowest - (-math.inf if floor is None else floor),
     }
 
@@ -122,15 +130,14 @@ def replay(trace, problem) -> dict:
     r = _columns(records)
     # no warnings, as the float arithmetic of one record gives none
     with np.errstate(over="ignore", invalid="ignore"):
-        found = slacks(r, problem, trace.config,
-                       separable_coefficients(problem.g, problem.dim))
+        found = slacks(r, problem, trace.config)
         ends = np.vstack((r.x[1:], trace.final_x))
         misses = ends - next_x(r.y, r.x, r.lambda_k.astype(float)[:, None])
-    # l2_norm of a row with no nonzero entry is 0.0, so only the others
-    # (a stored x that is not derived, NaN) take their own norm
-    err = np.zeros(len(records))
-    for i in np.flatnonzero(misses.any(axis=1)):
-        err[i] = l2_norm(misses[i])
+        # l2_norm of a row with no nonzero entry is 0.0, so only the others
+        # (a stored x that is not derived, NaN) take their own norm
+        err = np.zeros(len(records))
+        for i in np.flatnonzero(misses.any(axis=1)):
+            err[i] = l2_norm(misses[i])
     found["reconstruction"] = -err
     table = np.array(list(found.values()), dtype=float)
     nan = np.isnan(table)

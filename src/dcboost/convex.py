@@ -1,36 +1,27 @@
-"""Convex building blocks with exact subdifferential calculus.
+"""The convex components of a DC problem, with exact subdifferential calculus.
 
-The atom set -- quadratic ``a*||x||^2``, linear ``<c, x>``, weighted l1
-``b*sum_i |x_i|``, and sums thereof -- is coordinate-separable.  A ``Sum``
-aggregates its atoms once, at construction, into one (quad, lin, l1) triple
-and does all calculus on it; the atom classes only validate and build.
-That keeps every piece of calculus exact: subdifferentials are the
-per-coordinate bounds ``(lo, hi)`` that ``subdiff_bounds`` reads off the
-triple, strong-convexity moduli are read off the quadratic weight, and
-approximate subgradients carry a machine-checkable linearization-gap
-certificate.  Eps-widened bounds widen each *aggregated* atom by its own
-eps-interval: still a sound superset of the eps-subdifferential, and
-tighter than per-atom widening when a kind repeats."""
+Every component is one ``Sum(quad, lin, l1)``, the coordinate-separable
+function ``quad*||x||^2 + <lin, x> + l1*sum_i |x_i|``.  All calculus is read
+off that triple: subdifferentials are the per-coordinate bounds ``(lo, hi)``
+of ``subdiff_bounds``, the strong-convexity modulus is read off the
+quadratic weight, and approximate subgradients carry a machine-checkable
+linearization-gap certificate.  Eps-widened bounds widen each of the three
+parts by its own exact eps-interval, a sound superset of the
+eps-subdifferential."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvexExpr",
-    "Quadratic",
-    "Linear",
-    "L1",
     "Sum",
     "EpsSubgradCert",
     "as_point",
     "l2_norm",
     "membership_gap",
-    "separable_coefficients",
     "subdiff_bounds",
 ]
 
@@ -60,10 +51,10 @@ def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
     separable sum is the product of the 1-D ones, so at eps = 0 the box is
     exact).  For eps > 0 each part is widened by its own exact 1-D
     eps-interval, so a zero gap between two such boxes never misses an
-    eps-critical point.  ``lin`` is a vector, zero when there is no linear
-    part, as ``separable_coefficients`` gives it.  ``lo`` and ``hi`` may be
-    one array, so treat them as read-only.  The exact (eps = 0) bounds are
-    whole-array arithmetic and selects, with no boolean-mask indexing."""
+    eps-critical point.  ``x`` may be 2-D, one point per row.  ``lo`` and
+    ``hi`` may be one array, so treat them as read-only.  The exact
+    (eps = 0) bounds are whole-array arithmetic and selects, with no
+    boolean-mask indexing."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     # Summing into 0.0 first turns -0.0 into 0.0; parts are summed in the
@@ -123,46 +114,63 @@ class EpsSubgradCert:
     eps_achieved: float
 
 
-class ConvexExpr:
-    """Base class for the separable convex expressions; the calculus is
-    written once, on ``Sum``, and any other expression forwards to a cached
-    one-term ``Sum`` of itself."""
+@dataclass(frozen=True, eq=False)
+class Sum:
+    """``quad*||x||^2 + <lin, x> + l1*sum_i |x_i|`` with finite weights
+    quad, l1 >= 0 and a finite vector ``lin`` (zeros for no linear part),
+    whose length is the dimension; ``lin`` is kept as a read-only copy.  A
+    zero weight adds no term, so no 0*inf appears, and the parts are always
+    summed in the order quad, lin, l1."""
 
-    @functools.cached_property
-    def _sum(self) -> "Sum":
-        return Sum((self,))
+    quad: float
+    lin: np.ndarray
+    l1: float
+
+    def __post_init__(self):
+        # + 0.0 turns a -0.0 weight into 0.0
+        quad, l1 = float(self.quad) + 0.0, float(self.l1) + 0.0
+        if not 0.0 <= quad < math.inf:
+            raise ValueError("quadratic weight must be finite and nonnegative")
+        if not 0.0 <= l1 < math.inf:
+            raise ValueError("l1 weight must be finite and nonnegative")
+        lin = as_point(self.lin).copy()
+        if not np.isfinite(lin).all():
+            raise ValueError("linear coefficients must be finite")
+        lin.flags.writeable = False
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "l1", l1)
 
     def value(self, x) -> float:
-        return self._sum.value(x)
+        x = as_point(x, self.lin.shape[0])
+        total = 0.0
+        if self.quad:
+            total += float(self.quad * (x @ x))
+        total += float(self.lin @ x)
+        if self.l1:
+            total += float(self.l1 * np.add.reduce(np.abs(x)))
+        return total
 
     def subgrad(self, x) -> np.ndarray:
         """Canonical subgradient selection; uses sign(0) = 0 at l1 kinks."""
-        return self._sum.subgrad(x)
+        x = as_point(x, self.lin.shape[0])
+        out = np.zeros_like(x)
+        if self.quad:
+            out += 2.0 * self.quad * x
+        out += self.lin
+        if self.l1:
+            out += self.l1 * np.sign(x)
+        return out
 
-    def eps_subdiff_box(self, x, eps: float):
-        """Bounds ``(lo, hi)`` of the eps-relaxed subdifferential at x, read
-        off the compiled triple by ``subdiff_bounds``."""
-        x = as_point(x)
-        return subdiff_bounds(*separable_coefficients(self, x.shape[0]), x, eps)
-
-    def subdiff_box(self, x):
-        """Bounds ``(lo, hi)`` of the exact subdifferential at x."""
-        return self.eps_subdiff_box(x, 0.0)
+    def bounds(self, x, eps: float = 0.0):
+        """Bounds ``(lo, hi)`` of the eps-subdifferential at x (the exact
+        one at eps = 0), by ``subdiff_bounds``."""
+        x = as_point(x, self.lin.shape[0])
+        return subdiff_bounds(self.quad, self.lin, self.l1, x, eps)
 
     def modulus(self) -> float:
         """Exact strong-convexity modulus, read off the quadratic weight."""
-        return self._sum.modulus()
-
-    def check_dim(self, dim: int) -> None:
-        """Raise if the expression cannot accept points of this dimension."""
-        self._sum.check_dim(dim)
-
-    def __add__(self, other):
-        if not isinstance(other, ConvexExpr):
-            return NotImplemented
-        left = self.terms if isinstance(self, Sum) else (self,)
-        right = other.terms if isinstance(other, Sum) else (other,)
-        return Sum(left + right)
+        return 2.0 * self.quad
 
     def linearization_cert(self, x, z) -> EpsSubgradCert:
         """Certificate for the subgradient taken at anchor z, valid at x."""
@@ -196,123 +204,3 @@ class ConvexExpr:
             radius *= 0.5
         # radius-0 fallback: the exact subgradient certifies with zero gap
         return EpsSubgradCert(self.subgrad(x), 0.0)
-
-
-@dataclass(frozen=True)
-class Quadratic(ConvexExpr):
-    """``a * ||x||^2`` with finite a >= 0."""
-
-    a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        if not 0.0 <= self.a < math.inf:
-            raise ValueError("quadratic weight must be finite and nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class Linear(ConvexExpr):
-    """``<c, x>`` with finite c."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_point(self.c))
-        if not np.isfinite(self.c).all():
-            raise ValueError("linear coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class L1(ConvexExpr):
-    """``b * sum_i |x_i|`` with finite b >= 0."""
-
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", float(self.b))
-        if not 0.0 <= self.b < math.inf:
-            raise ValueError("l1 weight must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class Sum(ConvexExpr):
-    """Sum of convex expressions, aggregated once at construction into
-    ``quad*||x||^2 + <lin, x> + l1*sum_i |x_i|`` (``lin`` is None without a
-    linear atom).  An absent or zero-weight part adds no term, so no 0*inf
-    appears, and the parts are always summed in the order quad, lin, l1."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        quad = l1 = 0.0
-        lin = None
-        for t in terms:
-            if isinstance(t, Sum):
-                q, c, b = t.quad, t.lin, t.l1
-            elif isinstance(t, Quadratic):
-                q, c, b = t.a, None, 0.0
-            elif isinstance(t, Linear):
-                q, c, b = 0.0, t.c, 0.0
-            elif isinstance(t, L1):
-                q, c, b = 0.0, None, t.b
-            else:
-                raise TypeError(f"Sum terms must be separable atoms, got {type(t)!r}")
-            quad += q
-            l1 += b
-            if c is not None:
-                if lin is not None and lin.shape != c.shape:
-                    raise ValueError(
-                        f"dimension mismatch: linear terms have {lin.shape[0]} "
-                        f"and {c.shape[0]} coefficients"
-                    )
-                lin = c.copy() if lin is None else lin + c
-        if lin is not None:
-            lin.flags.writeable = False
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "l1", l1)
-
-    def _point(self, x) -> np.ndarray:
-        return as_point(x, None if self.lin is None else self.lin.shape[0])
-
-    def value(self, x) -> float:
-        x = self._point(x)
-        total = 0.0
-        if self.quad:
-            total += float(self.quad * (x @ x))
-        if self.lin is not None:
-            total += float(self.lin @ x)
-        if self.l1:
-            total += float(self.l1 * np.add.reduce(np.abs(x)))
-        return total
-
-    def subgrad(self, x) -> np.ndarray:
-        x = self._point(x)
-        out = np.zeros_like(x)
-        if self.quad:
-            out += 2.0 * self.quad * x
-        if self.lin is not None:
-            out += self.lin
-        if self.l1:
-            out += self.l1 * np.sign(x)
-        return out
-
-    def modulus(self) -> float:
-        return 2.0 * self.quad
-
-    def check_dim(self, dim: int) -> None:
-        if self.lin is not None and self.lin.shape[0] != dim:
-            raise ValueError(
-                f"dimension mismatch: linear term has {self.lin.shape[0]} "
-                f"coefficients, problem dimension is {dim}"
-            )
-
-
-def separable_coefficients(f: ConvexExpr, dim: int):
-    """Aggregate (quad, lin, l1) with f(x) = quad*||x||^2 + <lin, x> + l1*sum|x_i|,
-    read off the compiled Sum; lin is a read-only vector of length dim."""
-    s = f if isinstance(f, Sum) else f._sum
-    s.check_dim(dim)
-    return s.quad, np.zeros(dim) if s.lin is None else s.lin, s.l1

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .convex import ConvexExpr, as_point
+from .convex import Sum, as_point
 
 __all__ = [
     "InvariantViolation",
@@ -235,8 +235,8 @@ class DcProblem:
     convex with the shared modulus sigma."""
 
     name: str
-    g: ConvexExpr
-    h: ConvexExpr
+    g: Sum
+    h: Sum
     dim: int
     sigma: float
     phi_lower_bound: Optional[float] = None
@@ -247,8 +247,11 @@ class DcProblem:
             raise ValueError("dim must be a positive integer")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        self.g.check_dim(self.dim)
-        self.h.check_dim(self.dim)
+        if not self.g.lin.shape[0] == self.h.lin.shape[0] == self.dim:
+            raise ValueError(
+                f"dimension mismatch: g has {self.g.lin.shape[0]} and h "
+                f"{self.h.lin.shape[0]} coefficients, problem dimension is "
+                f"{self.dim}")
         for f, label in ((self.g, "g"), (self.h, "h")):
             if self.sigma > f.modulus() + 1e-12:
                 raise ValueError(
@@ -262,8 +265,8 @@ class DcProblem:
     def from_components(
         cls,
         name: str,
-        g: ConvexExpr,
-        h: ConvexExpr,
+        g: Sum,
+        h: Sum,
         dim: int,
         phi_lower_bound: Optional[float] = None,
         known_critical_points: Optional[tuple] = None,
@@ -401,9 +404,12 @@ def _float(value):
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r:.40}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError as exc:  # an int beyond float range
         raise ValueError(str(exc)) from None
+    if not math.isfinite(value):  # a literal beyond float range reads as inf
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
 
 
 def _optional_float(value):
@@ -489,15 +495,18 @@ def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
     """Inverse of _record_obj.  A ValueError names the bad field, and every
     array must hold ``dim`` values.
 
-    A record whose scalars all hold their field's type keeps them as they
-    are, and only its arrays go through ``_field``; any other record is read
-    field by field, so every error message and int -> float conversion is
-    that of the field-by-field read."""
+    A record whose scalars all hold their field's type and are finite keeps
+    them as they are, and only its arrays go through ``_field``; any other
+    record is read field by field, so every error message and int -> float
+    conversion is that of the field-by-field read."""
     try:
         scalars = _SCALARS_OF(d)
     except KeyError:  # a missing field; the field-by-field read names it
         scalars = ()
-    if tuple(map(type, scalars)) in _PLAIN_SCALARS:
+    # JSON gives no NaN here (its token is rejected), only an inf from a
+    # literal beyond float range
+    if (tuple(map(type, scalars)) in _PLAIN_SCALARS
+            and math.inf not in scalars and -math.inf not in scalars):
         values = _read_fields(d, _ARRAY_FIELDS, dim, x_derived,
                               dict(zip(TRACE_CSV_COLUMNS, scalars)))
     else:

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import TOLERANCE, holds, slacks
-from .convex import as_point, separable_coefficients
+from .certificates import TOLERANCE, holds, slacks, square
+from .convex import as_point
 from .core import (
     DcProblem,
     DirectNu,
@@ -81,7 +81,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     rng = np.random.default_rng(seed)
     sigma, theta, rho = problem.sigma, config.theta, config.rho
     g, h = problem.g, problem.h
-    g_coefficients = separable_coefficients(g, problem.dim)
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
     g_x = g.value(x)
@@ -150,8 +149,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             tau_hat=None if tau_pair is None else tau_pair.tau_hat,
             tau=None if tau_pair is None else tau_pair.tau,
         )
-        for name, slack in slacks(record, problem, config,
-                                  g_coefficients).items():
+        for name, slack in slacks(record, problem, config).items():
             if not holds(name, slack):
                 _flag(strict, f"{name.replace('_', ' ')} failed at iteration "
                               f"{k}: slack={slack}")
@@ -224,11 +222,11 @@ def run_dca(problem: DcProblem, config: SolverConfig, x0,
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:
     """Largest per-coordinate gap between the subdifferential bounds of g
     and h at x; zero exactly at critical points.  For eps > 0 both are
-    widened per aggregated atom, which makes a zero residual a sound (never
+    widened part by part, which makes a zero residual a sound (never
     missing) certificate of eps-criticality."""
     x = as_point(x, problem.dim)
-    g_lo, g_hi = problem.g.eps_subdiff_box(x, eps)
-    h_lo, h_hi = problem.h.eps_subdiff_box(x, eps)
+    g_lo, g_hi = problem.g.bounds(x, eps)
+    h_lo, h_hi = problem.h.bounds(x, eps)
     return float(np.max(np.maximum(np.maximum(g_lo - h_hi, 0.0),
                                    np.maximum(h_lo - g_hi, 0.0))))
 
@@ -331,7 +329,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
     tail_start = bound_tail = bound_tail_stated = None
     k0 = step_domination_start(trace, xi * coef)
     eps_dominated = all(
-        r.eps_k <= xi * coef * r.d_norm**2 + 1e-15 for r in records
+        r.eps_k <= xi * coef * square(r.d_norm) + 1e-15 for r in records
     )
     if k0 is not None and eps_dominated and n_total > k0:
         head_nu = sum(r.nu_k for r in records[:k0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexExpr, as_point, separable_coefficients
+from .convex import Sum, as_point
 from .core import InvariantViolation
 
 __all__ = ["LinesearchResult", "TauBound", "nonmonotone_search", "tau_bound"]
@@ -71,7 +71,7 @@ def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
     return LinesearchResult(0.0, max_backtracks + 1, phi_y)
 
 
-def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,
+def tau_bound(g: Sum, x, y, d, nu: float, eps: float, sigma: float,
               rho: float) -> TauBound:
     """Guaranteed acceptance floor for the nonmonotone condition.
 
@@ -83,7 +83,7 @@ def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,
     before dividing.  The acceptance condition holds for every lambda in (0, tau]
     with tau = min(1, tau_hat, sigma / rho).
     """
-    x = as_point(x)
+    x = as_point(x, g.lin.shape[0])
     y = as_point(y, x.shape[0])
     d = as_point(d, x.shape[0])
     d_sq = float(d @ d)
@@ -94,9 +94,8 @@ def tau_bound(g: ConvexExpr, x, y, d, nu: float, eps: float, sigma: float,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
 
-    quad, _, l1 = separable_coefficients(g, x.shape[0])
     kinks = float(np.sum(np.maximum(np.abs(d) - np.abs(y), 0.0)))
-    bracket = 2.0 * quad * d_sq + 2.0 * l1 * kinks
+    bracket = 2.0 * g.quad * d_sq + 2.0 * g.l1 * kinks
     if bracket < sigma * d_sq - 1e-9 * max(1.0, sigma) * d_sq:
         raise InvariantViolation(
             "strong-convexity bracket g(y+d)+g(x)-2g(y) fell below "

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .certificates import square
 from .core import (
     DirectNu,
     GrippoNu,
-    InvariantViolation,
     NuStrategy,
     RatioNu,
     ZeroNu,
@@ -30,9 +30,6 @@ __all__ = [
     "nu_next",
     "step_domination_start",
 ]
-
-_BUDGET_SLACK = 1e-10
-
 
 @dataclass(frozen=True)
 class DirectState:
@@ -81,15 +78,6 @@ def first_step_nu(spec: NuStrategy, nu0, d_norm_sq: float) -> float:
     return spec.omega * d_norm_sq  # the divisor k + 1 is 1 at k = 0
 
 
-def _check_budget(budget: float, k: int) -> float:
-    if budget < -_BUDGET_SLACK:
-        raise InvariantViolation(
-            "descent estimate violated: phi(x^k) - phi(x^{k+1}) + nu_k + eps_k "
-            f"= {budget} < 0 at step {k}"
-        )
-    return max(budget, 0.0)
-
-
 def nu_next(spec: NuStrategy, state: NuState, k: int, phi_prev: float,
             phi_curr: float, eps_k: float, d_norm_sq: float):
     """Allowance for step k+1 after the step k -> k+1 completed.
@@ -99,22 +87,17 @@ def nu_next(spec: NuStrategy, state: NuState, k: int, phi_prev: float,
     ratio schedule reads it).
     """
     if isinstance(spec, DirectNu):
-        budget = _check_budget(phi_prev - phi_curr + state.nu_prev + eps_k, k)
+        # the step's descent inequality (checked by the caller) makes the
+        # budget nonnegative up to rounding
+        budget = max(phi_prev - phi_curr + state.nu_prev + eps_k, 0.0)
         nu = spec.fraction * (1.0 - spec.delta_used) * budget
         return DirectState(nu_prev=nu), nu
     if isinstance(spec, ZhangHagerNu):
-        # the allowance actually usable by the search is the floored gap:
-        # with eps_k > 0 the raw gap C - phi may dip below zero by up to eps
-        nu_prev = max(0.0, state.c - phi_prev)
-        _check_budget(phi_prev - phi_curr + nu_prev + eps_k, k)
         eta = spec.eta_used
         q_next = eta * state.q + 1.0
         c_next = (eta * state.q * state.c + phi_curr) / q_next
         return ZhangHagerState(q=q_next, c=c_next), max(0.0, c_next - phi_curr)
     if isinstance(spec, GrippoNu):
-        _check_budget(
-            phi_prev - phi_curr + (max(state.window) - phi_prev) + eps_k, k
-        )
         window = (state.window + (phi_curr,))[-(spec.m + 1):]
         return GrippoState(window=window), max(window) - phi_curr
     if isinstance(spec, RatioNu):
@@ -133,7 +116,7 @@ def step_domination_start(trace, delta: float) -> Optional[int]:
     k0 = None
     for idx in range(len(records) - 1, -1, -1):
         r = records[idx]
-        if r.nu_k <= delta * r.d_norm**2:
+        if r.nu_k <= delta * square(r.d_norm):
             k0 = idx
         else:
             break

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .convex import L1, Linear, Quadratic
+from .convex import Sum
 from .core import (
     DcProblem,
     EpsSchedule,
@@ -27,8 +27,8 @@ __all__ = ["resolve", "registered_names", "random_separable",
 def _ex1() -> DcProblem:
     # phi(x,y) = x^2 + y^2 + x + y - |x| - |y|; minimum -2 at (-1,-1);
     # per-coordinate critical values {-1, 0} (solve 2t + 1 in d|t|)
-    g = Quadratic(1.5) + Linear([1.0, 1.0])
-    h = Quadratic(0.5) + L1(1.0)
+    g = Sum(1.5, [1.0, 1.0], 0.0)
+    h = Sum(0.5, [0.0, 0.0], 1.0)
     return DcProblem.from_components(
         "ex1", g, h, dim=2, phi_lower_bound=-2.0,
         known_critical_points=(
@@ -40,8 +40,8 @@ def _ex1() -> DcProblem:
 def _ex2() -> DcProblem:
     # phi(x,y) = (x^2+y^2)/2 + |x| + |y| - 2.5x; unique critical point
     # (1.5, 0) with value -1.125
-    g = Quadratic(1.0) + L1(1.0) + Linear([-2.5, 0.0])
-    h = Quadratic(0.5)
+    g = Sum(1.0, [-2.5, 0.0], 1.0)
+    h = Sum(0.5, [0.0, 0.0], 0.0)
     return DcProblem.from_components(
         "ex2", g, h, dim=2, phi_lower_bound=-1.125,
         known_critical_points=((1.5, 0.0),),
@@ -49,7 +49,7 @@ def _ex2() -> DcProblem:
 
 
 def random_separable(dim: int, seed: int) -> DcProblem:
-    """Seeded random instance within the separable atom class.
+    """Seeded random instance of the separable class ``Sum``.
 
     Coefficients are drawn so that phi = g - h stays bounded below (the
     quadratic weight of g strictly exceeds that of h).  When a draw leaves a
@@ -64,8 +64,9 @@ def random_separable(dim: int, seed: int) -> DcProblem:
     a_g = a_h + float(rng.uniform(0.25, 1.0))
     shift = max(0.0, 0.25 - min(a_g, a_h))
     a_g, a_h = a_g + shift, a_h + shift
-    g = Quadratic(a_g) + Linear(rng.uniform(-2.0, 2.0, dim)) + L1(float(rng.uniform(0.0, 1.5)))
-    h = Quadratic(a_h) + Linear(rng.uniform(-2.0, 2.0, dim)) + L1(float(rng.uniform(0.0, 1.5)))
+    # the draws, in argument order: g's lin and l1, then h's
+    g = Sum(a_g, rng.uniform(-2.0, 2.0, dim), rng.uniform(0.0, 1.5))
+    h = Sum(a_h, rng.uniform(-2.0, 2.0, dim), rng.uniform(0.0, 1.5))
     return DcProblem.from_components(
         f"random-sep(dim={dim},seed={seed})", g, h, dim=dim
     )

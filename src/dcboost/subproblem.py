@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import TOLERANCE
-from .convex import (ConvexExpr, as_point, l2_norm, membership_gap,
-                     separable_coefficients, subdiff_bounds)
+from .convex import Sum, as_point, l2_norm, membership_gap, subdiff_bounds
 from .core import InexactMode, UnsupportedProblemError
 
 __all__ = [
@@ -50,36 +49,35 @@ class InexactCheck:
     membership_gap: float
 
 
-def _coefficients(g: ConvexExpr, dim: int):
+def _coefficients(g: Sum):
     """The (quad, lin, l1) triple of g; the subproblem needs quad > 0."""
-    quad, lin, l1 = separable_coefficients(g, dim)
-    if quad <= 0:
+    if g.quad <= 0:
         raise UnsupportedProblemError(
             "subproblem needs strongly convex g (no quadratic weight found)"
         )
-    return quad, lin, l1
+    return g.quad, g.lin, g.l1
 
 
-def solve_exact(g: ConvexExpr, w, x) -> np.ndarray:
+def solve_exact(g: Sum, w, x) -> np.ndarray:
     """Unique minimizer of g(.) - <w, . - x>, solved per coordinate.
 
     Stationarity asks for w in the subdifferential of g at y; for the
-    separable atom class that is a soft threshold shifted by the linear term.
+    separable ``Sum`` that is a soft threshold shifted by the linear term.
     """
-    x = as_point(x)
+    x = as_point(x, g.lin.shape[0])
     w = as_point(w, x.shape[0])
-    quad, lin, l1 = _coefficients(g, x.shape[0])
+    quad, lin, l1 = _coefficients(g)
     u = w - lin
     return np.sign(u) * np.maximum(np.abs(u) - l1, 0.0) / (2.0 * quad)
 
 
-def check_inexact(g: ConvexExpr, w, x, y, xi, theta: float) -> InexactCheck:
+def check_inexact(g: Sum, w, x, y, xi, theta: float) -> InexactCheck:
     """Measure the two acceptance conditions for a candidate pair (y, xi)."""
     x = as_point(x)
     w = as_point(w, x.shape[0])
     y = as_point(y, x.shape[0])
     xi = as_point(xi, x.shape[0])
-    gap = membership_gap(*g.subdiff_box(y), xi)
+    gap = membership_gap(*g.bounds(y), xi)
     lhs = l2_norm(w - xi)
     rhs = theta * l2_norm(y - x)
     ok = gap <= TOLERANCE["subgrad_membership"] and (
@@ -116,7 +114,7 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     iterate builds the box and its xi.  For finite coefficients this is the
     box-and-clip step bit for bit, up to signs of zeros that no norm or
     comparison sees (pinned by a test)."""
-    quad, lin, l1 = _coefficients(g, x.shape[0])
+    quad, lin, l1 = _coefficients(g)
     q2 = 2.0 * quad
 
     lo = np.minimum(x, 0.0) - 1.0
@@ -240,7 +238,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     under rounding."""
     y_star = solve_exact(g, w, x)
     dim = x.shape[0]
-    quad, lin, l1 = _coefficients(g, dim)
+    quad, lin, l1 = _coefficients(g)
     u = rng.standard_normal(dim)
     norm = l2_norm(u)
     if norm == 0.0:
@@ -283,14 +281,14 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     return _closed_form(y_star, w, x, theta, evals)
 
 
-def solve_inexact(g: ConvexExpr, w, x, theta: float, mode: InexactMode,
+def solve_inexact(g: Sum, w, x, theta: float, mode: InexactMode,
                   rng=None) -> SubproblemSolution:
     """Produce (y, xi) satisfying the membership and relative-error tests.
 
     theta = 0 forces the exact solution with xi = w in every mode, since the
     relative test then reads ||w - xi|| = 0.
     """
-    x = as_point(x)
+    x = as_point(x, g.lin.shape[0])
     w = as_point(w, x.shape[0])
     if theta < 0:
         raise ValueError("theta must be nonnegative")

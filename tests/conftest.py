@@ -3,49 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from dcboost.convex import L1, Linear, Quadratic, Sum, separable_coefficients
+from dcboost.convex import Sum
 
 
-def random_expr(rng, dim, min_quad=0.0, _depth=0):
-    """Random atom tree within the separable class; an atom kind may repeat,
-    directly or inside a nested Sum."""
-    terms = []
-    if min_quad > 0 or rng.random() < 0.8:
-        terms.append(Quadratic(min_quad + rng.uniform(0.0, 2.0)))
-    if rng.random() < 0.8:
-        terms.append(Linear(rng.uniform(-2.0, 2.0, dim)))
-    if rng.random() < 0.7:
-        terms.append(L1(rng.uniform(0.0, 1.5)))
-    # second atoms of a kind, which the Sum must aggregate
-    if rng.random() < 0.3:
-        terms.append(Quadratic(rng.uniform(0.0, 1.0)))
-    if rng.random() < 0.3:
-        terms.append(Linear(rng.uniform(-1.0, 1.0, dim)))
-    if rng.random() < 0.3:
-        terms.append(L1(rng.uniform(0.0, 1.0)))
-    if _depth == 0 and rng.random() < 0.3:
-        terms.append(random_expr(rng, dim, 0.0, _depth=1))
-    if not terms:
-        terms.append(Quadratic(rng.uniform(0.1, 1.0)))
-    return Sum(tuple(terms))
+def random_expr(rng, dim, min_quad=0.0):
+    """Random ``Sum`` in which each part may be absent: a zero quadratic
+    weight (unless ``min_quad`` > 0), a zero linear vector or a zero l1
+    weight."""
+    quad = min_quad + rng.uniform(0.0, 2.0) if min_quad > 0 or \
+        rng.random() < 0.8 else 0.0
+    lin = rng.uniform(-2.0, 2.0, dim) if rng.random() < 0.8 else np.zeros(dim)
+    l1 = rng.uniform(0.0, 1.5) if rng.random() < 0.7 else 0.0
+    if not quad and not l1 and not lin.any():
+        quad = rng.uniform(0.1, 1.0)
+    return Sum(quad, lin, l1)
 
 
 def box_reference(f, x, eps):
-    """Subdifferential box of f at x, written out part by part: each present
-    part of the compiled Sum is summed into zeros in the order quad, lin, l1.
-    ``subdiff_bounds`` must reproduce it bit for bit."""
-    s = f if isinstance(f, Sum) else f._sum
+    """Subdifferential box of the Sum f at x, written out part by part: each
+    nonzero weight's part and the linear part are summed into zeros in the
+    order quad, lin, l1.  ``subdiff_bounds`` must reproduce it bit for
+    bit."""
     lo, hi = np.zeros_like(x), np.zeros_like(x)
-    if s.quad:
-        g = 2.0 * s.quad * x
-        r = 2.0 * math.sqrt(s.quad * eps)
+    if f.quad:
+        g = 2.0 * f.quad * x
+        r = 2.0 * math.sqrt(f.quad * eps)
         lo += g - r
         hi += g + r
-    if s.lin is not None:
-        lo += s.lin
-        hi += s.lin
-    if s.l1:
-        b = s.l1
+    lo += f.lin
+    hi += f.lin
+    if f.l1:
+        b = f.l1
         l1_lo, l1_hi = np.full_like(x, -b), np.full_like(x, b)
         pos, neg = x > 0, x < 0
         if eps == 0.0:
@@ -80,7 +68,7 @@ def grid_argmin(g, w, x, lo=-8.0, hi=8.0):
     """Independent subproblem oracle: minimize g(y) - <w, y - x> per
     coordinate by a coarse grid with two local refinements (~1e-6 step)."""
     dim = x.shape[0]
-    quad, lin, l1 = separable_coefficients(g, dim)
+    quad, lin, l1 = g.quad, g.lin, g.l1
     out = np.empty(dim)
     for i in range(dim):
         a, c, b, wi = quad, lin[i], l1, w[i]

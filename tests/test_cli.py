@@ -11,7 +11,6 @@ import pytest
 
 from dcboost import cli, problems
 from dcboost.certificates import slacks
-from dcboost.convex import separable_coefficients
 from dcboost.cli import main
 from dcboost.core import Trace
 
@@ -363,6 +362,60 @@ def test_integer_beyond_float_range_is_a_parse_error(
         "to convert to float\n")
 
 
+def _set_literal(line, name, literal):
+    """``line`` with field ``name`` holding the JSON number ``literal`` as
+    written, which json.dumps could not produce for a value beyond range."""
+    obj = json.loads(line)
+    obj[name] = 0.125
+    return json.dumps(obj).replace(f'"{name}": 0.125', f'"{name}": {literal}')
+
+
+@pytest.mark.parametrize("line_no, name, literal", [
+    (3, "phi_x", "1e400"), (2, "tau", "-1e400"), (3, "d_norm", "1E999"),
+    (1, "final_phi", "1e400"),
+])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_float_literal_beyond_range_is_a_parse_error(
+        tmp_path, capsys, stored_traces, command, line_no, name, literal):
+    # Python's JSON reads such a literal as inf; the writer never emits one
+    lines = list(stored_traces["ex2"])
+    lines[line_no - 1] = _set_literal(lines[line_no - 1], name, literal)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    value = "-inf" if literal.startswith("-") else "inf"
+    assert capsys.readouterr().err == (
+        f"{path}: parse error: line {line_no}: field {name!r}: {value} is not "
+        "a finite number\n")
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("d_norm", ["descent_y", "linesearch"]),
+    ("lambda_k", ["linesearch", "reconstruction"]),
+])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_a_square_beyond_float_range_is_violated_not_raised(
+        tmp_path, capsys, stored_traces, command, name, broken):
+    # 1e200**2 raises OverflowError for a float; the slack reads it as inf
+    lines = list(stored_traces["ex2"])
+    lines[2] = _set(lines[2], name, 1e200)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    out = capsys.readouterr()
+    if command == "check":
+        flagged = [line.split(":")[0].strip()
+                   for line in out.out.splitlines()
+                   if line.endswith("[VIOLATED]")]
+        assert flagged == broken
+        assert "at k=1 [VIOLATED]" in out.out
+    else:
+        assert f"certificate replay failed: {', '.join(broken)}" in out.out
+    assert out.err == ""
+
+
 @pytest.mark.parametrize("name, value", [
     ("k", True), ("k", 1.0), ("n_backtracks", 0.0), ("tau", "x"),
     ("phi_y", False), ("tau_hat", [1.0]),
@@ -635,22 +688,24 @@ def test_golden_traces_and_residuals(golden_runs):
 
 
 def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
-    # descent_step's slack is, term for term, descent_y's plus linesearch's;
-    # on every golden record the computed slacks agree to a few ulps of the
-    # largest term, so descent_step checks nothing the other two miss
+    # the descent of a whole step, phi(x) - (c + rho lambda^2) ||d||^2 +
+    # nu_k + eps_k - phi(x+), is term for term descent_y's slack plus
+    # linesearch's; on every golden record the two agree to a few ulps of
+    # the largest term, so it is no certificate of its own
     paths, _ = golden_runs
     records = 0
     for path in paths:
         trace = Trace.read_jsonl(path)
         problem, config = problems.resolve(trace.problem_name), trace.config
-        coefficients = separable_coefficients(problem.g, problem.dim)
         for r in trace.records:
-            s = slacks(r, problem, config, coefficients)
+            s = slacks(r, problem, config)
             d_sq = r.d_norm**2
-            terms = (r.phi_x, (problem.sigma / 2 - config.theta) * d_sq,
-                     config.rho * r.lambda_k**2 * d_sq, r.nu_k, r.eps_k,
-                     r.phi_y, r.phi_next)
-            gap = s["descent_step"] - (s["descent_y"] + s["linesearch"])
+            decrease = (problem.sigma / 2 - config.theta) * d_sq
+            step = config.rho * r.lambda_k**2 * d_sq
+            whole = (r.phi_x - decrease - step + r.nu_k + r.eps_k) - r.phi_next
+            terms = (r.phi_x, decrease, step, r.nu_k, r.eps_k, r.phi_y,
+                     r.phi_next)
+            gap = whole - (s["descent_y"] + s["linesearch"])
             assert abs(gap) <= 4 * math.ulp(max(map(abs, terms))), (path, r.k)
             records += 1
     assert records > 100

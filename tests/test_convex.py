@@ -1,4 +1,5 @@
 
+import dataclasses
 import math
 
 import numpy as np
@@ -6,16 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcboost.convex import (
-    L1,
-    Linear,
-    Quadratic,
-    Sum,
-    l2_norm,
-    membership_gap,
-    separable_coefficients,
-    subdiff_bounds,
-)
+from dcboost.convex import Sum, l2_norm, membership_gap, subdiff_bounds
 from dcboost.core import DcProblem
 from dcboost.drivers import criticality_residual
 
@@ -26,54 +18,59 @@ from conftest import box_reference, kinked_point, random_expr, random_point
 
 
 def test_value_quadratic_plus_linear():
-    f = Quadratic(1.5) + Linear([1.0, 1.0])
+    f = Sum(1.5, [1.0, 1.0], 0.0)
     assert f.value([1.0, 1.0]) == pytest.approx(5.0, abs=1e-15)
 
 
 def test_value_l1_at_origin():
-    assert L1(1.0).value([0.0, 0.0]) == 0.0
+    assert Sum(0.0, [0.0, 0.0], 1.0).value([0.0, 0.0]) == 0.0
 
 
 def test_value_empty_sum():
-    assert Sum(()).value([3.0, -2.0, 7.0]) == 0.0
+    # every part zero: the zero function
+    assert Sum(0.0, np.zeros(3), 0.0).value([3.0, -2.0, 7.0]) == 0.0
 
 
 def test_value_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        Linear([1.0, 1.0]).value([1.0, 2.0, 3.0])
+    f = Sum(0.0, [1.0, 1.0], 0.0)
+    for method in (f.value, f.subgrad, f.bounds):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method([1.0, 2.0, 3.0])
 
 
 # --- canonical subgradients -------------------------------------------------
 
 
 def test_subgrad_l1_sign_zero_is_zero():
-    np.testing.assert_allclose(L1(1.0).subgrad([0.0, -2.0]), [0.0, -1.0])
+    np.testing.assert_allclose(Sum(0.0, [0.0, 0.0], 1.0).subgrad([0.0, -2.0]),
+                               [0.0, -1.0])
 
 
 def test_subgrad_quad_plus_l1():
-    f = Quadratic(0.5) + L1(1.0)
+    f = Sum(0.5, [0.0, 0.0], 1.0)
     v = f.subgrad([1.0, 1.0])
     np.testing.assert_allclose(v, [2.0, 2.0])
-    assert membership_gap(*f.subdiff_box([1.0, 1.0]), v) <= 1e-10
+    assert membership_gap(*f.bounds([1.0, 1.0]), v) <= 1e-10
 
 
 def test_subgrad_linear_constant():
-    np.testing.assert_allclose(Linear([1.0, 1.0]).subgrad([9.0, -4.0]), [1.0, 1.0])
+    np.testing.assert_allclose(Sum(0.0, [1.0, 1.0], 0.0).subgrad([9.0, -4.0]),
+                               [1.0, 1.0])
 
 
 # --- subdifferential bounds -------------------------------------------------
 
 
 def test_box_l1_kink_and_smooth():
-    lo, hi = L1(1.0).subdiff_box([0.0, 3.0])
+    lo, hi = Sum(0.0, [0.0, 0.0], 1.0).bounds([0.0, 3.0])
     np.testing.assert_allclose(lo, [-1.0, 1.0])
     np.testing.assert_allclose(hi, [1.0, 1.0])
 
 
 def test_box_degenerate_at_smooth_point():
-    f = Quadratic(0.5) + L1(1.0)
+    f = Sum(0.5, [0.0, 0.0], 1.0)
     x = np.array([-1.0, -1.0])
-    lo, hi = f.subdiff_box(x)
+    lo, hi = f.bounds(x)
     np.testing.assert_allclose(lo, [-2.0, -2.0])
     np.testing.assert_allclose(hi, [-2.0, -2.0])
     # definition check: every box corner satisfies the subgradient inequality
@@ -85,13 +82,18 @@ def test_box_degenerate_at_smooth_point():
 
 
 def test_box_sum_is_minkowski_sum():
-    f1 = L1(1.0)
-    f2 = Quadratic(0.5) + L1(1.0)
-    x = np.array([0.0, 3.0])
-    lo, hi = (f1 + f2).subdiff_box(x)
-    (lo1, hi1), (lo2, hi2) = f1.subdiff_box(x), f2.subdiff_box(x)
-    np.testing.assert_allclose(lo, lo1 + lo2)
-    np.testing.assert_allclose(hi, hi1 + hi2)
+    # the box of the sum is the sum of its three parts' boxes, exact and
+    # eps-widened alike
+    lin = [0.25, -1.0, 0.5]
+    f = Sum(0.5, lin, 2.0)
+    parts = (Sum(0.5, np.zeros(3), 0.0), Sum(0.0, lin, 0.0),
+             Sum(0.0, np.zeros(3), 2.0))
+    x = np.array([0.0, 3.0, -0.5])
+    for eps in (0.0, 0.09):
+        lo, hi = f.bounds(x, eps)
+        boxes = [p.bounds(x, eps) for p in parts]
+        np.testing.assert_allclose(lo, sum(b[0] for b in boxes))
+        np.testing.assert_allclose(hi, sum(b[1] for b in boxes))
 
 
 @pytest.mark.parametrize("x0", [0.0, 0.7, -1.3])
@@ -99,9 +101,9 @@ def test_box_tightness_1d(x0):
     # interval grid points satisfy the subgradient inequality; values just
     # outside either endpoint fail it for some z (the violating z sits within
     # O(1e-6) of the base point, with margin about delta^2 / (2 sigma))
-    f = Quadratic(0.5) + L1(1.0)
+    f = Sum(0.5, [0.0], 1.0)
     x = np.array([x0])
-    lo, hi = f.subdiff_box(x)
+    lo, hi = f.bounds(x)
     coarse = np.linspace(-3, 3, 101)
     fine = x0 + np.linspace(-4e-6, 4e-6, 2001)
     zs = np.concatenate([coarse, fine])
@@ -127,7 +129,7 @@ def test_membership_gap_and_projection():
 
 
 def test_linearization_cert_quadratic_by_hand():
-    f = Quadratic(0.5)
+    f = Sum(0.5, [0.0], 0.0)
     cert = f.linearization_cert([1.0], [0.8])
     assert cert.w[0] == pytest.approx(0.8)
     assert cert.eps_achieved == pytest.approx(0.02, abs=1e-15)
@@ -137,13 +139,13 @@ def test_linearization_cert_quadratic_by_hand():
 
 
 def test_linearization_cert_linear_piece_has_zero_gap():
-    cert = L1(1.0).linearization_cert([1.0], [0.5])
+    cert = Sum(0.0, [0.0], 1.0).linearization_cert([1.0], [0.5])
     assert cert.w[0] == pytest.approx(1.0)
     assert cert.eps_achieved == 0.0
 
 
 def test_eps_subgrad_zero_target_is_exact(rng):
-    f = Quadratic(0.7) + L1(0.3)
+    f = Sum(0.7, np.zeros(3), 0.3)
     x = np.array([1.0, -2.0, 0.0])
     cert = f.eps_subgrad(x, 0.0, rng)
     np.testing.assert_allclose(cert.w, f.subgrad(x))
@@ -170,36 +172,37 @@ def test_eps_subgrad_respects_budget(rng):
 
 
 def test_modulus_examples():
-    assert (Quadratic(1.5) + Linear([1.0, 1.0])).modulus() == 3.0
-    assert Quadratic(0.5).modulus() == 1.0
-    assert L1(1.0).modulus() == 0.0
+    assert Sum(1.5, [1.0, 1.0], 0.0).modulus() == 3.0
+    assert Sum(0.5, [0.0], 0.0).modulus() == 1.0
+    assert Sum(0.0, [0.0], 1.0).modulus() == 0.0
 
 
 # --- eps-widened boxes --------------------------------------------------------
 
 
 def test_eps_box_reduces_to_exact_at_zero(rng):
+    # the widened bounds tend to the exact ones as eps -> 0, at the kink too
     for _ in range(20):
         dim = int(rng.integers(1, 4))
         f = random_expr(rng, dim)
         x = random_point(rng, dim)
-        exact = f.subdiff_box(x)
-        widened = f.eps_subdiff_box(x, 0.0)
-        np.testing.assert_allclose(widened[0], exact[0])
-        np.testing.assert_allclose(widened[1], exact[1])
+        exact = f.bounds(x)
+        widened = f.bounds(x, 1e-300)
+        np.testing.assert_allclose(widened[0], exact[0], atol=1e-12)
+        np.testing.assert_allclose(widened[1], exact[1], atol=1e-12)
 
 
 def test_eps_box_1d_atoms_are_exact():
     # quadratic: 2at +- 2 sqrt(a eps); l1: [-b,b] cut by v t >= b|t| - eps
     eps = 0.09
-    q_lo, q_hi = Quadratic(1.0).eps_subdiff_box([2.0], eps)
+    q_lo, q_hi = Sum(1.0, [0.0], 0.0).bounds([2.0], eps)
     assert q_lo[0] == pytest.approx(4.0 - 2 * np.sqrt(eps))
     assert q_hi[0] == pytest.approx(4.0 + 2 * np.sqrt(eps))
-    l_lo, l_hi = L1(1.0).eps_subdiff_box([0.5], eps)
+    f = Sum(0.0, [0.0], 1.0)
+    l_lo, l_hi = f.bounds([0.5], eps)
     assert l_lo[0] == pytest.approx(1.0 - eps / 0.5)
     assert l_hi[0] == pytest.approx(1.0)
     # membership is exactly the relaxed inequality for the endpoint values
-    f = L1(1.0)
     x = np.array([0.5])
     for v in (l_lo[0], l_hi[0]):
         for z in np.linspace(-3, 3, 61):
@@ -223,7 +226,7 @@ def expr_and_points(draw):
     a = draw(st.floats(0, 2))
     b = draw(st.floats(0, 2))
     c = draw(st.lists(finite, min_size=dim, max_size=dim))
-    f = Sum((Quadratic(a), L1(b), Linear(np.array(c))))
+    f = Sum(a, np.array(c), b)
     x = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
     y = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
     return f, x, y
@@ -261,103 +264,88 @@ def test_strong_monotonicity(data):
 @given(expr_and_points())
 def test_subgrad_lies_in_box(data):
     f, x, _ = data
-    assert membership_gap(*f.subdiff_box(x), f.subgrad(x)) <= 1e-12
+    assert membership_gap(*f.bounds(x), f.subgrad(x)) <= 1e-12
 
 
-# --- aggregation -----------------------------------------------------------------
+# --- construction ----------------------------------------------------------------
 
 
 def test_separable_coefficients():
-    f = Sum((Quadratic(1.0), Sum((Quadratic(0.5), L1(0.25))), Linear([1.0, 2.0]), L1(0.75)))
-    quad, lin, l1 = separable_coefficients(f, 2)
-    assert quad == pytest.approx(1.5)
-    np.testing.assert_allclose(lin, [1.0, 2.0])
-    assert l1 == pytest.approx(1.0)
-
-
-def test_sum_aggregates_at_construction():
-    f = Sum((Quadratic(1.0), Sum((Quadratic(0.5), L1(0.25))), L1(0.75)))
-    assert (f.quad, f.lin, f.l1) == (1.5, None, 1.0)
-    g = f + Linear([1.0, 2.0]) + Linear([0.5, 0.5])
-    np.testing.assert_array_equal(g.lin, [1.5, 2.5])
-    assert not g.lin.flags.writeable
+    # the triple is the Sum's own fields: float weights and a read-only copy
+    # of the linear part
+    lin = np.array([1.0, 2.0])
+    f = Sum(1, lin, 0.75)
+    assert (f.quad, f.l1) == (1.0, 0.75) and type(f.quad) is float
+    np.testing.assert_array_equal(f.lin, [1.0, 2.0])
+    assert not f.lin.flags.writeable
+    lin[0] = 9.0
+    assert f.lin[0] == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.quad = 2.0
+    # a -0.0 weight is stored as 0.0
+    assert math.copysign(1.0, Sum(-0.0, [0.0], -0.0).l1) == 1.0
 
 
 def test_mismatched_linear_terms_rejected_at_construction():
+    # g's and h's linear parts fix their dimension, which must be the
+    # problem's
+    g, h = Sum(1.0, [1.0], 0.0), Sum(1.0, [1.0, 2.0], 0.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Linear([1.0]) + Linear([1.0, 2.0])
+        DcProblem.from_components("bad", g, h, dim=2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Sum((Linear([1.0]), Sum((Quadratic(1.0), Linear([1.0, 2.0])))))
+        DcProblem.from_components("bad", h, h, dim=3)
+    with pytest.raises(ValueError, match="1-D"):
+        Sum(1.0, [[1.0, 2.0]], 0.0)
 
 
-def _atoms(f):
-    if isinstance(f, Sum):
-        return [a for t in f.terms for a in _atoms(t)]
-    return [f]
-
-
-def _atom_reference(atom, x, eps):
-    """(value, subgradient, eps-interval lo, hi) of one atom, written out."""
-    if isinstance(atom, Quadratic):
-        grad = 2.0 * atom.a * x
-        r = 2.0 * np.sqrt(atom.a * eps)
-        return atom.a * (x @ x), grad, grad - r, grad + r
-    if isinstance(atom, Linear):
-        return atom.c @ x, atom.c, atom.c, atom.c
-    b = atom.b
+def _part_references(f, x, eps):
+    """(value, subgradient, eps-interval lo, hi) of each of the three parts
+    of f, written out."""
+    a, c, b = f.quad, f.lin, f.l1
+    grad = 2.0 * a * x
+    r = 2.0 * np.sqrt(a * eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.where(x > 0, np.maximum(-b, b - eps / x), -b)
         hi = np.where(x < 0, np.minimum(b, -b - eps / x), b)
-    return b * np.sum(np.abs(x)), b * np.sign(x), lo, hi
+    return [(a * (x @ x), grad, grad - r, grad + r), (c @ x, c, c, c),
+            (b * np.sum(np.abs(x)), b * np.sign(x), lo, hi)]
 
 
 def test_compiled_calculus_matches_per_atom_reference(rng):
-    repeated = 0
+    # value, subgradient and (widened) bounds are the sums of the parts'
     for _ in range(300):
         dim = int(rng.integers(1, 5))
         f = random_expr(rng, dim)
         x = random_point(rng, dim)
-        atoms = _atoms(f)
-        kinds = [type(a) for a in atoms]
-        repeated += len(set(kinds)) < len(kinds)
-        exact = [_atom_reference(a, x, 0.0) for a in atoms]
+        exact = _part_references(f, x, 0.0)
         assert f.value(x) == pytest.approx(sum(p[0] for p in exact),
                                            rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(f.subgrad(x), sum(p[1] for p in exact),
                                    rtol=1e-12, atol=1e-12)
-        lo, hi = f.subdiff_box(x)
-        np.testing.assert_allclose(lo, sum(p[2] for p in exact),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hi, sum(p[3] for p in exact),
-                                   rtol=1e-12, atol=1e-12)
-        # widening the aggregate is never looser than widening every atom,
-        # and the same when no kind repeats
         eps = float(rng.uniform(0.0, 0.5))
-        wide = [_atom_reference(a, x, eps) for a in atoms]
-        ref_lo, ref_hi = sum(p[2] for p in wide), sum(p[3] for p in wide)
-        lo, hi = f.eps_subdiff_box(x, eps)
-        assert np.all(lo >= ref_lo - 1e-12)
-        assert np.all(hi <= ref_hi + 1e-12)
-        if len(set(kinds)) == len(kinds):
-            np.testing.assert_allclose(lo, ref_lo, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=1e-12)
-    assert repeated > 50
+        for parts, (lo, hi) in ((exact, f.bounds(x)),
+                                (_part_references(f, x, eps),
+                                 f.bounds(x, eps))):
+            np.testing.assert_allclose(lo, sum(p[2] for p in parts),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(hi, sum(p[3] for p in parts),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_negative_weights_rejected():
-    with pytest.raises(ValueError):
-        Quadratic(-1.0)
-    with pytest.raises(ValueError):
-        L1(-0.5)
+    with pytest.raises(ValueError, match="quadratic"):
+        Sum(-1.0, [0.0], 0.0)
+    with pytest.raises(ValueError, match="l1"):
+        Sum(0.0, [0.0], -0.5)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Quadratic(math.nan),
-    lambda: Quadratic(math.inf),
-    lambda: L1(math.nan),
-    lambda: L1(math.inf),
-    lambda: Linear([math.nan, 1.0]),
-    lambda: Linear([1.0, -math.inf]),
+    lambda: Sum(math.nan, [0.0], 0.0),
+    lambda: Sum(math.inf, [0.0], 0.0),
+    lambda: Sum(0.0, [0.0], math.nan),
+    lambda: Sum(0.0, [0.0], math.inf),
+    lambda: Sum(0.0, [math.nan, 1.0], 0.0),
+    lambda: Sum(0.0, [1.0, -math.inf], 0.0),
 ], ids=["quad-nan", "quad-inf", "l1-nan", "l1-inf", "lin-nan", "lin-inf"])
 def test_non_finite_weights_rejected(build):
     # NaN passes a bare `a < 0` test, so each weight must lie in [0, inf)
@@ -383,13 +371,12 @@ def _bits(v):
 
 
 EXPLICIT_EXPRS = [
-    Quadratic(0.5) + L1(1.0),  # no linear atom
-    Quadratic(1.0) + Linear([-0.0, 0.0, 1.5]),  # no l1 atom, signed zeros
-    Sum((Quadratic(0.75), Linear([0.5, -0.0, -2.0]), L1(0.0))),  # l1 = 0
-    Sum((Quadratic(0.25), L1(0.5), Linear([1.0, -1.0, 0.0]),
-         Quadratic(0.25), L1(0.5), Linear([-1.0, 1.0, -0.0]))),  # repeated
-    L1(0.3) + Linear([0.0, -0.0, 0.7]),  # no quadratic atom
-    Linear([-0.0, -0.0, 1.0]),  # linear only
+    Sum(0.5, np.zeros(3), 1.0),  # no linear part
+    Sum(1.0, [-0.0, 0.0, 1.5], 0.0),  # no l1 part, signed zeros
+    Sum(0.75, [0.5, -0.0, -2.0], -0.0),  # l1 weight -0.0
+    Sum(0.5, [-0.0, 0.0, -0.0], 1.0),  # a signed-zero linear part
+    Sum(0.0, [0.0, -0.0, 0.7], 0.3),  # no quadratic part
+    Sum(0.0, [-0.0, -0.0, 1.0], 0.0),  # linear only
 ]
 EPS_VALUES = [0.0, 1e-300, 0.09, 2.5]
 KINK_POINTS = [
@@ -406,8 +393,7 @@ def _wide_cases(seed=1000, dim=1000):
     rng = np.random.default_rng(seed)
     lin = rng.uniform(-2.0, 2.0, dim)
     lin[::7], lin[3::7] = 0.0, -0.0
-    exprs = [Sum((Quadratic(0.75), Linear(lin), L1(0.5))),
-             Quadratic(1.0) + Linear(lin), L1(0.3) + Linear(lin)]
+    exprs = [Sum(0.75, lin, 0.5), Sum(1.0, lin, 0.0), Sum(0.0, lin, 0.3)]
     exprs += [random_expr(rng, dim) for _ in range(3)]
     return [(f, kinked_point(rng, dim)) for f in exprs]
 
@@ -422,11 +408,11 @@ def test_bounds_match_box_reference_bit_for_bit(rng):
     cases += _wide_cases()
     for f, x in cases:
         dim = x.shape[0]
-        triple = separable_coefficients(f, dim)
+        triple = f.quad, f.lin, f.l1
         for eps in EPS_VALUES:
             ref_lo, ref_hi = box_reference(f, x, eps)
             for lo, hi in (subdiff_bounds(*triple, x, eps),
-                           f.eps_subdiff_box(x, eps)):
+                           f.bounds(x, eps)):
                 assert _bits(lo) == _bits(ref_lo) and _bits(hi) == _bits(ref_hi)
             lo, hi = subdiff_bounds(*triple, x, eps)
             vs = [rng.uniform(-4, 4, dim), np.zeros(dim), -np.zeros(dim),
@@ -447,7 +433,7 @@ def test_bounds_match_box_reference_bit_for_bit(rng):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_criticality_gap_matches_box_reference_bit_for_bit(rng):
-    pairs = [(Quadratic(0.5) + L1(1.0), Quadratic(0.5) + Linear([1.0, -0.0, 0.0]), 3),
+    pairs = [(Sum(0.5, np.zeros(3), 1.0), Sum(0.5, [1.0, -0.0, 0.0], 0.0), 3),
              (EXPLICIT_EXPRS[3], EXPLICIT_EXPRS[2], 3)]
     for _ in range(100):
         dim = int(rng.integers(1, 5))
@@ -464,14 +450,12 @@ def test_criticality_gap_matches_box_reference_bit_for_bit(rng):
 
 
 def _value_reference(f, x):
-    s = f if isinstance(f, Sum) else f._sum
     total = 0.0
-    if s.quad:
-        total += float(s.quad * (x @ x))
-    if s.lin is not None:
-        total += float(s.lin @ x)
-    if s.l1:
-        total += float(s.l1 * np.sum(np.abs(x)))
+    if f.quad:
+        total += float(f.quad * (x @ x))
+    total += float(f.lin @ x)
+    if f.l1:
+        total += float(f.l1 * np.sum(np.abs(x)))
     return total
 
 

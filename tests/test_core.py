@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcboost.convex import L1, Linear, Quadratic
+from dcboost.convex import Sum
 from dcboost.core import (
     CONFIG_KEYS,
     DcProblem,
@@ -70,8 +70,8 @@ def test_from_components_takes_min_modulus():
 
 
 def test_sigma_above_modulus_rejected():
-    g = Quadratic(1.5) + Linear([1.0, 1.0])
-    h = Quadratic(0.5) + L1(1.0)
+    g = Sum(1.5, [1.0, 1.0], 0.0)
+    h = Sum(0.5, [0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="modulus"):
         DcProblem("bad", g, h, dim=2, sigma=2.0)
     with pytest.raises(ValueError, match="sigma"):

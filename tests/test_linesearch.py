@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcboost.convex import Quadratic
+from dcboost.convex import Sum
 from dcboost.core import InexactMode, InvariantViolation
 from dcboost.linesearch import nonmonotone_search, tau_bound
 from dcboost.subproblem import solve_inexact
@@ -98,7 +98,7 @@ def test_tau_reference_state_by_hand():
 
 def test_tau_symmetric_quadratic_hits_equality():
     # for g = (sigma/2)||.||^2 the bracket equals sigma ||d||^2 exactly
-    g = Quadratic(0.5)
+    g = Sum(0.5, np.zeros(2), 0.0)
     x = np.array([1.0, -2.0])
     y = np.array([0.25, 0.5])
     d = y - x
@@ -193,7 +193,7 @@ def test_backtrack_count_bounded_by_tau(rng):
 
 def test_tau_detects_broken_oracle():
     # claiming a larger modulus than the oracle has must trip the bracket check
-    g = Quadratic(0.5)
+    g = Sum(0.5, np.zeros(2), 0.0)
     x = np.array([1.0, -2.0])
     y = np.array([0.25, 0.5])
     with pytest.raises(InvariantViolation, match="bracket"):

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dcboost import drivers
+
 from dcboost.core import (
     DirectNu,
     EpsSchedule,
@@ -92,12 +94,52 @@ def test_direct_update_respects_fraction_knob():
     assert nu == pytest.approx(0.25 * 1.2)
 
 
-def test_direct_update_rejects_negative_budget():
+def test_direct_update_floors_a_negative_budget_at_zero():
+    # the descent inequality that a negative budget breaks is checked by
+    # the solver loop, as descent_y and linesearch
     spec = DirectNu(delta_min=0.1, delta=0.5)
     state, _ = nu_init(spec, 0.0)
-    with pytest.raises(InvariantViolation, match="descent"):
-        nu_next(spec, state, 3, phi_prev=0.0, phi_curr=1.0, eps_k=0.0,
-                d_norm_sq=1.0)
+    state, nu = nu_next(spec, state, 3, phi_prev=0.0, phi_curr=1.0,
+                        eps_k=0.0, d_norm_sq=1.0)
+    assert nu == 0.0 and state.nu_prev == 0.0
+
+
+def _overshooting_search(monkeypatch, at_call):
+    """Make the solver's linesearch accept, on its ``at_call``-th call, a
+    value 10 above what it found: past the allowance, so the step's
+    linesearch inequality and the direct rule's budget both break."""
+    calls = []
+    real = drivers.nonmonotone_search
+
+    def search(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == at_call:
+            res = dataclasses.replace(res,
+                                      accepted_value=res.accepted_value + 10.0)
+        return res
+
+    monkeypatch.setattr(drivers, "nonmonotone_search", search)
+    return calls
+
+
+def test_direct_rule_broken_step_is_flagged_by_the_loop(monkeypatch):
+    prob = problems.resolve("ex2")
+    cfg = dataclasses.replace(problems.experiment_config(),
+                              nu=DirectNu(delta_min=0.1, delta=0.5, nu0=0.1))
+    _overshooting_search(monkeypatch, at_call=1)
+    with pytest.raises(InvariantViolation, match="^linesearch failed at "
+                                                 "iteration 0:"):
+        run_inmbdca(prob, cfg, [2.0, 1.0], seed=11)
+    # strict=False warns and runs on, through the direct rule's update of
+    # the negative budget, to a normal stop
+    calls = _overshooting_search(monkeypatch, at_call=1)
+    with pytest.warns(RuntimeWarning, match="linesearch failed at iteration 0"):
+        trace = run_inmbdca(prob, cfg, [2.0, 1.0], seed=11, strict=False)
+    first = trace.records[0]
+    assert first.phi_x - first.phi_next + first.nu_k + first.eps_k < 0.0
+    assert len(calls) > 1 and trace.records[1].nu_k == 0.0
+    assert trace.termination in (Termination.STEP_TOL, Termination.D_ZERO)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.55, 0.75, 1.0])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dcboost.convex import separable_coefficients
 from dcboost.core import validate
 from dcboost.drivers import criticality_residual
 from dcboost import problems
@@ -21,8 +20,7 @@ def test_get_ex2_critical_point():
 
 
 def _triple(f):
-    quad, lin, l1 = separable_coefficients(f, 5)
-    return quad, lin.tolist(), l1
+    return f.quad, f.lin.tolist(), f.l1
 
 
 def test_random_sep_deterministic():

@@ -3,7 +3,7 @@ import decimal
 import numpy as np
 import pytest
 
-from dcboost.convex import L1, Linear, Quadratic, Sum, separable_coefficients
+from dcboost.convex import Sum
 from dcboost.core import InexactMode, UnsupportedProblemError
 from dcboost.subproblem import (_fails_between, check_inexact, solve_exact,
                                  solve_inexact)
@@ -17,7 +17,7 @@ from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
 
 
 def test_solve_exact_smooth_example():
-    g = Quadratic(1.5) + Linear([1.0, 1.0])
+    g = Sum(1.5, [1.0, 1.0], 0.0)
     y = solve_exact(g, np.array([2.0, 2.0]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(y, [1 / 3, 1 / 3], atol=1e-14)
     oracle = grid_argmin(g, np.array([2.0, 2.0]), np.array([1.0, 1.0]))
@@ -25,7 +25,7 @@ def test_solve_exact_smooth_example():
 
 
 def test_solve_exact_pure_quadratic():
-    y = solve_exact(Quadratic(0.5), np.zeros(2), np.zeros(2))
+    y = solve_exact(Sum(0.5, np.zeros(2), 0.0), np.zeros(2), np.zeros(2))
     np.testing.assert_allclose(y, [0.0, 0.0])
 
 
@@ -39,7 +39,7 @@ def test_solve_exact_soft_threshold_example():
 
 def test_solve_exact_needs_curvature():
     with pytest.raises(UnsupportedProblemError):
-        solve_exact(L1(1.0), np.zeros(2), np.zeros(2))
+        solve_exact(Sum(0.0, np.zeros(2), 1.0), np.zeros(2), np.zeros(2))
 
 
 def test_solve_exact_matches_grid_search(rng):
@@ -152,7 +152,8 @@ def _perturbed_path(g, w, x, theta, seed):
 def test_perturbed_solver_matches_reference_bit_for_bit(rng):
     # w = x on a pure quadratic makes the exact solution x itself, so no
     # candidate passes and the solve falls back to the closed form
-    cases = [(Quadratic(0.5), np.array([1.0, 1.0]), np.array([1.0, 1.0]))]
+    cases = [(Sum(0.5, np.zeros(2), 0.0), np.array([1.0, 1.0]),
+              np.array([1.0, 1.0]))]
     for _ in range(200):
         dim = int(rng.integers(1, 5))
         cases.append((random_expr(rng, dim, min_quad=0.25),
@@ -175,8 +176,9 @@ def _kinked_cases(rng):
     for dim, count in ((1, 30), (2, 30), (3, 30), (4, 30), (5, 30), (50, 12),
                        (1000, 4)):
         for _ in range(count):
-            g = random_expr(rng, dim, min_quad=0.25) + L1(rng.uniform(0.1, 1.0))
-            quad, lin, l1 = separable_coefficients(g, dim)
+            f = random_expr(rng, dim, min_quad=0.25)
+            g = Sum(f.quad, f.lin, f.l1 + rng.uniform(0.1, 1.0))
+            quad, lin, l1 = g.quad, g.lin, g.l1
             target = kinked_point(rng, dim)
             w = 2.0 * quad * target + lin + l1 * np.sign(target)
             kink = np.abs(target) < 1e-300
@@ -208,7 +210,7 @@ def test_perturbed_certificate_matches_reference_bit_for_bit(rng):
     # for small r, so the ends bound the candidates within 1e-4 of the test's
     # threshold, and r = 2^-17 passes.  A slack below 1 or a bound on
     # |y - x| from the ends' smaller value certifies it.
-    g = Quadratic(0.5) + L1(1.0)
+    g = Sum(0.5, [0.0], 1.0)
     w = np.array([1.0 - 0.12 * (1.0 - 1e-4)])
     assert _perturbed_path(g, w, np.array([0.6]), 0.2, 0) == "halved"
     # At 2^52 the box lands on integers: the closed-form solution y* gets
@@ -216,7 +218,7 @@ def test_perturbed_certificate_matches_reference_bit_for_bit(rng):
     # four floats up, where w - xi = -2.  w - xi changes sign between the
     # ends, so nothing bounds it away from 0 between them; a certificate
     # that takes the smaller |w - xi| of the ends regardless of sign fires.
-    g = Quadratic(0.1) + Linear([0.5]) + L1(0.75)
+    g = Sum(0.1, [0.5], 0.75)
     w = np.array([2.0**52 + 1.0])
     x = solve_exact(g, w, np.zeros(1)) + 16.0
     assert _perturbed_path(g, w, x, 0.05, 0) == "halved"
@@ -319,7 +321,7 @@ def test_inner_solver_reports_iterations(rng):
 
 
 def test_inner_iters_count_the_work_done(rng):
-    g = Quadratic(0.5)
+    g = Sum(0.5, np.zeros(2), 0.0)
     x = np.array([1.0, 1.0])
     w = x.copy()  # the exact solution is x, so no inner iterate can pass
     sol = solve_inexact(g, w, x, 0.2, InexactMode.INNER_SOLVER, rng)
@@ -336,7 +338,7 @@ def test_inner_iters_count_the_work_done(rng):
 def test_critical_start_returns_zero_direction(rng):
     # w already a subgradient of g at x: the exact solution is x itself and
     # every mode reports the zero-direction pair
-    g = Quadratic(0.5)
+    g = Sum(0.5, np.zeros(2), 0.0)
     x = np.zeros(2)
     w = np.zeros(2)
     for mode in InexactMode:
@@ -386,10 +388,10 @@ def _wide_cases(seed=1000, dim=1000):
     lin = rng.uniform(-2.0, 2.0, dim)
     lin[::7], lin[3::7] = 0.0, -0.0
     cases = []
-    for g in (Sum((Quadratic(0.75), Linear(lin), L1(0.5))),
+    for g in (Sum(0.75, lin, 0.5),
               random_expr(rng, dim, min_quad=0.25),
               random_expr(rng, dim, min_quad=0.25)):
-        _, c, b = separable_coefficients(g, dim)
+        c, b = g.lin, g.l1
         w = rng.uniform(-3.0, 3.0, dim)
         pick = rng.integers(0, 10, dim)
         for k, v in enumerate((c, c - b, c + b, np.zeros(dim), -np.zeros(dim))):
@@ -403,7 +405,7 @@ def _inner_reference(g, w, x, theta):
     stationarity residual spelled out: each step clips w into the box at y
     and moves the bracket by the residual's sign.  Returns (y, xi, lhs, rhs,
     iterations), y None when no iterate passed."""
-    quad, lin, l1 = separable_coefficients(g, x.shape[0])
+    quad, lin, l1 = g.quad, g.lin, g.l1
 
     def residual(t):
         return 2.0 * quad * t + lin + l1 * np.sign(t) - w
@@ -440,7 +442,7 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
     # the box's lower end at 0, so the first step (y = 0) must take the
     # residual's sign from lin, not from the box; the second step passes
     lin, l1 = -1.234704295771199, 0.13151339987163393
-    cases = [(Quadratic(0.05) + Linear([lin]) + L1(l1), np.array([lin - l1]),
+    cases = [(Sum(0.05, [lin], l1), np.array([lin - l1]),
               np.zeros(1))]
     for _ in range(200):
         dim = int(rng.integers(1, 5))
@@ -474,7 +476,7 @@ def test_perturbed_certificate_bounds_the_norm_of_the_floors():
     big = np.maximum(np.abs(u - x), np.abs(2.0**-40 * u - x))
     c = theta * np.linalg.norm(big) / 4.0
     lin, l1 = rng.uniform(-1.0, 1.0, dim), 1.0
-    g = Quadratic(0.5) + Linear(lin) + L1(l1)
+    g = Sum(0.5, lin, l1)
     w = lin + np.sign(u) * (l1 - c)
     assert not solve_exact(g, w, x).any()  # every coordinate at the kink
     assert _perturbed_path(g, w, x, theta, seed) == "certified"
