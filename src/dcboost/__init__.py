@@ -37,12 +37,6 @@ from .nonmonotone import (
     nu_next,
     step_domination_start,
 )
-from .subproblem import (
-    InexactCheck,
-    SubproblemSolution,
-    check_inexact,
-    solve_exact,
-    solve_inexact,
-)
+from .subproblem import SubproblemSolution, solve_exact, solve_inexact
 
 __version__ = "0.1.0"

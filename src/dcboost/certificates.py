@@ -10,7 +10,7 @@ declared lower bound (-inf when none is declared), the slacks are
 
     eps_certificate     eps_k - eps_certified
     subgrad_membership  -(distance of xi from the subdifferential bounds of g at y)
-    inexact_bound       theta ||y - x|| - ||w - xi||   (as the solver recorded them)
+    inexact_bound       theta ||y - x|| - ||w - xi||
     descent_y           phi(x) - c ||d||^2 + eps_k - phi(y)
     linesearch          phi(y) - rho lambda^2 ||d||^2 + nu_k - phi(x+)
     phi_lower_bound     min(phi(x), phi(y), phi(x+)) - phi_bar
@@ -83,7 +83,8 @@ def slacks(record, problem, config) -> dict:
     record, or a trace's records stacked by ``_columns``, for which each
     slack is an array with one value per record."""
     r, g = record, problem.g
-    d_sq = square(r.d_norm)
+    d_norm = r.d_norm
+    d_sq = square(d_norm)
     decrease = (problem.sigma / 2 - config.theta) * d_sq
     step = config.rho * square(r.lambda_k) * d_sq
     floor = problem.phi_lower_bound
@@ -94,26 +95,28 @@ def slacks(record, problem, config) -> dict:
         "eps_certificate": r.eps_k - r.eps_certified,
         "subgrad_membership":
             -membership_gap(*subdiff_bounds(g.quad, g.lin, g.l1, r.y), r.xi),
-        "inexact_bound": r.inexact_rhs - r.inexact_lhs,
+        "inexact_bound": config.theta * d_norm - r.inexact_lhs,
         "descent_y": (phi_x - decrease + r.eps_k) - phi_y,
         "linesearch": (phi_y - step + r.nu_k) - phi_next,
         "phi_lower_bound": lowest - (-math.inf if floor is None else floor),
     }
 
 
-_SCALARS = operator.attrgetter(*TRACE_CSV_COLUMNS)
+# the scalar fields, then the norms each record derives from its arrays
+_SCALARS = (*TRACE_CSV_COLUMNS, "d_norm", "inexact_lhs")
+_ROW = operator.attrgetter(*_SCALARS)
 _ARRAYS = ("x", "y", "xi")  # the array fields slacks and replay read
 
 
 def _columns(records):
     """A nonempty list of records stacked, one row per record: each of
-    ``_ARRAYS`` a 2-D float array, and each scalar field an object array of
-    the records' own values, so that every operator in ``slacks`` applies
-    the float operation it applies to one record (a float's ``**2`` is
-    libm's pow, which a float64 array's multiply differs from in the last
-    bit now and then)."""
-    table = np.array(list(map(_SCALARS, records)), dtype=object)
-    cols = {name: table[:, j] for j, name in enumerate(TRACE_CSV_COLUMNS)}
+    ``_ARRAYS`` a 2-D float array, and each scalar field and derived norm an
+    object array of the records' own values, so that every operator in
+    ``slacks`` applies the float operation it applies to one record (a
+    float's ``**2`` is libm's pow, which a float64 array's multiply differs
+    from in the last bit now and then)."""
+    table = np.array(list(map(_ROW, records)), dtype=object)
+    cols = {name: table[:, j] for j, name in enumerate(_SCALARS)}
     for name in _ARRAYS:
         cols[name] = np.array([getattr(r, name) for r in records])
     return types.SimpleNamespace(**cols)
@@ -127,9 +130,9 @@ def replay(trace, problem) -> dict:
     records = trace.records
     if not records:
         return {}
-    r = _columns(records)
     # no warnings, as the float arithmetic of one record gives none
     with np.errstate(over="ignore", invalid="ignore"):
+        r = _columns(records)
         found = slacks(r, problem, trace.config)
         ends = np.vstack((r.x[1:], trace.final_x))
         misses = ends - next_x(r.y, r.x, r.lambda_k.astype(float)[:, None])

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .convex import Sum, as_point
+from .convex import Sum, as_point, l2_norm
 
 __all__ = [
     "InvariantViolation",
@@ -318,7 +318,9 @@ def validate(problem: DcProblem, config: SolverConfig) -> list:
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
     """Complete state of one iteration, enough to recheck every certified
-    inequality after the fact."""
+    inequality after the fact.  A record stores what the solver chose; the
+    norms the certificates compare are derived from its arrays, so no stored
+    copy of them can disagree with the pair they measure."""
 
     k: int
     x: np.ndarray
@@ -328,17 +330,24 @@ class IterationRecord:
     w: np.ndarray
     y: np.ndarray
     xi: np.ndarray
-    d_norm: float
-    inexact_lhs: float
-    inexact_rhs: float
     nu_k: float
-    lambda_bar: float
     lambda_k: float
     n_backtracks: int
     phi_y: float
     phi_next: float
     tau_hat: Optional[float] = None
     tau: Optional[float] = None
+
+    @property
+    def d_norm(self) -> float:
+        """||y - x||, the norm of the direction d."""
+        return l2_norm(self.y - self.x)
+
+    @property
+    def inexact_lhs(self) -> float:
+        """||w - xi||, the side of the relative inexactness test that the
+        subproblem keeps below theta ||y - x||."""
+        return l2_norm(self.w - self.xi)
 
 
 # --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  Under
@@ -572,7 +581,10 @@ class Trace:
         base64 or as lists; only a DERIVED_ARRAYS trace may leave out
         ``x`` or ``xi``.  A malformed line raises ValueError naming its
         line number and field; the tokens NaN, Infinity and -Infinity,
-        which write_jsonl never emits, make a line malformed."""
+        which write_jsonl never emits, make a line malformed.  Keys that
+        are no record field are ignored, such as the ``d_norm``,
+        ``inexact_lhs``, ``inexact_rhs`` and ``lambda_bar`` that older
+        traces store."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = ((n, ln) for n, ln in enumerate(fh, 1) if not ln.isspace())
             n, line = next(lines, (0, ""))

@@ -142,10 +142,8 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         record = IterationRecord(
             k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
             eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
-            xi=xi.copy(), d_norm=d_norm, inexact_lhs=sol.lhs,
-            inexact_rhs=sol.rhs, nu_k=nu_k, lambda_bar=config.lambda_bar,
-            lambda_k=lam, n_backtracks=n_backtracks, phi_y=phi_y,
-            phi_next=phi_next,
+            xi=xi.copy(), nu_k=nu_k, lambda_k=lam, n_backtracks=n_backtracks,
+            phi_y=phi_y, phi_next=phi_next,
             tau_hat=None if tau_pair is None else tau_pair.tau_hat,
             tau=None if tau_pair is None else tau_pair.tau,
         )
@@ -310,13 +308,17 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
             "lower bound"
         )
 
+    # an edited trace's arrays may overflow: their norms read inf, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_norms = [r.d_norm for r in records]
+        k0 = step_domination_start(trace, xi * coef)
     phi0 = records[0].phi_x
     min_d = math.inf
     sum_nu = sum_eps = 0.0
     prefix_ok = True
     bound = math.inf
-    for n, r in enumerate(records, start=1):
-        min_d = min(min_d, r.d_norm)
+    for n, (r, d_norm) in enumerate(zip(records, d_norms), start=1):
+        min_d = min(min_d, d_norm)
         sum_nu += r.nu_k
         sum_eps += r.eps_k
         bound = math.sqrt((phi0 - phi_bar + sum_nu + sum_eps) / (coef * n))
@@ -324,12 +326,12 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
             prefix_ok = False
 
     n_total = len(records)
-    liminf_proxy = min(r.d_norm for r in records[n_total // 2:])
+    liminf_proxy = min(d_norms[n_total // 2:])
 
     tail_start = bound_tail = bound_tail_stated = None
-    k0 = step_domination_start(trace, xi * coef)
     eps_dominated = all(
-        r.eps_k <= xi * coef * square(r.d_norm) + 1e-15 for r in records
+        r.eps_k <= xi * coef * square(d_norm) + 1e-15
+        for r, d_norm in zip(records, d_norms)
     )
     if k0 is not None and eps_dominated and n_total > k0:
         head_nu = sum(r.nu_k for r in records[:k0])

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import TOLERANCE
-from .convex import Sum, as_point, l2_norm, membership_gap, subdiff_bounds
+from .convex import Sum, as_point, l2_norm, subdiff_bounds
 from .core import InexactMode, UnsupportedProblemError
 
 __all__ = [
     "SubproblemSolution",
-    "InexactCheck",
     "solve_exact",
     "solve_inexact",
-    "check_inexact",
 ]
 
 _MAX_INNER_ITERS = 200
@@ -35,18 +32,8 @@ _PERTURB_HALVINGS = 40
 class SubproblemSolution:
     y: np.ndarray
     xi: np.ndarray
-    lhs: float
-    rhs: float
     inner_iters: int
     mode_used: InexactMode
-
-
-@dataclass(frozen=True)
-class InexactCheck:
-    ok: bool
-    lhs: float
-    rhs: float
-    membership_gap: float
 
 
 def _coefficients(g: Sum):
@@ -71,30 +58,10 @@ def solve_exact(g: Sum, w, x) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - l1, 0.0) / (2.0 * quad)
 
 
-def check_inexact(g: Sum, w, x, y, xi, theta: float) -> InexactCheck:
-    """Measure the two acceptance conditions for a candidate pair (y, xi)."""
-    x = as_point(x)
-    w = as_point(w, x.shape[0])
-    y = as_point(y, x.shape[0])
-    xi = as_point(xi, x.shape[0])
-    gap = membership_gap(*g.bounds(y), xi)
-    lhs = l2_norm(w - xi)
-    rhs = theta * l2_norm(y - x)
-    ok = gap <= TOLERANCE["subgrad_membership"] and (
-        lhs <= rhs + TOLERANCE["inexact_bound"])
-    return InexactCheck(ok=ok, lhs=lhs, rhs=rhs, membership_gap=gap)
-
-
-def _closed_form(y_star, w, x, theta, inner_iters) -> SubproblemSolution:
+def _closed_form(y_star, w, inner_iters) -> SubproblemSolution:
     """The exact pair (y*, w), y* the closed-form solution at (w, x)."""
-    return SubproblemSolution(
-        y=y_star,
-        xi=w.copy(),
-        lhs=0.0,
-        rhs=theta * l2_norm(y_star - x),
-        inner_iters=inner_iters,
-        mode_used=InexactMode.EXACT,
-    )
+    return SubproblemSolution(y=y_star, xi=w.copy(), inner_iters=inner_iters,
+                              mode_used=InexactMode.EXACT)
 
 
 def _selection(q2, lin, l1, t):
@@ -149,9 +116,7 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
             box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
             xi = np.minimum(np.maximum(w, box_lo), box_hi)
             return SubproblemSolution(
-                y=y, xi=xi, lhs=lhs, rhs=theta * dist, inner_iters=it,
-                mode_used=InexactMode.INNER_SOLVER,
-            )
+                y=y, xi=xi, inner_iters=it, mode_used=InexactMode.INNER_SOLVER)
         if (hi - lo).max() < 1e-13:
             break
         pos = s > w
@@ -159,7 +124,7 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
 
     # no iterate passed; fall back to the closed form (covers y* = x, where
     # the caller takes the d = 0 stopping path)
-    return _closed_form(solve_exact(g, w, x), w, x, theta, it)
+    return _closed_form(solve_exact(g, w, x), w, it)
 
 
 def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:
@@ -252,9 +217,8 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
         box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
         xi = np.minimum(np.maximum(w, box_lo), box_hi)
         v, e = w - xi, y - x
-        lhs, dist = l2_norm(v), l2_norm(e)
-        ok = lhs <= theta * dist and dist > 0.0
-        return ok, (y, xi, lhs, theta * dist), v, e
+        dist = l2_norm(e)
+        return l2_norm(v) <= theta * dist and dist > 0.0, (y, xi), v, e
 
     r_hi = max(1.0, l2_norm(y_star - x))
     ok, sol, v_hi, e_hi = candidate(r_hi)
@@ -263,7 +227,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
     r_end = r_hi * 0.5**_PERTURB_HALVINGS
     ok_end, sol_end, v_end, e_end = candidate(r_end)
     if _fails_between(v_hi, e_hi, v_end, e_end, theta):
-        return _closed_form(y_star, w, x, theta, 2)
+        return _closed_form(y_star, w, 2)
     r_lo, best, evals = 0.0, None, 2
     for _ in range(_PERTURB_HALVINGS):
         mid = 0.5 * (r_lo + r_hi)
@@ -278,7 +242,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
             r_hi = mid
     if best is not None:
         return SubproblemSolution(*best, evals, InexactMode.PERTURBED_EXACT)
-    return _closed_form(y_star, w, x, theta, evals)
+    return _closed_form(y_star, w, evals)
 
 
 def solve_inexact(g: Sum, w, x, theta: float, mode: InexactMode,
@@ -293,7 +257,7 @@ def solve_inexact(g: Sum, w, x, theta: float, mode: InexactMode,
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if mode == InexactMode.EXACT or theta == 0.0:
-        return _closed_form(solve_exact(g, w, x), w, x, theta, 0)
+        return _closed_form(solve_exact(g, w, x), w, 0)
     if mode == InexactMode.INNER_SOLVER:
         return _solve_inner(g, w, x, theta)
     if mode == InexactMode.PERTURBED_EXACT:

@@ -88,9 +88,8 @@ def traces_field_equal(a, b, tol=1e-12):
     if len(a.records) != len(b.records):
         return False
     for ra, rb in zip(a.records, b.records):
-        for f in ("phi_x", "eps_k", "eps_certified", "d_norm", "inexact_lhs",
-                  "inexact_rhs", "nu_k", "lambda_bar", "lambda_k", "phi_y",
-                  "phi_next"):
+        for f in ("phi_x", "eps_k", "eps_certified", "nu_k", "lambda_k",
+                  "phi_y", "phi_next"):
             if abs(getattr(ra, f) - getattr(rb, f)) > tol:
                 return False
         if ra.n_backtracks != rb.n_backtracks or ra.k != rb.k:

@@ -2,6 +2,7 @@
 broken, in the live loop and in ``dcboost check`` alike, and NaN fails."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from dcboost import cli, drivers, problems
 from dcboost.certificates import CERTIFICATES, TOLERANCE, replay, slacks
 from dcboost.convex import l2_norm
-from dcboost.core import InvariantViolation, IterationRecord, next_x
+from dcboost.core import InvariantViolation, IterationRecord, Trace, next_x
 
 EX2 = problems.resolve("ex2")
 REF = problems.experiment_config()
@@ -20,8 +21,9 @@ K_BAD = 0
 
 CORRUPTIONS = {
     "eps_certificate": lambda r, p, c: {"eps_certified": r.eps_k + 1.0},
-    "subgrad_membership": lambda r, p, c: {"xi": r.xi + 10.0},
-    "inexact_bound": lambda r, p, c: {"inexact_lhs": r.inexact_rhs + 1.0},
+    # w moves with xi, so ||w - xi|| stays what the solver accepted
+    "subgrad_membership": lambda r, p, c: {"xi": r.xi + 10.0, "w": r.w + 10.0},
+    "inexact_bound": lambda r, p, c: {"w": r.xi + (c.theta * r.d_norm + 1.0)},
     "descent_y": lambda r, p, c: {"phi_y": r.phi_x + 1.0},
     "linesearch": lambda r, p, c: {"phi_y": r.phi_next - 1.0},
     "phi_lower_bound": lambda r, p, c: {"phi_next": p.phi_lower_bound - 1.0},
@@ -161,11 +163,13 @@ def test_squares_are_the_float_power_of_one_record():
     odd = [d for d in candidates if d**2 != d * d][:2] or candidates[:2]
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     zero = {"phi_x": 0.0, "phi_y": 0.0, "phi_next": 0.0, "eps_k": 0.0,
-            "nu_k": 0.0}
+            "nu_k": 0.0, "x": np.zeros(2)}
+    # y - x = (d, 0), whose norm sqrt(fl(d * d)) is d again
     trace = _edited(trace, {
-        1: {**zero, "d_norm": odd[0], "lambda_k": 1.0},
-        2: {**zero, "d_norm": 1.0, "lambda_k": odd[1]},
+        1: {**zero, "y": np.array([odd[0], 0.0]), "lambda_k": 1.0},
+        2: {**zero, "y": np.array([1.0, 0.0]), "lambda_k": odd[1]},
     })
+    assert [r.d_norm for r in trace.records[1:3]] == [odd[0], 1.0]
     got, want = replay(trace, EX2), _scan(trace, EX2)
     assert _exact(got) == _exact(want)
     assert got["descent_y"][1] == 1 and got["linesearch"][1] == 2
@@ -173,14 +177,29 @@ def test_squares_are_the_float_power_of_one_record():
 
 # the record scan's own reconstruction norm overflows
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
-def test_a_square_beyond_float_range_is_inf_live_and_replayed():
+def test_a_square_beyond_float_range_is_inf_live_and_replayed(tmp_path):
     # 1e200**2 raises OverflowError for a float; one record and the columns
-    # both read the square as inf, and take 1e150**2 = 1e300 as it is
+    # both read the square as inf, and take 1e150**2 = 1e300 as it is.  A
+    # derived ||y - x|| is at most sqrt of the largest float, so only
+    # lambda_k squares past float range, and a stored d_norm is stale
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
-    trace = _edited(trace, {1: {"d_norm": 1e200}, 2: {"lambda_k": 1e200},
-                            3: {"d_norm": 1e150}, 4: {"lambda_k": -1e150}})
-    s = slacks(trace.records[1], EX2, REF)
-    assert s["descent_y"] == -math.inf
+    path, stale = tmp_path / "trace.jsonl", tmp_path / "stale.jsonl"
+    trace.write_jsonl(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["d_norm"] = 1e200
+    lines[2] = json.dumps(record)
+    stale.write_text("\n".join(lines) + "\n")
+    assert (_exact(replay(Trace.read_jsonl(stale), EX2))
+            == _exact(replay(Trace.read_jsonl(path), EX2)))
+
+    r3 = trace.records[3]
+    trace = _edited(trace, {2: {"lambda_k": 1e200},
+                            3: {"y": r3.x + np.array([1e150, 0.0])},
+                            4: {"lambda_k": -1e150}})
+    assert trace.records[3].d_norm == 1e150
+    s = slacks(trace.records[2], EX2, REF)
+    assert s["linesearch"] == -math.inf
     assert _exact(replay(trace, EX2)) == _exact(_scan(trace, EX2))
 
 
@@ -202,9 +221,11 @@ def test_ties_go_to_the_first_record_signed_zeros_included(capsys,
                                                            tmp_path):
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     rs = trace.records
+    # records 1 and 4 hold the same pair, whose ||w - xi|| exceeds the bound
+    pair = {"x": rs[1].x, "y": rs[1].y, "xi": rs[1].xi, "w": rs[1].xi + 2.0}
     trace = _edited(trace, {
-        1: {"inexact_lhs": rs[1].inexact_rhs + 2.0},
-        4: {"inexact_lhs": rs[4].inexact_rhs + 2.0},
+        1: pair,
+        4: pair,
         # eps_k - eps_certified: 0.0 at k=2, -0.0 at k=3
         2: {"eps_k": 0.0, "eps_certified": 0.0},
         3: {"eps_k": -0.0, "eps_certified": 0.0},
@@ -233,7 +254,7 @@ def test_replay_matches_the_record_scan_under_random_edits(seed):
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
     scalars = ["phi_x", "phi_y", "phi_next", "eps_k", "eps_certified",
-               "inexact_lhs", "inexact_rhs", "nu_k", "lambda_k", "d_norm"]
+               "nu_k", "lambda_k"]
     edits = {}
     for _ in range(8):
         k = int(rng.integers(len(trace.records)))
@@ -241,7 +262,7 @@ def test_replay_matches_the_record_scan_under_random_edits(seed):
             name = scalars[rng.integers(len(scalars))]
             value = specials[rng.integers(len(specials))]
         else:
-            name = ["x", "y", "xi"][rng.integers(3)]
+            name = ["x", "w", "y", "xi"][rng.integers(4)]
             value = getattr(trace.records[k], name).copy()
             value[rng.integers(value.size)] = specials[
                 rng.integers(len(specials))]

@@ -371,7 +371,7 @@ def _set_literal(line, name, literal):
 
 
 @pytest.mark.parametrize("line_no, name, literal", [
-    (3, "phi_x", "1e400"), (2, "tau", "-1e400"), (3, "d_norm", "1E999"),
+    (3, "phi_x", "1e400"), (2, "tau", "-1e400"), (3, "nu_k", "1E999"),
     (1, "final_phi", "1e400"),
 ])
 @pytest.mark.parametrize("command", ["check", "complexity"])
@@ -391,20 +391,29 @@ def test_float_literal_beyond_range_is_a_parse_error(
 
 
 @pytest.mark.parametrize("name, broken", [
-    ("d_norm", ["descent_y", "linesearch"]),
-    ("lambda_k", ["linesearch", "reconstruction"]),
+    ("d_norm", []),  # derived from y - x: a stored d_norm is a stale key
+    # the next record's x, derived by this lambda_k, moves 1e200 away from
+    # its y, so that record's derived ||d|| squares to inf in descent_y
+    ("lambda_k", ["descent_y", "linesearch", "reconstruction"]),
 ])
 @pytest.mark.parametrize("command", ["check", "complexity"])
 def test_a_square_beyond_float_range_is_violated_not_raised(
         tmp_path, capsys, stored_traces, command, name, broken):
     # 1e200**2 raises OverflowError for a float; the slack reads it as inf
     lines = list(stored_traces["ex2"])
-    lines[2] = _set(lines[2], name, 1e200)
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main([command, str(path)]) == 1
+    main([command, str(path)])
+    clean = capsys.readouterr().out
+    lines[2] = _set(lines[2], name, 1e200)
+    path.write_text("\n".join(lines) + "\n")
+    code = main([command, str(path)])
     out = capsys.readouterr()
+    if not broken:
+        assert (code, out.out, out.err) == (0, clean, "")
+        return
+    assert code == 1
     if command == "check":
         flagged = [line.split(":")[0].strip()
                    for line in out.out.splitlines()
@@ -414,6 +423,66 @@ def test_a_square_beyond_float_range_is_violated_not_raised(
     else:
         assert f"certificate replay failed: {', '.join(broken)}" in out.out
     assert out.err == ""
+
+
+def _f8(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w + 1e3,
+    lambda w: np.array([math.nan, math.inf]),
+], ids=["shifted", "non_finite"])
+def test_a_corrupted_w_violates_only_the_inexact_bound(tmp_path, capsys,
+                                                       stored_traces, edit):
+    # ||w - xi|| is recomputed from the record's pair, so an edited w
+    # cannot pass on the strength of a stored norm
+    lines = list(stored_traces["ex2"])
+    n = next(i for i, line in enumerate(lines[1:], 1)
+             if "xi" in json.loads(line))
+    w = np.frombuffer(base64.b64decode(json.loads(lines[n])["w"]), "<f8")
+    lines[n] = _set(lines[n], "w", _f8(edit(w)))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr()
+    flagged = [line.split(":")[0].strip() for line in out.out.splitlines()
+               if line.endswith("[VIOLATED]")]
+    assert flagged == ["inexact_bound"]
+    assert f"at k={n - 1} [VIOLATED]" in out.out
+    assert out.err == ""
+
+
+# a record's keys in the format written before the direction norm, the
+# inexactness pair's norms and the trial step were left out of it
+_LEGACY_RECORD_KEYS = (
+    "k", "phi_x", "eps_k", "eps_certified", "d_norm", "inexact_lhs",
+    "inexact_rhs", "nu_k", "lambda_bar", "lambda_k", "n_backtracks", "phi_y",
+    "phi_next", "tau_hat", "tau", "x", "w", "y", "xi")
+
+
+def test_legacy_record_keys_are_ignored(tmp_path, capsys, stored_traces):
+    # wrong stored norms that a trusting reader would flag (1e3 > theta d)
+    # or overflow on (1e200**2)
+    lines = list(stored_traces["ex2"])
+    stale = {"d_norm": 1e200, "inexact_lhs": 1e3, "inexact_rhs": 0.5,
+             "lambda_bar": 1.0}
+    legacy = [lines[0]]
+    for line in lines[1:]:
+        both = {**json.loads(line), **stale}
+        legacy.append(json.dumps({key: both[key] for key in _LEGACY_RECORD_KEYS
+                                  if key in both}))
+    path = tmp_path / "t.jsonl"
+    printed = []
+    for text in (lines, legacy):
+        path.write_text("\n".join(text) + "\n")
+        capsys.readouterr()
+        codes = (main(["check", str(path)]), main(["complexity", str(path)]))
+        printed.append((codes, capsys.readouterr(), _trace_digest([path])))
+    assert all(key in json.loads(legacy[1]) for key in stale)
+    assert printed[0][0] == (0, 0) and printed[0][1].err == ""
+    assert printed[1] == printed[0]
 
 
 @pytest.mark.parametrize("name, value", [
@@ -605,7 +674,7 @@ def test_dca_trace_has_zero_steps(tmp_path):
                  "--rho", "0.6", "--beta", "0.1", "--theta", "0.2"]) == 0
     trace = Trace.read_jsonl(f"{out}/trace_000.jsonl")
     assert all(r.lambda_k == 0.0 for r in trace.records)
-    assert all(r.lambda_bar == 0.0 for r in trace.records)
+    assert trace.config.lambda_bar == 0.0
 
 
 def test_dca_trace_with_lambda_bar_kind_still_reads(tmp_path, capsys):
@@ -634,12 +703,12 @@ def test_dca_trace_with_lambda_bar_kind_still_reads(tmp_path, capsys):
     assert "'lambda_bar.kind'" in capsys.readouterr().err
 
 
-# Taken at the commit before the subdifferential bounds were read off the
-# compiled triple, over dim-2 problems only, so that numpy's reduction order
-# cannot differ between platforms.  A hot-path change that moves any decoded
-# trace value or summary residual by one bit fails here.
+# Taken over dim-2 problems only, so that numpy's reduction order cannot
+# differ between platforms, and over the decoded record fields, so that the
+# same run in an older trace format hashes the same.  A hot-path change that
+# moves any decoded trace value or summary residual by one bit fails here.
 GOLDEN_TRACE_SHA256 = (
-    "44b045f8081906ea59544a91882fca2f3cbf75afe1d7a251556f55468a1b6b19")
+    "f1deaa6857862665ecced0baf6fce5473f11819b3e06fbbedb483598c2106d3b")
 GOLDEN_FINAL_RESIDUALS = {
     f"{problem}_{mode}": ["0.0"] * 5
     for problem in ("ex1", "ex2") for mode in ("inner_solver", "perturbed_exact")
@@ -708,6 +777,25 @@ def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
             gap = whole - (s["descent_y"] + s["linesearch"])
             assert abs(gap) <= 4 * math.ulp(max(map(abs, terms))), (path, r.k)
             records += 1
+    assert records > 100
+
+
+def test_inexact_bound_slack_is_nonnegative_exactly(golden_runs):
+    # the solver accepts a pair when ||w - xi|| <= theta ||y - x||, and the
+    # certificate recomputes both sides from the stored pair by the same
+    # float operations, so on every record of the inner_solver and
+    # perturbed_exact runs the slack is >= 0.0 with no tolerance
+    paths, _ = golden_runs
+    modes, records = set(), 0
+    for path in paths:
+        trace = Trace.read_jsonl(path)
+        problem, config = problems.resolve(trace.problem_name), trace.config
+        modes.add(config.inexact_mode.value)
+        for r in trace.records:
+            assert slacks(r, problem, config)["inexact_bound"] >= 0.0, (
+                path, r.k)
+            records += 1
+    assert modes == {"inner_solver", "perturbed_exact"}
     assert records > 100
 
 

@@ -253,11 +253,7 @@ def _tiny_trace():
         w=np.array([2.0, 2.0]),
         y=np.array([1 / 3, 1 / 3]),
         xi=np.array([2.0, 2.0]),
-        d_norm=float(np.sqrt(8.0 / 9.0)),
-        inexact_lhs=0.0,
-        inexact_rhs=0.0,
         nu_k=0.0,
-        lambda_bar=1.0,
         lambda_k=1.0,
         n_backtracks=0,
         phi_y=2.0 / 9.0,
@@ -509,9 +505,8 @@ def test_trace_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     assert TRACE_CSV_COLUMNS == [
-        "k", "phi_x", "eps_k", "eps_certified", "d_norm", "inexact_lhs",
-        "inexact_rhs", "nu_k", "lambda_bar", "lambda_k", "n_backtracks",
-        "phi_y", "phi_next", "tau_hat", "tau",
+        "k", "phi_x", "eps_k", "eps_certified", "nu_k", "lambda_k",
+        "n_backtracks", "phi_y", "phi_next", "tau_hat", "tau",
     ]
     row = lines[1].split(",")
     assert row[0] == "0"

@@ -240,7 +240,7 @@ def test_trace_reconstruction(sample_traces):
 def test_relative_error_condition_on_every_iteration(sample_traces):
     for _, trace in sample_traces:
         for r in trace.records:
-            assert r.inexact_lhs <= r.inexact_rhs + 1e-12
+            assert r.inexact_lhs <= trace.config.theta * r.d_norm + 1e-12
             assert r.eps_certified <= r.eps_k + 1e-15
 
 
@@ -267,11 +267,11 @@ def test_backtrack_count_bounded_on_recorded_searches(sample_traces):
     import math
 
     for _, trace in sample_traces:
-        beta = trace.config.beta
+        beta, lambda_bar = trace.config.beta, trace.config.lambda_bar
         for r in trace.records:
-            if r.nu_k <= 0 or r.tau is None or r.lambda_bar <= 0:
+            if r.nu_k <= 0 or r.tau is None or lambda_bar <= 0:
                 continue
-            ratio = min(r.tau, r.lambda_bar) / r.lambda_bar
+            ratio = min(r.tau, lambda_bar) / lambda_bar
             bound = max(0, math.ceil(math.log(ratio) / math.log(beta))) + 1
             assert r.n_backtracks <= bound
 
@@ -399,7 +399,7 @@ def test_report_flags_corrupted_directions():
     trace = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=5)
     corrupted = dataclasses.replace(
         trace,
-        records=[dataclasses.replace(r, d_norm=r.d_norm * 100.0)
+        records=[dataclasses.replace(r, y=r.x + 100.0 * (r.y - r.x))
                  for r in trace.records],
     )
     rep = complexity_report(corrupted, -1.125, EX2.sigma, REF.theta)

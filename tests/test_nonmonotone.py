@@ -33,8 +33,7 @@ def make_trace(nus, d_norms):
     records = [
         IterationRecord(
             k=k, x=np.zeros(1), phi_x=0.0, eps_k=0.0, eps_certified=0.0,
-            w=np.zeros(1), y=np.zeros(1), xi=np.zeros(1), d_norm=d,
-            inexact_lhs=0.0, inexact_rhs=0.0, nu_k=nu, lambda_bar=1.0,
+            w=np.zeros(1), y=np.array([d]), xi=np.zeros(1), nu_k=nu,
             lambda_k=0.0, n_backtracks=0, phi_y=0.0, phi_next=0.0,
         )
         for k, (nu, d) in enumerate(zip(nus, d_norms))

@@ -3,14 +3,32 @@ import decimal
 import numpy as np
 import pytest
 
-from dcboost.convex import Sum
-from dcboost.core import InexactMode, UnsupportedProblemError
-from dcboost.subproblem import (_fails_between, check_inexact, solve_exact,
-                                 solve_inexact)
+from dcboost.certificates import holds, slacks
+from dcboost.convex import Sum, l2_norm
+from dcboost.core import (DcProblem, InexactMode, IterationRecord,
+                          SolverConfig, UnsupportedProblemError)
+from dcboost.subproblem import _fails_between, solve_exact, solve_inexact
 from dcboost import problems
 
 from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
                       random_point)
+
+
+def _pair_slacks(g, w, x, y, xi, theta):
+    """The ``subgrad_membership`` and ``inexact_bound`` slacks of a record
+    holding the pair (y, xi) solved at (w, x); the other fields are 0."""
+    record = IterationRecord(
+        k=0, x=x, phi_x=0.0, eps_k=0.0, eps_certified=0.0, w=w, y=y, xi=xi,
+        nu_k=0.0, lambda_k=0.0, n_backtracks=0, phi_y=0.0, phi_next=0.0)
+    problem = DcProblem("pair", g, g, x.shape[0], g.modulus())
+    s = slacks(record, problem, SolverConfig(theta=theta))
+    return s["subgrad_membership"], s["inexact_bound"]
+
+
+def _accepted(g, w, x, y, xi, theta):
+    """Whether the record of the pair passes both of its certificates."""
+    gap, bound = _pair_slacks(g, w, x, y, xi, theta)
+    return holds("subgrad_membership", gap) and holds("inexact_bound", bound)
 
 
 # --- exact solves -----------------------------------------------------------
@@ -60,8 +78,7 @@ def test_solve_exact_stationarity_membership(rng):
         w = rng.uniform(-3, 3, dim)
         x = random_point(rng, dim)
         y = solve_exact(g, w, x)
-        chk = check_inexact(g, w, x, y, w, theta=0.0)
-        assert chk.ok, (chk.lhs, chk.rhs, chk.membership_gap)
+        assert _accepted(g, w, x, y, w, 0.0), _pair_slacks(g, w, x, y, w, 0.0)
 
 
 # --- inexact solves -----------------------------------------------------------
@@ -89,9 +106,8 @@ def _perturbed_reference(g, w, x, theta, rng):
     """The perturbed solve written with np.clip, the written-out box and
     np.linalg.norm, evaluating every candidate: the largest halving of a
     random-direction radius whose candidate passes the relative test, else
-    the closed form.  Returns (y, xi, lhs, rhs, mode, scale), scale the
-    returned candidate's radius over the first one's (None for the closed
-    form)."""
+    the closed form.  Returns (y, xi, mode, scale), scale the returned
+    candidate's radius over the first one's (None for the closed form)."""
     y_star = solve_exact(g, w, x)
     u = rng.standard_normal(x.shape[0])
     norm = float(np.linalg.norm(u))
@@ -103,7 +119,7 @@ def _perturbed_reference(g, w, x, theta, rng):
         xi = np.clip(w, *box_reference(g, y, 0.0))
         lhs = float(np.linalg.norm(w - xi))
         dist = float(np.linalg.norm(y - x))
-        return lhs <= theta * dist and dist > 0.0, (y, xi, lhs, theta * dist)
+        return lhs <= theta * dist and dist > 0.0, (y, xi)
 
     r_first = r_hi = max(1.0, float(np.linalg.norm(y_star - x)))
     ok, sol = candidate(r_hi)
@@ -118,8 +134,7 @@ def _perturbed_reference(g, w, x, theta, rng):
         else:
             r_hi = mid
     if best is None:
-        rhs = float(theta * np.linalg.norm(y_star - x))
-        return y_star, w.copy(), 0.0, rhs, InexactMode.EXACT, None
+        return y_star, w.copy(), InexactMode.EXACT, None
     return (*best, InexactMode.PERTURBED_EXACT, r_lo / r_first)
 
 
@@ -129,12 +144,11 @@ def _perturbed_path(g, w, x, theta, seed):
     took."""
     sol = solve_inexact(g, w, x, theta, InexactMode.PERTURBED_EXACT,
                         np.random.default_rng(seed))
-    y, xi, lhs, rhs, mode, scale = _perturbed_reference(
+    y, xi, mode, scale = _perturbed_reference(
         g, w, x, theta, np.random.default_rng(seed))
     assert sol.mode_used is mode
     assert sol.y.tobytes() == y.tobytes()
     assert sol.xi.tobytes() == xi.tobytes()
-    assert _bits(sol.lhs) == _bits(lhs) and _bits(sol.rhs) == _bits(rhs)
     if scale is None:
         # no candidate passes: the closed form, after the two end radii
         # when the certificate proves it, else after all 41 candidates
@@ -249,17 +263,12 @@ def test_certificate_slack_covers_the_rounding_bound():
             assert decimal.Decimal(floor) <= g, n
 
 
-def _bits(v):
-    return np.float64(v).tobytes()
-
-
 def test_exact_mode_returns_w_as_xi(rng):
     g = problems.resolve("ex1").g
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     sol = solve_inexact(g, w, x, theta=0.2, mode=InexactMode.EXACT, rng=rng)
     np.testing.assert_allclose(sol.y, [1 / 3, 1 / 3], atol=1e-14)
     np.testing.assert_array_equal(sol.xi, w)
-    assert sol.lhs == 0.0
 
 
 def test_perturbed_mode_moves_off_the_exact_solution(rng):
@@ -267,8 +276,8 @@ def test_perturbed_mode_moves_off_the_exact_solution(rng):
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     sol = solve_inexact(g, w, x, theta=0.2, mode=InexactMode.PERTURBED_EXACT, rng=rng)
     assert np.linalg.norm(sol.y - np.array([1 / 3, 1 / 3])) > 1e-6
-    assert sol.lhs <= 0.2 * np.linalg.norm(sol.y - x) + 1e-12
-    assert check_inexact(g, w, x, sol.y, sol.xi, 0.2).ok
+    assert l2_norm(w - sol.xi) <= 0.2 * np.linalg.norm(sol.y - x) + 1e-12
+    assert _accepted(g, w, x, sol.y, sol.xi, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +302,8 @@ def test_all_modes_pass_their_own_acceptance(rng, mode):
         x = random_point(rng, dim)
         theta = float(rng.uniform(0.05, 0.45)) * g.modulus()
         sol = solve_inexact(g, w, x, theta, mode, rng)
-        chk = check_inexact(g, w, x, sol.y, sol.xi, theta)
-        assert chk.ok, (mode, chk)
+        assert _accepted(g, w, x, sol.y, sol.xi, theta), (
+            mode, _pair_slacks(g, w, x, sol.y, sol.xi, theta))
 
 
 def test_linearization_consequence(rng):
@@ -343,11 +352,13 @@ def test_critical_start_returns_zero_direction(rng):
     w = np.zeros(2)
     for mode in InexactMode:
         sol = solve_inexact(g, w, x, theta=0.2, mode=mode, rng=rng)
-        np.testing.assert_allclose(sol.y, x, atol=1e-15)
-        assert sol.lhs == 0.0 and sol.rhs == 0.0
+        np.testing.assert_array_equal(sol.y, x)
+        np.testing.assert_array_equal(sol.xi, w)
 
 
-# --- the standalone checker -----------------------------------------------------
+# --- the certificates of a record's pair -----------------------------------------
+# (y, xi) is checked as a record holding it: the inexact_bound slack
+# recomputes both norms from w, xi, y and x
 
 
 def test_check_inexact_flags_relative_error():
@@ -356,9 +367,9 @@ def test_check_inexact_flags_relative_error():
     y = solve_exact(g, w, x)
     xi = g.subgrad(y)
     bad = xi + (0.2 * np.linalg.norm(y - x) + 0.1) * np.array([1.0, 0.0])
-    chk = check_inexact(g, w, x, y, bad, theta=0.2)
-    assert not chk.ok
-    assert chk.lhs > chk.rhs
+    gap, bound = _pair_slacks(g, w, x, y, bad, 0.2)
+    assert not holds("inexact_bound", bound)
+    assert bound < -0.1 + 1e-12
 
 
 def test_check_inexact_flags_membership():
@@ -366,17 +377,18 @@ def test_check_inexact_flags_membership():
     w, x = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     y = solve_exact(g, w, x)
     xi = g.subgrad(y) + 1e-3
-    chk = check_inexact(g, w, x, y, xi, theta=1e9)
-    assert not chk.ok
-    assert chk.membership_gap >= 1e-3 - 1e-12
+    gap, bound = _pair_slacks(g, w, x, y, xi, 1e9)
+    assert not holds("subgrad_membership", gap)
+    assert holds("inexact_bound", bound)
+    assert -gap >= 1e-3 - 1e-12
 
 
 def test_check_inexact_accepts_exact_pair():
     g = problems.resolve("ex2").g
     w, x = np.array([0.3, 0.1]), np.array([1.0, -2.0])
     y = solve_exact(g, w, x)
-    chk = check_inexact(g, w, x, y, w, theta=0.0)
-    assert chk.ok and chk.lhs == 0.0
+    assert _accepted(g, w, x, y, w, 0.0)
+    assert _pair_slacks(g, w, x, y, w, 0.0)[1] == 0.0
 
 
 def _wide_cases(seed=1000, dim=1000):
@@ -403,7 +415,7 @@ def _wide_cases(seed=1000, dim=1000):
 def _inner_reference(g, w, x, theta):
     """The inner bisection written with the box arithmetic and the
     stationarity residual spelled out: each step clips w into the box at y
-    and moves the bracket by the residual's sign.  Returns (y, xi, lhs, rhs,
+    and moves the bracket by the residual's sign.  Returns (y, xi,
     iterations), y None when no iterate passed."""
     quad, lin, l1 = g.quad, g.lin, g.l1
 
@@ -428,13 +440,13 @@ def _inner_reference(g, w, x, theta):
         lhs = float(np.linalg.norm(w - xi))
         dist = float(np.linalg.norm(y - x))
         if lhs <= theta * dist and dist > 0.0:
-            return y, xi, lhs, theta * dist, it
+            return y, xi, it
         if float(np.max(hi - lo)) < 1e-13:
             break
         pos = residual(y) > 0
         hi[pos] = y[pos]
         lo[~pos] = y[~pos]
-    return None, None, None, None, it
+    return None, None, it
 
 
 def test_inner_solver_matches_reference_bit_for_bit(rng):
@@ -452,14 +464,13 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
     for g, w, x in cases:
         for theta in (0.05, 0.2, 0.45):
             sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
-            y, xi, lhs, rhs, iters = _inner_reference(g, w, x, theta)
+            y, xi, iters = _inner_reference(g, w, x, theta)
             assert sol.inner_iters == iters
             if y is None:
                 assert sol.mode_used is InexactMode.EXACT
                 continue
             assert sol.y.tobytes() == y.tobytes()
             assert sol.xi.tobytes() == xi.tobytes()
-            assert (sol.lhs, sol.rhs) == (lhs, rhs)
 
 
 def test_perturbed_certificate_bounds_the_norm_of_the_floors():
