@@ -26,6 +26,11 @@ __all__ = [
 
 _MAX_INNER_ITERS = 200
 _PERTURB_HALVINGS = 40
+_WIDEN_ROUNDS = 80
+# at most this dimension, finite inputs take _bisect_floats, which evaluates
+# the acceptance test once per _FLOAT_CHUNK steps (see _solve_inner)
+_FLOAT_MAX_DIM = 16
+_FLOAT_CHUNK = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,26 +75,84 @@ def _selection(q2, lin, l1, t):
     return q2 * t + lin + l1 * np.sign(t)
 
 
-def _solve_inner(g, w, x, theta) -> SubproblemSolution:
-    """Coordinate-wise bisection on the stationarity inclusion, stopped at the
-    first iterate whose clipped subgradient passes the relative test.
+def _row_norms(v):
+    """``l2_norm`` of each row of a C-contiguous 2-D array, bit for bit: each
+    row's product is the same dot call as a 1-D ``v @ v`` (pinned by a
+    test)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    Each step reads its move and its test off one selection s of the
-    subdifferential at y.  Off the kink the box at y is the one point s, so
-    w - xi is w - s; at y = 0 it is w - clip(w, box at 0), computed once.
-    The bracket moves by s > w (s = lin at y = 0).  Only the accepted
-    iterate builds the box and its xi.  For finite coefficients this is the
-    box-and-clip step bit for bit, up to signs of zeros that no norm or
-    comparison sees (pinned by a test)."""
-    quad, lin, l1 = _coefficients(g)
-    q2 = 2.0 * quad
 
+def _bisect_floats(q2, lin, l1, w, x, theta, v_kink, w_l, x_l):
+    """``_bisect_arrays`` for finite w and x (``w_l`` and ``x_l`` as lists):
+    each coordinate's bracket path in Python floats, and one acceptance
+    test in numpy per chunk of steps.  Returns (accepted y or None, steps
+    taken)."""
+    limit = 2.0**_WIDEN_ROUNDS
+    paths = []
+    for c, wc, xc in zip(lin.tolist(), w_l, x_l):
+        # for finite x, lo <= -1 and hi >= 1 while widening: the selection's
+        # sign is known, and the kink capture's lo < 0 < hi holds
+        lo, hi, span = min(xc, 0.0) - 1.0, max(xc, 0.0) + 1.0, 1.0
+        while span < limit and q2 * lo + c - l1 > wc:
+            lo -= span
+            span *= 2.0
+        span = 1.0
+        while span < limit and q2 * hi + c + l1 < wc:
+            hi += span
+            span *= 2.0
+        if abs(wc - c) <= l1:
+            lo = hi = 0.0
+        paths.append([lo, hi, c, wc])
+
+    it = 0
+    while it < _MAX_INNER_ITERS:
+        steps = min(_FLOAT_CHUNK, _MAX_INNER_ITERS - it)
+        cols, narrow = [], -1
+        for path in paths:
+            lo, hi, c, wc = path
+            col, bit, mask = [], 1, 0
+            for _ in range(steps):
+                y = 0.5 * (lo + hi)
+                col.append(y)
+                if hi - lo < 1e-13:
+                    mask |= bit
+                bit <<= 1
+                # the selection, up to a sign of zero no comparison sees
+                if q2 * y + c + (l1 if y > 0.0 else -l1 if y < 0.0
+                                 else 0.0) > wc:
+                    hi = y
+                else:
+                    lo = y
+            path[0], path[1] = lo, hi
+            cols.append(col)
+            narrow &= mask
+        # bit j of narrow: every bracket of step j is narrower than 1e-13
+        # (a NaN width is not, as in the max of _bisect_arrays), so no step
+        # after the first such one is reached
+        rows = (narrow & -narrow).bit_length() or steps
+        y = np.array(cols).T[:rows].copy()
+        s = _selection(q2, lin, l1, y)
+        lhs = _row_norms(np.where(y == 0.0, v_kink, w - s))
+        dist = _row_norms(y - x)
+        passed = (lhs <= theta * dist) & (dist > 0.0)
+        first = int(passed.argmax())
+        if passed[first]:
+            return y[first], it + first + 1
+        it += rows
+        if narrow:
+            break
+    return None, it
+
+
+def _bisect_arrays(q2, lin, l1, w, x, theta, v_kink):
+    """The bisection one whole-array step at a time.  Returns (accepted y
+    or None, steps taken)."""
     lo = np.minimum(x, 0.0) - 1.0
     hi = np.maximum(x, 0.0) + 1.0
     span = 1.0
     # widen until the monotone selection brackets w everywhere (s > w is
     # the sign of the rounded residual s - w, which is 0 only at s = w)
-    for _ in range(80):
+    for _ in range(_WIDEN_ROUNDS):
         bad_lo = _selection(q2, lin, l1, lo) > w
         bad_hi = _selection(q2, lin, l1, hi) < w
         if not bad_lo.any() and not bad_hi.any():
@@ -104,27 +167,74 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
     lo[at_kink] = 0.0
     hi[at_kink] = 0.0
 
-    # np.clip bit for bit (pinned by a test), without its Python layers
-    kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros_like(x))
-    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
         s = _selection(q2, lin, l1, y)
         lhs = l2_norm(np.where(y == 0.0, v_kink, w - s))
         dist = l2_norm(y - x)
         if lhs <= theta * dist and dist > 0.0:
-            box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
-            xi = np.minimum(np.maximum(w, box_lo), box_hi)
-            return SubproblemSolution(
-                y=y, xi=xi, inner_iters=it, mode_used=InexactMode.INNER_SOLVER)
+            return y, it
         if (hi - lo).max() < 1e-13:
             break
         pos = s > w
         lo, hi = np.where(pos, lo, y), np.where(pos, y, hi)
+    return None, it
 
-    # no iterate passed; fall back to the closed form (covers y* = x, where
-    # the caller takes the d = 0 stopping path)
-    return _closed_form(solve_exact(g, w, x), w, it)
+
+def _solve_inner(g, w, x, theta) -> SubproblemSolution:
+    """Coordinate-wise bisection on the stationarity inclusion, stopped at the
+    first iterate whose clipped subgradient passes the relative test.
+
+    Each step reads its move and its test off one selection s of the
+    subdifferential at y.  Off the kink the box at y is the one point s, so
+    w - xi is w - s; at y = 0 it is w - clip(w, box at 0), computed once.
+    The bracket moves by s > w (s = lin at y = 0).  Only the accepted
+    iterate builds the box and its xi.  For finite coefficients this is the
+    box-and-clip step bit for bit, up to signs of zeros that no norm or
+    comparison sees (pinned by a test).
+
+    Two paths run the same bisection bit for bit.  Above ``_FLOAT_MAX_DIM``
+    or when w or x holds a non-finite value, ``_bisect_arrays`` takes one
+    whole-array step at a time.  Otherwise ``_bisect_floats`` runs each
+    coordinate's bracket alone in Python floats: the widening, the kink
+    capture and ``_FLOAT_CHUNK`` bisection steps at a time.  The coordinates
+    never interact: a coordinate stops widening once its bracket holds w,
+    so at its own k-th round it moves by the shared span 2^k.  Each step
+    only adds, halves, multiplies and compares IEEE doubles, and Python
+    floats round these exactly as numpy's elementwise loops do.  The
+    acceptance test is then evaluated once per chunk, on the stacked
+    iterates and in numpy, because the norms must stay numpy's: the BLAS
+    dot behind ``l2_norm`` uses FMA, and on 200,000 random 2-vectors about
+    one squared norm in six differs from a Python sum of squares.  The
+    first row that passes is the accepted step, and the chunk ends at the
+    first step whose brackets are all narrower than 1e-13.
+
+    The crossover is measured per call on recorded inputs, the float path
+    against the array path with 24-step chunks (2 vCPU, CPython 3.11, numpy
+    2.4.6): 83 against 329 us on the 2,561 study2d calls (dim 2), 236
+    against 407 us at dim 16, 344 against 368 us at dim 24, 402 against
+    400 us at dim 32 and 576 against 406 us at dim 48 (random-sep, seed 0).
+    The float path's cost grows with the dimension times the chunk's steps,
+    those past the accepted one included, so dim 16 keeps a wide margin."""
+    quad, lin, l1 = _coefficients(g)
+    q2 = 2.0 * quad
+    # np.clip bit for bit (pinned by a test), without its Python layers
+    kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros(x.shape[0]))
+    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
+    small = 0 < x.shape[0] <= _FLOAT_MAX_DIM
+    w_l, x_l = (w.tolist(), x.tolist()) if small else ([], [])
+    if small and all(map(math.isfinite, w_l + x_l)):
+        y, it = _bisect_floats(q2, lin, l1, w, x, theta, v_kink, w_l, x_l)
+    else:
+        y, it = _bisect_arrays(q2, lin, l1, w, x, theta, v_kink)
+    if y is None:
+        # no iterate passed; fall back to the closed form (covers y* = x,
+        # where the caller takes the d = 0 stopping path)
+        return _closed_form(solve_exact(g, w, x), w, it)
+    box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
+    xi = np.minimum(np.maximum(w, box_lo), box_hi)
+    return SubproblemSolution(y=y, xi=xi, inner_iters=it,
+                              mode_used=InexactMode.INNER_SOLVER)
 
 
 def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:

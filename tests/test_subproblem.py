@@ -7,7 +7,8 @@ from dcboost.certificates import holds, slacks
 from dcboost.convex import Sum, l2_norm
 from dcboost.core import (DcProblem, InexactMode, IterationRecord,
                           SolverConfig, UnsupportedProblemError)
-from dcboost.subproblem import _fails_between, solve_exact, solve_inexact
+from dcboost.subproblem import (_FLOAT_MAX_DIM, _fails_between, _row_norms,
+                                 solve_exact, solve_inexact)
 from dcboost import problems
 
 from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
@@ -391,24 +392,61 @@ def test_check_inexact_accepts_exact_pair():
     assert _pair_slacks(g, w, x, y, w, 0.0)[1] == 0.0
 
 
+def _kinked_case(rng, g):
+    """(g, w, x): x holds every sign of zero and of 5e-324, and w puts some
+    coordinates' solutions exactly on the kink (w = lin), at either end of
+    the kink's interval (w = fl(lin -+ l1)) or at a signed zero."""
+    dim = g.lin.shape[0]
+    c, b = g.lin, g.l1
+    w = rng.uniform(-3.0, 3.0, dim)
+    pick = rng.integers(0, 10, dim)
+    for k, v in enumerate((c, c - b, c + b, np.zeros(dim), -np.zeros(dim))):
+        w[pick == k] = v[pick == k]
+    return g, w, kinked_point(rng, dim)
+
+
 def _wide_cases(seed=1000, dim=1000):
-    """(g, w, x) at a dimension past numpy's SIMD and blocked loops: x holds
-    every sign of zero and of 5e-324, and w puts some coordinates' solutions
-    exactly on the kink (w = lin), at either end of the kink's interval
-    (w = fl(lin -+ l1)) or at a signed zero."""
+    """Kinked (g, w, x) at a dimension past numpy's SIMD and blocked loops,
+    some of lin's coordinates signed zeros."""
     rng = np.random.default_rng(seed)
     lin = rng.uniform(-2.0, 2.0, dim)
     lin[::7], lin[3::7] = 0.0, -0.0
+    return [_kinked_case(rng, g)
+            for g in (Sum(0.75, lin, 0.5),
+                      random_expr(rng, dim, min_quad=0.25),
+                      random_expr(rng, dim, min_quad=0.25))]
+
+
+def _small_kinked_cases(seed=1001):
+    """Kinked (g, w, x) at every dimension the float bisection path takes
+    and one past it, half of them with no l1 part (as ex1's g).  Then x at
+    the solution y* (no step passes: the brackets narrow to 1e-13 over
+    more than one chunk), within 1e-9 of it (passing after more than one
+    chunk) and at y* near 1e20, where no bracket narrows to 1e-13 and all
+    200 steps run; w scaled by 2^80, whose solutions lie about as far as
+    the widening's 80 doublings reach.  At dims 1, 2 and _FLOAT_MAX_DIM, also each of
+    NaN, inf and -inf placed once in x and once in w."""
+    rng = np.random.default_rng(seed)
     cases = []
-    for g in (Sum(0.75, lin, 0.5),
-              random_expr(rng, dim, min_quad=0.25),
-              random_expr(rng, dim, min_quad=0.25)):
-        c, b = g.lin, g.l1
-        w = rng.uniform(-3.0, 3.0, dim)
-        pick = rng.integers(0, 10, dim)
-        for k, v in enumerate((c, c - b, c + b, np.zeros(dim), -np.zeros(dim))):
-            w[pick == k] = v[pick == k]
-        cases.append((g, w, kinked_point(rng, dim)))
+    for dim in range(1, _FLOAT_MAX_DIM + 2):
+        for _ in range(3):
+            g = random_expr(rng, dim, min_quad=0.25)
+            cases.append(_kinked_case(rng, Sum(g.quad, g.lin, 0.0)))
+            cases.append(_kinked_case(rng, Sum(g.quad, g.lin,
+                                               rng.uniform(0.1, 1.5))))
+        g, w, x = cases[-1]
+        y_star, far = solve_exact(g, w, x), w * 1e20
+        cases += [(g, w, y_star),
+                  (g, w, y_star + rng.uniform(-1e-9, 1e-9, dim)),
+                  (g, far, solve_exact(g, far, x)),
+                  (g, w * 2.0**80, x)]
+        if dim not in (1, 2, _FLOAT_MAX_DIM):
+            continue
+        for bad in (np.nan, np.inf, -np.inf):
+            i = int(rng.integers(0, dim))
+            x_bad, w_bad = x.copy(), w.copy()
+            x_bad[i], w_bad[i] = bad, bad
+            cases += [(g, w, x_bad), (g, w_bad, x)]
     return cases
 
 
@@ -460,17 +498,33 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
         dim = int(rng.integers(1, 5))
         cases.append((random_expr(rng, dim, min_quad=0.25),
                       rng.uniform(-3, 3, dim), random_point(rng, dim)))
+    # both bisection paths: finite inputs up to _FLOAT_MAX_DIM take the
+    # float path, the rest the array path
+    cases += _small_kinked_cases()
     cases += _wide_cases()
     for g, w, x in cases:
         for theta in (0.05, 0.2, 0.45):
-            sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
-            y, xi, iters = _inner_reference(g, w, x, theta)
+            with np.errstate(invalid="ignore", over="ignore"):
+                sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
+                y, xi, iters = _inner_reference(g, w, x, theta)
             assert sol.inner_iters == iters
             if y is None:
                 assert sol.mode_used is InexactMode.EXACT
                 continue
             assert sol.y.tobytes() == y.tobytes()
             assert sol.xi.tobytes() == xi.tobytes()
+
+
+def test_row_norms_match_l2_norm_bit_for_bit(rng):
+    # the float bisection path reads each stacked iterate's norm off one
+    # stacked product; pin it to l2_norm of the row at every dimension the
+    # path takes, on signed zeros and subnormals
+    for dim in range(1, _FLOAT_MAX_DIM + 1):
+        for scale in (1e-160, 1.0, 1e150):
+            rows = np.array([kinked_point(rng, dim, scale) for _ in range(40)])
+            rows[-2], rows[-1] = 0.0, -0.0
+            for row, norm in zip(rows, _row_norms(rows)):
+                assert np.float64(l2_norm(row)).tobytes() == norm.tobytes()
 
 
 def test_perturbed_certificate_bounds_the_norm_of_the_floors():
