@@ -29,14 +29,9 @@ from .drivers import (
     run_dca,
     run_inmbdca,
     run_nmbdca,
-)
-from .linesearch import LinesearchResult, TauBound, nonmonotone_search, tau_bound
-from .nonmonotone import (
-    first_step_nu,
-    nu_init,
-    nu_next,
     step_domination_start,
 )
+from .linesearch import LinesearchResult, TauBound, nonmonotone_search, tau_bound
 from .subproblem import SubproblemSolution, solve_exact, solve_inexact
 
 __version__ = "0.1.0"

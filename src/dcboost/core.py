@@ -17,7 +17,6 @@ import json
 import math
 import operator
 import os
-import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -99,8 +98,8 @@ class EpsSchedule:
             raise ValueError(f"unknown eps schedule kind {self.kind!r}")
         if not 0.0 <= self.eps0 < math.inf:
             raise ValueError("eps0 must be finite and nonnegative")
-        if self.kind == "geometric" and not 0.0 < self.q < 1.0:
-            raise ValueError("geometric schedule needs q in (0,1)")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError("q must lie in (0,1)")
 
     def at(self, k: int) -> float:
         if self.kind == "zero":
@@ -122,59 +121,67 @@ class EpsSchedule:
         return cls("harmonic2", eps0)
 
 
-# --- nonmonotonicity allowance strategies (behavior lives in nonmonotone.py)
+# --- nonmonotonicity allowance strategies
+#
+# Each strategy owns its recurrence: ``allowance(memory, k, phi_x, eps_prev,
+# d_sq)`` gives nu_k at step k from phi(x^k), the previous step's eps and
+# ||d^k||^2, and the memory it returned at step k - 1 (None at k = 0).  It
+# returns (nu_k, memory).  The solver loop calls it once per step with d != 0,
+# that is on every step but a final d = 0 one.
 
 
 @dataclass(frozen=True)
 class DirectNu:
-    """Direct rule: the next allowance is a fraction of the admissible budget
-    (1 - delta) * (phi drop + previous allowance + eps)."""
+    """Direct rule: nu_0 = nu0, then the allowance is the share (1 - delta)
+    of the admissible budget phi(x^{k-1}) - phi(x^k) + nu_{k-1} + eps_{k-1}.
+    A positive delta makes the allowances summable."""
 
-    delta_min: float = 0.0
-    delta: Optional[float] = None
+    delta: float = 0.0
     nu0: float = 0.0
-    fraction: float = 1.0
 
     kind = "direct"
 
     def __post_init__(self):
-        if not 0.0 <= self.delta_min < 1.0:
-            raise ValueError("delta_min must lie in [0, 1)")
-        if self.delta is not None and not self.delta_min <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [delta_min, 1]")
+        if not 0.0 <= self.delta <= 1.0:
+            raise ValueError("delta must lie in [0, 1]")
         if not 0.0 <= self.nu0 < math.inf:
             raise ValueError("nu0 must be finite and nonnegative")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
 
-    @property
-    def delta_used(self) -> float:
-        return self.delta_min if self.delta is None else self.delta
+    def allowance(self, memory, k, phi_x, eps_prev, d_sq):
+        if memory is None:
+            return float(self.nu0), (phi_x, float(self.nu0))
+        phi_prev, nu_prev = memory
+        # the step's descent inequality (checked by the loop) makes the
+        # budget nonnegative up to rounding
+        budget = max(phi_prev - phi_x + nu_prev + eps_prev, 0.0)
+        nu = (1.0 - self.delta) * budget
+        return nu, (phi_x, nu)
 
 
 @dataclass(frozen=True)
 class ZhangHagerNu:
-    """Zhang-Hager cost-update rule: running average C of past values with
-    memory eta; the allowance is C_k - phi(x^k)."""
+    """Zhang-Hager cost-update rule: C is a running average of past values
+    with memory eta, Q_k = eta Q_{k-1} + 1, and the allowance is
+    C_k - phi(x^k); C_0 = phi(x^0) + c0_offset and Q_0 = 1."""
 
-    eta_min: float = 0.0
-    eta_max: float = 0.85
+    eta: float = 0.85
     c0_offset: float = 1.0
-    eta: Optional[float] = None
 
     kind = "zhang_hager"
 
     def __post_init__(self):
-        if not 0.0 <= self.eta_min <= self.eta_max < 1.0:
-            raise ValueError("need 0 <= eta_min <= eta_max < 1")
-        if self.eta is not None and not self.eta_min <= self.eta <= self.eta_max:
-            raise ValueError("eta must lie in [eta_min, eta_max]")
+        if not 0.0 <= self.eta < 1.0:
+            raise ValueError("eta must lie in [0, 1)")
         if not 0.0 < self.c0_offset < math.inf:
             raise ValueError("c0_offset must be finite and positive")
 
-    @property
-    def eta_used(self) -> float:
-        return self.eta_max if self.eta is None else self.eta
+    def allowance(self, memory, k, phi_x, eps_prev, d_sq):
+        if memory is None:
+            return float(self.c0_offset), (1.0, phi_x + self.c0_offset)
+        q, c = memory
+        q_next = self.eta * q + 1.0
+        c_next = (self.eta * q * c + phi_x) / q_next
+        return max(0.0, c_next - phi_x), (q_next, c_next)
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,12 @@ class GrippoNu:
         if self.m < 1:
             raise ValueError("window depth m must be a positive integer")
 
+    def allowance(self, memory, k, phi_x, eps_prev, d_sq):
+        if memory is None:
+            return 0.0, (phi_x,)
+        window = (memory + (phi_x,))[-(self.m + 1):]
+        return max(window) - phi_x, window
+
 
 @dataclass(frozen=True)
 class RatioNu:
@@ -203,12 +216,18 @@ class RatioNu:
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be finite and positive")
 
+    def allowance(self, memory, k, phi_x, eps_prev, d_sq):
+        return self.omega * d_sq / (k + 1), None
+
 
 @dataclass(frozen=True)
 class ZeroNu:
     """Monotone search: no allowance at all."""
 
     kind = "zero"
+
+    def allowance(self, memory, k, phi_x, eps_prev, d_sq):
+        return 0.0, None
 
 
 NuStrategy = Union[DirectNu, ZhangHagerNu, GrippoNu, RatioNu, ZeroNu]
@@ -638,12 +657,11 @@ class Trace:
 
 def _keys(cls, prefix=""):
     """(flat key, field name, value type, required) per field of ``cls``:
-    Optional[X] holds an X, a nested part has key None and its class as the
-    type, and the nu union is left to config_to_flat."""
+    a nested part has key None and its class as the type, and the nu union
+    is left to config_to_flat."""
     out = []
     for f in fields(cls):
-        args = [a for a in typing.get_args(f.type) if a is not type(None)]
-        tp = args[0] if len(args) == 1 else f.type
+        tp = f.type
         if tp in (float, int, str) or (isinstance(tp, type)
                                        and issubclass(tp, Enum)):
             out.append((prefix + f.name, f.name, tp, f.default is MISSING))
@@ -694,7 +712,7 @@ def _put(part, out: dict) -> None:
         value = getattr(part, name)
         if key is None:
             _put(value, out)
-        elif value is not None:
+        else:
             out[key] = value.value if isinstance(value, Enum) else value
 
 
@@ -722,7 +740,12 @@ def _build(cls, d: dict, **parts):
 
 def config_from_flat(d: dict) -> SolverConfig:
     """Inverse of config_to_flat: a missing key takes its dataclass default,
-    keys outside the schema and nu.* keys of another nu.kind are ignored."""
+    keys outside the schema and nu.* keys of another nu.kind are ignored.
+    A nu.* key of no nu kind is an error, so that a retired key (such as
+    nu.delta_min) is never read as its successor's default."""
+    for key in d:
+        if key.startswith("nu.") and key not in CONFIG_KEYS:
+            raise ValueError(f"config key {key!r} belongs to no nu kind")
     kind = flat_value("nu.kind", d.get("nu.kind", "zero"), str)
     if kind not in _NU_KINDS:
         raise ValueError(f"config key 'nu.kind': unknown kind {kind!r}")

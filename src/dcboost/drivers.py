@@ -22,7 +22,6 @@ from .certificates import TOLERANCE, holds, slacks, square
 from .convex import as_point
 from .core import (
     DcProblem,
-    DirectNu,
     EpsSchedule,
     InexactMode,
     InvariantViolation,
@@ -35,7 +34,6 @@ from .core import (
     validate,
 )
 from .linesearch import nonmonotone_search, tau_bound
-from .nonmonotone import first_step_nu, nu_init, nu_next, step_domination_start
 from .subproblem import solve_inexact
 
 __all__ = [
@@ -48,6 +46,7 @@ __all__ = [
     "final_residual",
     "ComplexityReport",
     "complexity_report",
+    "step_domination_start",
 ]
 
 
@@ -70,9 +69,9 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     violations = validate(problem, config)
     if violations:
         raise ValueError("invalid configuration: " + "; ".join(violations))
-    if isinstance(config.nu, DirectNu) and config.nu.delta_min == 0.0:
+    if config.nu.kind == "direct" and config.nu.delta == 0.0:
         warnings.warn(
-            "direct nu rule with delta_min = 0 carries no summability "
+            "direct nu rule with delta = 0 carries no summability "
             "guarantee; proceeding anyway",
             RuntimeWarning,
             stacklevel=2,
@@ -94,10 +93,9 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         g_trial = g.value(z)
         return g_trial - h.value(z)
 
-    nu_state, nu_pending = nu_init(config.nu, phi_x)
+    nu_memory = eps_prev = None
     records = []
     termination = Termination.MAX_ITER
-    phi_prev = eps_prev = None
 
     for k in range(config.max_iter):
         eps_k = config.eps.at(k)
@@ -124,12 +122,8 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         phi_next = phi_y
         tau_pair = None
         if not d_zero:
-            if k == 0:
-                nu_k = first_step_nu(config.nu, nu_pending, d_sq)
-            else:
-                nu_state, nu_k = nu_next(
-                    config.nu, nu_state, k - 1, phi_prev, phi_x, eps_prev, d_sq
-                )
+            nu_k, nu_memory = config.nu.allowance(nu_memory, k, phi_x,
+                                                  eps_prev, d_sq)
             if nu_k > 0.0:
                 tau_pair = tau_bound(g, x, y, d, nu_k, eps_k, sigma, rho)
             ls = nonmonotone_search(
@@ -159,7 +153,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         x_next = next_x(y, x, lam)
         step_vec = x_next - x
         step = math.sqrt(step_vec @ step_vec)
-        phi_prev, eps_prev = phi_x, eps_k
+        eps_prev = eps_k
         x, phi_x = x_next, phi_next
         # a nonzero lam's point is the last one the search evaluated
         g_x = g_trial if lam != 0.0 else g.value(x)
@@ -277,6 +271,22 @@ class ComplexityReport:
     bound_tail_stated: Optional[float] = None
 
 
+def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
+    """Smallest k0 with nu_k <= delta * ||d^k||^2 for every recorded k >= k0,
+    or None when even the final record violates the bound."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    records = trace.records
+    k0 = None
+    for idx in range(len(records) - 1, -1, -1):
+        r = records[idx]
+        if r.nu_k <= delta * square(r.d_norm):
+            k0 = idx
+        else:
+            break
+    return k0
+
+
 def complexity_report(trace: Trace, phi_bar: float, sigma: float,
                       theta: float, xi: float = 0.25) -> ComplexityReport:
     """Evaluate the recorded directions against the guaranteed decay bounds.
@@ -302,7 +312,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
         min(min(r.phi_x, r.phi_y, r.phi_next) for r in records),
         trace.final_phi,
     )
-    if phi_bar > seen + 1e-9:
+    if not phi_bar <= seen + 1e-9:  # NaN is no lower bound either
         raise ValueError(
             f"phi_bar={phi_bar} exceeds a recorded value phi={seen}; not a "
             "lower bound"

@@ -31,7 +31,6 @@ from dcboost.drivers import (
     run_inmbdca,
     run_nmbdca,
 )
-from dcboost.nonmonotone import nu_init, nu_next
 from dcboost.subproblem import solve_exact
 from dcboost import problems
 
@@ -211,31 +210,36 @@ def test_criterion_7_reduction_equivalence():
 
 
 def test_criterion_8_strategy_algebra(rng):
-    # real run driven by the cost-update rule
-    spec = ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.5)
+    # real run driven by the cost-update rule: its recurrence, replayed over
+    # the recorded phi values, gives every recorded nu_k bit for bit
+    spec = ZhangHagerNu(eta=0.8, c0_offset=0.5)
     cfg = dataclasses.replace(REF, nu=spec)
     prob = problems.resolve("ex2")
     trace = run_inmbdca(prob, cfg, [-4.4615, -9.0766], seed=3)
-    state, nu = nu_init(spec, trace.records[0].phi_x)
-    ok = abs(trace.records[0].nu_k - nu) <= 1e-15
+    ok = True
     steps = 0
-    for prev, curr in zip(trace.records, trace.records[1:]):
-        state, nu = nu_next(spec, state, prev.k, prev.phi_x, curr.phi_x,
-                            prev.eps_k, 0.0)
-        identity = (1 - 1 / state.q) * (prev.phi_x - curr.phi_x + prev.nu_k)
-        ok = ok and abs(nu - identity) <= 1e-12
-        ok = ok and 1 / state.q >= (1 - spec.eta_max) - 1e-12
-        steps += 1
+    memory = prev = None
+    for r in trace.records:
+        # the cost-update rule reads neither eps nor ||d||^2
+        nu, memory = spec.allowance(memory, r.k, r.phi_x, None, 0.0)
+        ok = ok and nu == r.nu_k
+        if prev is not None:
+            q = memory[0]
+            identity = (1 - 1 / q) * (prev.phi_x - r.phi_x + prev.nu_k)
+            ok = ok and abs(nu - identity) <= 1e-12
+            ok = ok and 1 / q >= (1 - spec.eta) - 1e-12
+            steps += 1
+        prev = r
     # synthetic 50-step sequence to exercise the recurrence at length
-    phi, nu_s = 5.0, None
-    state_s, nu_s = nu_init(spec, phi)
-    for k in range(50):
+    phi = 5.0
+    nu_s, memory = spec.allowance(None, 0, phi, None, 0.0)
+    for k in range(1, 51):
         drop = float(rng.uniform(-0.9 * nu_s if nu_s > 0 else 0.0, 1.0))
         nxt = phi - drop
-        state_s, val = nu_next(spec, state_s, k, phi, nxt, 0.0, 0.0)
-        identity = (1 - 1 / state_s.q) * (phi - nxt + nu_s)
+        val, memory = spec.allowance(memory, k, nxt, 0.0, 0.0)
+        identity = (1 - 1 / memory[0]) * (phi - nxt + nu_s)
         ok = ok and abs(val - identity) <= 1e-12
-        ok = ok and 1 / state_s.q >= (1 - spec.eta_max) - 1e-12
+        ok = ok and 1 / memory[0] >= (1 - spec.eta) - 1e-12
         phi, nu_s = nxt, val
         steps += 1
 
@@ -245,22 +249,21 @@ def test_criterion_8_strategy_algebra(rng):
         m = int(rng.integers(1, 6))
         phis = rng.uniform(-5, 5, int(rng.integers(2, 12)))
         gspec = GrippoNu(m=m)
-        gstate, gnu = nu_init(gspec, phis[0])
+        gnu, window = gspec.allowance(None, 0, phis[0], None, 0.0)
         ok = ok and gnu == 0.0
         for k in range(1, len(phis)):
-            budget = phis[k - 1] - phis[k] + (max(gstate.window) - phis[k - 1])
+            budget = phis[k - 1] - phis[k] + (max(window) - phis[k - 1])
             if budget < 0:
                 # keep the admissible-budget precondition satisfied
-                phis[k] = phis[k - 1] + (max(gstate.window) - phis[k - 1])
+                phis[k] = phis[k - 1] + (max(window) - phis[k - 1])
                 budget = 0.0
-            gstate, gnu = nu_next(gspec, gstate, k - 1, phis[k - 1], phis[k],
-                                  0.0, 0.0)
+            gnu, window = gspec.allowance(window, k, phis[k], 0.0, 0.0)
             brute = max(phis[max(0, k - m):k + 1]) - phis[k]
             ok = ok and abs(gnu - brute) <= 1e-12
         cases += 1
     report(8, ok,
-           f"cost-update identity and delta floor on {steps} steps; window "
-           f"allowance matches brute force on {cases} sequences")
+           f"cost-update replay, identity and delta floor on {steps} steps; "
+           f"window allowance matches brute force on {cases} sequences")
 
 
 def test_criterion_9_oracle_soundness(rng):
@@ -312,7 +315,7 @@ def test_criterion_9_oracle_soundness(rng):
 
 def test_criterion_10_merit_monotone_under_direct_rule():
     cfg = dataclasses.replace(
-        REF, nu=DirectNu(delta_min=0.2, delta=0.5, nu0=0.5),
+        REF, nu=DirectNu(delta=0.5, nu0=0.5),
         eps=EpsSchedule.zero(),
     )
     worst = math.inf

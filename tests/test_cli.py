@@ -85,9 +85,13 @@ def test_complexity_rejects_invalid_phibar(tmp_path, capsys):
     out = run_dir(tmp_path)
     main(["run", "--problem", "ex2", "--out", out, "--start", "3.0,4.0",
           *REF_FLAGS])
-    code = main(["complexity", f"{out}/trace_000.jsonl", "--phibar", "0.0"])
-    assert code == 2
-    assert "lower bound" in capsys.readouterr().err
+    # above a recorded phi, or NaN, which no comparison would catch
+    for phibar in ("0.0", "nan"):
+        capsys.readouterr()
+        code = main(["complexity", f"{out}/trace_000.jsonl", "--phibar",
+                     phibar])
+        assert code == 2
+        assert "lower bound" in capsys.readouterr().err
 
 
 def test_summary_is_byte_identical_across_runs(tmp_path):
@@ -164,7 +168,7 @@ def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
     ([], {"nu.omgea": 0.01}),
     ([], {"rhoo": 0.6}),
     ([], {"workers": 2}),
-    (["--nu-kind", "zhang_hager", "--nu-eta", "0.95"], None),
+    (["--nu-kind", "zhang_hager", "--nu-eta", "1.0"], None),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -190,10 +194,12 @@ def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     ["--d-zero-tol", "inf"],
     ["--lambda-bar", "nan"],
     ["--eps-kind", "geometric", "--eps-eps0", "nan"],
-    ["--nu-kind", "direct", "--nu-delta-min", "0.1", "--nu-nu0", "nan"],
+    ["--nu-kind", "direct", "--nu-delta", "0.1", "--nu-nu0", "nan"],
     ["--nu-kind", "ratio", "--nu-omega", "nan"],
     ["--nu-kind", "zhang_hager", "--nu-c0-offset", "nan"],
     ["--nu-kind", "grippo"],
+    ["--eps-q", "nan"],
+    ["--eps-kind", "harmonic2", "--eps-eps0", "0.1", "--eps-q", "inf"],
 ])
 def test_non_finite_config_values_rejected(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -231,7 +237,7 @@ def test_nu_keys_of_another_kind_are_ignored(tmp_path):
     # REF_FLAGS hold nu.omega; switching the kind must not trip over it
     out = run_dir(tmp_path)
     assert main(["run", "--problem", "ex2", "--out", out, "--start=1,1",
-                 *REF_FLAGS, "--nu-kind", "direct", "--nu-delta-min",
+                 *REF_FLAGS, "--nu-kind", "direct", "--nu-delta",
                  "0.1"]) == 0
     assert Trace.read_jsonl(f"{out}/trace_000.jsonl").config.nu.kind == "direct"
 
@@ -242,9 +248,8 @@ def test_run_options_are_pinned():
     sub = argparse.ArgumentParser().add_subparsers()
     cli._build_run_parser(sub)
     floats = ["--rho", "--beta", "--theta", "--lambda-bar", "--eps-eps0",
-              "--eps-q", "--nu-omega", "--nu-delta", "--nu-delta-min",
-              "--nu-nu0", "--nu-fraction", "--nu-eta", "--nu-eta-min",
-              "--nu-eta-max", "--nu-c0-offset", "--stop-step-tol",
+              "--eps-q", "--nu-omega", "--nu-delta", "--nu-nu0",
+              "--nu-eta", "--nu-c0-offset", "--stop-step-tol",
               "--d-zero-tol", "--starts-box"]
     ints = ["--nu-m", "--max-iter", "--max-backtracks", "--starts-count",
             "--starts-seed", "--workers"]
@@ -703,6 +708,25 @@ def test_dca_trace_with_lambda_bar_kind_still_reads(tmp_path, capsys):
     assert "'lambda_bar.kind'" in capsys.readouterr().err
 
 
+def test_retired_nu_key_in_a_trace_header_is_a_parse_error(tmp_path, capsys):
+    # a direct trace written while nu.delta defaulted to nu.delta_min: read
+    # as today's keys it would run the rule at delta 0, not 0.2
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "ex2", "--out", out, "--start=5.0,5.0",
+                 *REF_FLAGS, "--nu-kind", "direct", "--nu-delta", "0.2"]) == 0
+    path = tmp_path / "out" / "trace_000.jsonl"
+    meta, *records = path.read_text().splitlines()
+    meta = json.loads(meta)
+    config = meta["config"]
+    del config["nu.delta"]
+    config["nu.delta_min"] = 0.2
+    path.write_text("\n".join([json.dumps(meta), *records]) + "\n")
+    capsys.readouterr()
+    for command in (["check", str(path)], ["complexity", str(path)]):
+        assert main(command) == 2
+        assert "'nu.delta_min'" in capsys.readouterr().err
+
+
 # Taken over dim-2 problems only, so that numpy's reduction order cannot
 # differ between platforms, and over the decoded record fields, so that the
 # same run in an older trace format hashes the same.  A hot-path change that
@@ -754,6 +778,38 @@ def test_golden_traces_and_residuals(golden_runs):
     assert len(paths) == 20
     assert residuals == GOLDEN_FINAL_RESIDUALS
     assert _trace_digest(paths) == GOLDEN_TRACE_SHA256
+
+
+# Short runs under each nu kind, two each for the kinds with parameters (at
+# their defaults and off them, and the direct rule under a positive eps that
+# enters its budget), hashed as the golden traces are.  Every allowance
+# recurrence is pinned bit for bit; the header is left out, so a renamed key
+# does not move the digest.
+NU_KIND_FLAGS = [
+    ["--nu-kind", "direct", "--nu-delta", "0.5", "--nu-nu0", "0.5"],
+    ["--nu-kind", "direct", "--eps-kind", "geometric", "--eps-eps0", "0.1"],
+    ["--nu-kind", "zhang_hager", "--nu-eta", "0.8", "--nu-c0-offset", "0.5"],
+    ["--nu-kind", "zhang_hager"],
+    ["--nu-kind", "grippo", "--nu-m", "3"],
+    ["--nu-kind", "ratio", "--nu-omega", "0.01"],
+    ["--nu-kind", "zero"],
+]
+GOLDEN_NU_SHA256 = (
+    "384466ba7a3abe11940e7e48cab5e0c546b95c51e6020c2c39477628624633a3")
+
+
+def test_every_nu_kind_is_pinned_bit_for_bit(tmp_path):
+    paths = []
+    for i, flags in enumerate(NU_KIND_FLAGS):
+        for problem in ("ex1", "ex2"):
+            out = run_dir(tmp_path, f"{i}_{problem}")
+            assert main(["run", "--problem", problem, "--out", out,
+                         "--starts-count", "3", "--starts-seed", "7",
+                         *REF_FLAGS, *flags]) == 0
+            paths += sorted(str(p) for p in
+                            (tmp_path / f"{i}_{problem}").glob("trace_*.jsonl"))
+    assert len(paths) == 42
+    assert _trace_digest(paths) == GOLDEN_NU_SHA256
 
 
 def test_descent_step_is_descent_y_plus_linesearch(golden_runs):

@@ -135,33 +135,33 @@ def test_eps_schedule_validation():
         EpsSchedule("geometric", -1.0, 0.5)
     with pytest.raises(ValueError):
         EpsSchedule("nope")
+    # q is checked whatever the kind, so a non-finite one never reaches a
+    # trace header
+    with pytest.raises(ValueError, match="q must"):
+        EpsSchedule("zero", 0.0, math.nan)
+    with pytest.raises(ValueError, match="q must"):
+        EpsSchedule("harmonic2", 0.1, math.inf)
 
 
 # --- nu strategy specs -------------------------------------------------------------
 
 
 def test_nu_spec_validation():
-    with pytest.raises(ValueError):
-        DirectNu(delta_min=1.0)
-    with pytest.raises(ValueError):
-        DirectNu(delta_min=0.5, delta=0.4)
-    with pytest.raises(ValueError):
-        ZhangHagerNu(eta_min=0.5, eta_max=0.4)
+    for delta in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="delta must"):
+            DirectNu(delta=delta)
+    DirectNu(delta=1.0)  # no allowance after the first step
+    with pytest.raises(ValueError, match="nu0 must"):
+        DirectNu(nu0=math.inf)
     with pytest.raises(ValueError):
         ZhangHagerNu(c0_offset=0.0)
-    with pytest.raises(ValueError, match="eta must"):
-        ZhangHagerNu(eta=0.95)
-    with pytest.raises(ValueError, match="eta must"):
-        ZhangHagerNu(eta_min=0.2, eta=0.1)
+    for eta in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="eta must"):
+            ZhangHagerNu(eta=eta)
     with pytest.raises(ValueError):
         GrippoNu(m=0)
     with pytest.raises(ValueError):
         RatioNu(omega=0.0)
-
-
-def test_direct_delta_resolution():
-    assert DirectNu(delta_min=0.2).delta_used == 0.2
-    assert DirectNu(delta_min=0.2, delta=0.6).delta_used == 0.6
 
 
 # --- config round trip ----------------------------------------------------------------
@@ -171,8 +171,8 @@ def test_direct_delta_resolution():
     "nu",
     [
         ZeroNu(),
-        DirectNu(delta_min=0.25, delta=0.5, nu0=0.3, fraction=0.9),
-        ZhangHagerNu(eta_min=0.1, eta_max=0.8, c0_offset=2.0, eta=0.5),
+        DirectNu(delta=0.5, nu0=0.3),
+        ZhangHagerNu(eta=0.5, c0_offset=2.0),
         GrippoNu(m=4),
         RatioNu(omega=0.01),
     ],
@@ -209,11 +209,9 @@ def test_config_flat_round_trip(nu):
 
 @pytest.mark.parametrize("nu, nu_keys", [
     (ZeroNu(), []),
-    (DirectNu(delta_min=0.25, delta=0.5),
-     ["nu.delta_min", "nu.delta", "nu.nu0", "nu.fraction"]),
-    (DirectNu(), ["nu.delta_min", "nu.nu0", "nu.fraction"]),  # delta None
-    (ZhangHagerNu(eta=0.5),
-     ["nu.eta_min", "nu.eta_max", "nu.c0_offset", "nu.eta"]),
+    (DirectNu(delta=0.5), ["nu.delta", "nu.nu0"]),
+    (DirectNu(), ["nu.delta", "nu.nu0"]),  # every default is written
+    (ZhangHagerNu(eta=0.5), ["nu.eta", "nu.c0_offset"]),
     (GrippoNu(m=4), ["nu.m"]),
     (RatioNu(omega=0.01), ["nu.omega"]),
 ])
@@ -234,6 +232,11 @@ def test_config_flat_key_order(nu, nu_keys):
     ({"nu.kind": "grippo", "nu.m": 1.5}, "nu.m"),
     ({"inexact_mode": "fast"}, "inexact_mode"),
     ({"nu.kind": "bogus"}, "nu.kind"),
+    # retired keys, never read as their successors' defaults
+    ({"nu.kind": "direct", "nu.delta_min": 0.2}, "nu.delta_min"),
+    ({"nu.kind": "zhang_hager", "nu.eta_max": 0.8}, "nu.eta_max"),
+    ({"nu.kind": "ratio", "nu.omega": 0.01, "nu.fraction": 1.0},
+     "nu.fraction"),
 ])
 def test_config_from_flat_names_the_bad_key(flat, key):
     with pytest.raises(ValueError, match=repr(key)):

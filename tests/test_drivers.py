@@ -195,7 +195,7 @@ def test_monotone_configuration_is_monotone():
 
 def test_direct_rule_keeps_phi_plus_nu_nonincreasing():
     cfg = dataclasses.replace(
-        REF, nu=DirectNu(delta_min=0.2, delta=0.5, nu0=0.5),
+        REF, nu=DirectNu(delta=0.5, nu0=0.5),
         eps=EpsSchedule.zero(),
     )
     trace = run_inmbdca(EX2, cfg, [-6.0, 4.0], seed=3)
@@ -203,10 +203,14 @@ def test_direct_rule_keeps_phi_plus_nu_nonincreasing():
     assert all(b <= a + 1e-9 for a, b in zip(merit, merit[1:]))
 
 
-def test_direct_rule_with_zero_delta_min_warns():
-    cfg = dataclasses.replace(REF, nu=DirectNu(delta_min=0.0, delta=0.5))
-    with pytest.warns(RuntimeWarning, match="delta_min"):
+def test_direct_rule_with_zero_delta_warns():
+    cfg = dataclasses.replace(REF, nu=DirectNu(delta=0.0, nu0=0.5))
+    with pytest.warns(RuntimeWarning, match="delta = 0"):
         run_inmbdca(EX2, cfg, [1.0, 1.0], seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_inmbdca(EX2, dataclasses.replace(REF, nu=DirectNu(delta=1e-3)),
+                    [1.0, 1.0], seed=0)
 
 
 # --- per-iteration certificates ----------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,7 @@ from dcboost.core import (
     ZeroNu,
     ZhangHagerNu,
 )
-from dcboost.nonmonotone import (
-    first_step_nu,
-    nu_init,
-    nu_next,
-    step_domination_start,
-)
-from dcboost.drivers import run_inmbdca
+from dcboost.drivers import run_inmbdca, step_domination_start
 from dcboost import problems
 
 
@@ -42,65 +37,48 @@ def make_trace(nus, d_norms):
                  np.zeros(1), 0.0, Termination.MAX_ITER)
 
 
-# --- initialization -----------------------------------------------------------
+# --- the first step -------------------------------------------------------------
 
 
 def test_init_zhang_hager_offset():
-    state, nu0 = nu_init(ZhangHagerNu(c0_offset=1.0), phi_x0=2.0)
+    nu0, memory = ZhangHagerNu(c0_offset=1.0).allowance(None, 0, 2.0, None, 1.0)
     assert nu0 == 1.0
-    assert state.q == 1.0 and state.c == 3.0
+    assert memory == (1.0, 3.0)  # (Q_0, C_0)
 
 
 def test_init_grippo_single_value_window():
-    state, nu0 = nu_init(GrippoNu(m=5), phi_x0=7.0)
+    nu0, window = GrippoNu(m=5).allowance(None, 0, 7.0, None, 1.0)
     assert nu0 == 0.0
-    assert state.window == (7.0,)
+    assert window == (7.0,)
 
 
 def test_init_zero_and_direct():
-    assert nu_init(ZeroNu(), 1.0) == (None, 0.0)
-    state, nu0 = nu_init(DirectNu(nu0=0.25), 1.0)
-    assert nu0 == 0.25 and state.nu_prev == 0.25
+    assert ZeroNu().allowance(None, 0, 1.0, None, 1.0) == (0.0, None)
+    nu0, memory = DirectNu(nu0=0.25).allowance(None, 0, 1.0, None, 1.0)
+    assert nu0 == 0.25 and memory == (1.0, 0.25)
 
 
 def test_init_ratio_defers_to_first_direction():
-    state, nu0 = nu_init(RatioNu(omega=0.01), 1.0)
-    assert nu0 is None
-    assert first_step_nu(RatioNu(omega=0.01), nu0, 8.0 / 9.0) == pytest.approx(
-        0.01 * 8.0 / 9.0
-    )
-    assert first_step_nu(ZeroNu(), 0.0, 5.0) == 0.0
+    nu0, memory = RatioNu(omega=0.01).allowance(None, 0, 1.0, None, 8.0 / 9.0)
+    assert nu0 == 0.01 * 8.0 / 9.0 and memory is None
 
 
-# --- single updates --------------------------------------------------------------
+# --- later steps -------------------------------------------------------------------
 
 
 def test_direct_update_takes_the_admissible_bound():
-    spec = DirectNu(delta_min=0.1, delta=0.5)
-    state, _ = nu_init(spec, 5.0)
-    state = dataclasses.replace(state, nu_prev=0.2)
-    state, nu = nu_next(spec, state, 0, phi_prev=5.0, phi_curr=4.0,
-                        eps_k=0.0, d_norm_sq=1.0)
+    spec = DirectNu(delta=0.5)
+    # phi fell from 5 to 4 after an allowance of 0.2
+    nu, memory = spec.allowance((5.0, 0.2), 1, 4.0, 0.0, 1.0)
     assert nu == pytest.approx(0.5 * 1.2)
-    assert state.nu_prev == nu
-
-
-def test_direct_update_respects_fraction_knob():
-    spec = DirectNu(delta_min=0.1, delta=0.5, fraction=0.5)
-    state, _ = nu_init(spec, 5.0)
-    state = dataclasses.replace(state, nu_prev=0.2)
-    _, nu = nu_next(spec, state, 0, 5.0, 4.0, 0.0, 1.0)
-    assert nu == pytest.approx(0.25 * 1.2)
+    assert memory == (4.0, nu)
 
 
 def test_direct_update_floors_a_negative_budget_at_zero():
     # the descent inequality that a negative budget breaks is checked by
     # the solver loop, as descent_y and linesearch
-    spec = DirectNu(delta_min=0.1, delta=0.5)
-    state, _ = nu_init(spec, 0.0)
-    state, nu = nu_next(spec, state, 3, phi_prev=0.0, phi_curr=1.0,
-                        eps_k=0.0, d_norm_sq=1.0)
-    assert nu == 0.0 and state.nu_prev == 0.0
+    nu, memory = DirectNu(delta=0.5).allowance((0.0, 0.0), 3, 1.0, 0.0, 1.0)
+    assert nu == 0.0 and memory == (1.0, 0.0)
 
 
 def _overshooting_search(monkeypatch, at_call):
@@ -125,7 +103,7 @@ def _overshooting_search(monkeypatch, at_call):
 def test_direct_rule_broken_step_is_flagged_by_the_loop(monkeypatch):
     prob = problems.resolve("ex2")
     cfg = dataclasses.replace(problems.experiment_config(),
-                              nu=DirectNu(delta_min=0.1, delta=0.5, nu0=0.1))
+                              nu=DirectNu(delta=0.5, nu0=0.1))
     _overshooting_search(monkeypatch, at_call=1)
     with pytest.raises(InvariantViolation, match="^linesearch failed at "
                                                  "iteration 0:"):
@@ -143,84 +121,113 @@ def test_direct_rule_broken_step_is_flagged_by_the_loop(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.3, 0.55, 0.75, 1.0])
 def test_direct_update_stays_inside_admissible_band(rng, delta):
-    # 0 <= nu_{k+1} <= (1 - delta_min) * budget for any admissible delta
-    spec = DirectNu(delta_min=0.3, delta=delta)
-    state, _ = nu_init(spec, 0.0)
-    for k in range(200):
-        drop = float(rng.uniform(-0.9 * state.nu_prev, 2.0))
-        budget = drop + state.nu_prev
-        state, nu = nu_next(spec, state, k, drop, 0.0, 0.0, 1.0)
-        assert 0.0 <= nu <= (1 - spec.delta_min) * budget + 1e-12
+    # 0 <= nu_{k+1} <= (1 - 0.3) * budget for any delta >= 0.3
+    spec = DirectNu(delta=delta)
+    nu, _ = spec.allowance(None, 0, 0.0, None, 1.0)
+    for k in range(1, 201):
+        drop = float(rng.uniform(-0.9 * nu, 2.0))
+        budget = drop + nu
+        # phi fell by drop, to 0
+        nu, _ = spec.allowance((drop, nu), k, 0.0, 0.0, 1.0)
+        assert 0.0 <= nu <= (1 - 0.3) * budget + 1e-12
 
 
 def test_grippo_nonnegative_and_zero_at_window_max(rng):
     spec = GrippoNu(m=4)
-    state, nu = nu_init(spec, 3.0)
+    nu, window = spec.allowance(None, 0, 3.0, None, 1.0)
     assert nu == 0.0
     phi_prev = 3.0
-    for k in range(100):
+    for k in range(1, 101):
         phi = phi_prev - float(rng.uniform(-0.9 * nu, 1.0))
-        state, nu = nu_next(spec, state, k, phi_prev, phi, 0.0, 1.0)
+        nu, window = spec.allowance(window, k, phi, 0.0, 1.0)
         assert nu >= 0.0
-        if phi >= max(state.window):
+        if phi >= max(window):
             assert nu == 0.0
         phi_prev = phi
 
 
+def _feed(spec, phis):
+    """Allowance and memory after the values ``phis``, one per step."""
+    nu = memory = None
+    for k, phi in enumerate(phis):
+        nu, memory = spec.allowance(memory, k, phi, 1.0, 1.0)
+    return nu, memory
+
+
 def test_grippo_update_window_max():
-    spec = GrippoNu(m=3)
-    state, _ = nu_init(spec, 5.0)
-    # feed values so the window reads [5, 3, 4], then push 4
-    state, _ = nu_next(spec, state, 0, 5.0, 3.0, 0.0, 1.0)
-    state, _ = nu_next(spec, state, 1, 3.0, 4.0, 1.0, 1.0)
-    state, nu = nu_next(spec, state, 2, 4.0, 4.0, 1.0, 1.0)
-    assert state.window == (5.0, 3.0, 4.0, 4.0)
+    # the window reads [5, 3, 4], then 4 is pushed
+    nu, window = _feed(GrippoNu(m=3), [5.0, 3.0, 4.0, 4.0])
+    assert window == (5.0, 3.0, 4.0, 4.0)
     assert nu == pytest.approx(1.0)
 
 
 def test_grippo_window_is_capped():
-    spec = GrippoNu(m=2)
-    state, _ = nu_init(spec, 10.0)
-    for k, phi in enumerate([9.0, 8.0, 7.0, 6.0]):
-        prev = state.window[-1]
-        state, _ = nu_next(spec, state, k, prev, phi, 1.0, 1.0)
-    assert state.window == (8.0, 7.0, 6.0)
+    _, window = _feed(GrippoNu(m=2), [10.0, 9.0, 8.0, 7.0, 6.0])
+    assert window == (8.0, 7.0, 6.0)
 
 
 def test_ratio_update_uses_next_index():
+    # step k divides by k + 1
     spec = RatioNu(omega=0.01)
-    _, nu = nu_next(spec, None, 0, 1.0, 0.5, 0.0, d_norm_sq=2.0)
-    assert nu == pytest.approx(0.01 * 2.0 / 2.0)  # u(k+1) = k + 2 at k = 0
-    _, nu = nu_next(spec, None, 8, 1.0, 0.5, 0.0, d_norm_sq=3.0)
+    nu, _ = spec.allowance(None, 1, 0.5, 0.0, 2.0)
+    assert nu == pytest.approx(0.01 * 2.0 / 2.0)
+    nu, _ = spec.allowance(None, 9, 0.5, 0.0, 3.0)
     assert nu == pytest.approx(0.01 * 3.0 / 10.0)
+
+
+@pytest.mark.parametrize("spec", [
+    ZeroNu(), DirectNu(delta=0.25, nu0=0.3), DirectNu(),
+    ZhangHagerNu(eta=0.5, c0_offset=0.2), ZhangHagerNu(), GrippoNu(m=3),
+    RatioNu(omega=0.01),
+], ids=["zero", "direct", "direct-defaults", "zhang_hager",
+        "zhang_hager-defaults", "grippo", "ratio"])
+def test_recorded_allowances_replay_bit_for_bit(spec):
+    # each kind's one recurrence, rerun over a trace's phi(x^k), eps_{k-1}
+    # and ||y - x||^2, gives every recorded nu_k: the loop runs nothing else
+    prob = problems.resolve("ex2")
+    cfg = dataclasses.replace(problems.experiment_config(), nu=spec,
+                              eps=EpsSchedule.geometric(0.1, 0.5))
+    for x0 in ([5.0, -6.0], [-4.4615, -9.0766]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = run_inmbdca(prob, cfg, x0, seed=5)
+        assert len(trace.records) > 3
+        memory = eps_prev = None
+        for r in trace.records:
+            d = r.y - r.x
+            nu, memory = spec.allowance(memory, r.k, r.phi_x, eps_prev,
+                                        float(d @ d))
+            assert nu == r.nu_k
+            eps_prev = r.eps_k
 
 
 # --- zhang-hager algebra -----------------------------------------------------------
 
 
 def test_zhang_hager_identity_synthetic_50_steps(rng):
-    spec = ZhangHagerNu(eta_min=0.2, eta_max=0.85, eta=0.7)
+    spec = ZhangHagerNu(eta=0.7)
     phi = 5.0
-    state, nu = nu_init(spec, phi)
-    for k in range(50):
+    nu, memory = spec.allowance(None, 0, phi, None, 1.0)
+    for k in range(1, 51):
         # stay inside the admissible budget: phi may rise by less than nu
         drop = float(rng.uniform(-0.9 * nu if nu > 0 else 0.0, 1.0))
         phi_next = phi - drop
-        q_prev = state.q
-        state, nu_next_val = nu_next(spec, state, k, phi, phi_next, 0.0, 1.0)
-        delta = 1.0 / state.q
+        q_prev = memory[0]
+        nu_next, memory = spec.allowance(memory, k, phi_next, 0.0, 1.0)
+        q = memory[0]
+        delta = 1.0 / q
         expected = (1.0 - delta) * (phi - phi_next + nu)
-        assert nu_next_val == pytest.approx(expected, abs=1e-12)
-        assert delta >= (1.0 - spec.eta_max) - 1e-12
-        assert state.q >= 1.0
-        assert state.q == pytest.approx(0.7 * q_prev + 1.0)
-        phi, nu = phi_next, nu_next_val
+        assert nu_next == pytest.approx(expected, abs=1e-12)
+        assert delta >= (1.0 - spec.eta) - 1e-12
+        assert q >= 1.0
+        assert q == pytest.approx(0.7 * q_prev + 1.0)
+        phi, nu = phi_next, nu_next
 
 
 def test_zhang_hager_stays_nonnegative_with_positive_eps():
     # with a positive approximate-subgradient budget the raw cost-update gap
     # can dip below zero; the returned allowance must be floored at zero
-    spec = ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.2)
+    spec = ZhangHagerNu(eta=0.8, c0_offset=0.2)
     cfg = dataclasses.replace(
         problems.experiment_config(),
         nu=spec,
@@ -237,20 +244,21 @@ def test_zhang_hager_identity_on_real_run():
     prob = problems.resolve("ex2")
     cfg = dataclasses.replace(
         problems.experiment_config(),
-        nu=ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.5),
+        nu=ZhangHagerNu(eta=0.8, c0_offset=0.5),
     )
     trace = run_inmbdca(prob, cfg, [-4.4615, -9.0766], seed=3)
     assert len(trace.records) > 3
     # replay the recurrence from the recorded phi values
     spec = cfg.nu
-    state, nu = nu_init(spec, trace.records[0].phi_x)
-    assert trace.records[0].nu_k == pytest.approx(nu, abs=1e-15)
+    nu, memory = spec.allowance(None, 0, trace.records[0].phi_x, None, 0.0)
+    assert trace.records[0].nu_k == nu
     for prev, curr in zip(trace.records, trace.records[1:]):
-        state, nu = nu_next(spec, state, prev.k, prev.phi_x, curr.phi_x,
-                            prev.eps_k, 0.0)
-        expected = (1.0 - 1.0 / state.q) * (prev.phi_x - curr.phi_x + prev.nu_k)
+        nu, memory = spec.allowance(memory, curr.k, curr.phi_x, prev.eps_k,
+                                    0.0)
+        expected = (1.0 - 1.0 / memory[0]) * (prev.phi_x - curr.phi_x
+                                              + prev.nu_k)
         assert nu == pytest.approx(expected, abs=1e-12)
-        assert curr.nu_k == pytest.approx(nu, abs=1e-15)
+        assert curr.nu_k == nu
 
 
 # --- verifiers -----------------------------------------------------------------------
@@ -278,9 +286,9 @@ def test_domination_partial():
 
 
 def test_partial_sum_bound_from_direct_rule():
-    # with delta_min > 0 and zero eps the later allowances sum below
-    # (phi(x0) + nu0 - phibar) * (1 - delta_min) / delta_min
-    spec = DirectNu(delta_min=0.3, delta=0.3, nu0=0.1)
+    # with delta > 0 and zero eps the later allowances sum below
+    # (phi(x0) + nu0 - phibar) * (1 - delta) / delta
+    spec = DirectNu(delta=0.3, nu0=0.1)
     cfg = dataclasses.replace(problems.experiment_config(), nu=spec)
     for name in ("ex1", "ex2"):
         prob = problems.resolve(name)
@@ -288,6 +296,6 @@ def test_partial_sum_bound_from_direct_rule():
         nus = [r.nu_k for r in trace.records]
         bound = (
             (trace.records[0].phi_x + nus[0] - prob.phi_lower_bound)
-            * (1 - spec.delta_min) / spec.delta_min
+            * (1 - spec.delta) / spec.delta
         )
         assert sum(nus[1:]) <= bound + 1e-9

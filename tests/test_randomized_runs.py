@@ -35,8 +35,8 @@ def test_randomized_configurations_keep_certificates():
         nu = [
             ZeroNu(),
             RatioNu(omega=float(rng.uniform(0.001, 0.5))),
-            DirectNu(delta_min=0.2, delta=0.5, nu0=float(rng.uniform(0, 1))),
-            ZhangHagerNu(eta_min=0.0, eta_max=0.8, c0_offset=0.5),
+            DirectNu(delta=0.5, nu0=float(rng.uniform(0, 1))),
+            ZhangHagerNu(eta=0.8, c0_offset=0.5),
             GrippoNu(m=int(rng.integers(1, 6))),
         ][rng.integers(0, 5)]
         eps = [
