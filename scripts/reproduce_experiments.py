@@ -6,7 +6,8 @@ Runs the inexact boosted solver on ex1 and ex2 from 100 random starts in
 step 1, theta = 0.2, allowance 0.01 ||d^k||^2 / (k+1), step tolerance 1e-5),
 then replays every certified inequality on the stored traces and evaluates
 the iteration-count bounds.  Also emits single-trajectory runs from the two
-documented start points with per-iteration objective and path CSVs, which is
+documented start points, with per-iteration objective and path CSVs
+(``phi_000.csv`` and ``path_000.csv``) derived from their traces, which is
 enough to regenerate the usual convergence plots externally.
 
 Usage: python3 scripts/reproduce_experiments.py [--out results] [--starts N]
@@ -20,7 +21,7 @@ import sys
 
 from dcboost import problems
 from dcboost.cli import main as dcboost_main
-from dcboost.core import config_to_flat
+from dcboost.core import Trace, config_to_flat
 
 SINGLE_STARTS = {"ex1": "6.2945,8.1158", "ex2": "-4.4615,-9.0766"}
 
@@ -30,6 +31,27 @@ def run(args):
     if code != 0:
         print(f"command failed ({code}): {' '.join(args)}", file=sys.stderr)
         sys.exit(code)
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_plot_data(out_dir):
+    """phi_000.csv (k, phi(x^k)) and path_000.csv (x^k) from
+    trace_000.jsonl, each ending with the final point; the values are the
+    trace's, bit for bit."""
+    trace = Trace.read_jsonl(out_dir / "trace_000.jsonl")
+    records = trace.records
+    write_csv(out_dir / "phi_000.csv", ["k", "phi_x"],
+              [*([r.k, repr(r.phi_x)] for r in records),
+               [len(records), repr(trace.final_phi)]])
+    write_csv(out_dir / "path_000.csv", ["x1", "x2"],
+              [[repr(float(x[0])), repr(float(x[1]))]
+               for x in [*(r.x for r in records), trace.final_x]])
 
 
 def summarize(out_dir):
@@ -70,7 +92,8 @@ def main():
         single = root / f"{name}_single"
         print(f"== {name}: documented start {SINGLE_STARTS[name]} ==")
         run(["run", "--problem", name, "--out", str(single),
-             f"--start={SINGLE_STARTS[name]}", "--plot-data", *ref_flags])
+             f"--start={SINGLE_STARTS[name]}", *ref_flags])
+        write_plot_data(single)
         print(f"== {name}: iteration-count bounds ==")
         run(["complexity", str(single / "trace_000.jsonl")])
 

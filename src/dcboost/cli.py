@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -87,9 +88,6 @@ def _build_run_parser(sub):
     p.add_argument("--start", action="append", default=None,
                    metavar="X1,X2,...",
                    help="explicit start point (repeatable; overrides sampling)")
-    p.add_argument("--plot-data", action="store_true",
-                   help="also write per-start objective and iterate-path CSVs "
-                        "(2-D problems)")
     p.add_argument("--workers", type=int, default=1)
 
 
@@ -127,10 +125,15 @@ def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
                 f"explicit starts must be {dim}-dimensional points"
             )
     else:
-        box = np.asarray(flat.get("starts.box", [-10.0, 10.0]), dtype=float)
-        if not np.isfinite(box).all():
-            raise ValueError(f"starts.box must be finite, got {box.tolist()}")
-        starts = problems.sample_starts(flat.get("starts.count", 1), box,
+        box = flat.get("starts.box", [-10.0, 10.0])
+        if not isinstance(box, list) or len(box) != 2:
+            raise ValueError("config key 'starts.box': expected a list of two "
+                             f"numbers, got {box!r:.40}")
+        lo, hi = (flat_value("starts.box", v, float) for v in box)
+        if not np.isfinite(hi - lo):  # also a box too wide to sample
+            raise ValueError(f"config key 'starts.box': [{lo}, {hi}] is not a "
+                             "finite interval")
+        starts = problems.sample_starts(flat.get("starts.count", 1), (lo, hi),
                                         seed, dim)
     if not np.isfinite(starts).all():
         raise ValueError("start points must be finite")
@@ -139,8 +142,7 @@ def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
 
 def _execute_start(payload):
     """Run one start; returns (index, summary row, error record or None)."""
-    (index, problem_name, solver, flat, x0, seed, trace_path,
-     plot_paths) = payload
+    index, problem_name, solver, flat, x0, seed, trace_path = payload
     problem = problems.resolve(problem_name)
     config = config_from_flat(flat)
     try:
@@ -153,21 +155,6 @@ def _execute_start(payload):
             "x0": list(map(float, x0)),
         }
     trace.write_jsonl(trace_path)
-    if plot_paths is not None:
-        phi_path, path_path = plot_paths
-        with open(phi_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["k", "phi_x"])
-            for r in trace.records:
-                w.writerow([r.k, repr(r.phi_x)])
-            w.writerow([len(trace.records), repr(trace.final_phi)])
-        with open(path_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x1", "x2"])
-            for r in trace.records:
-                w.writerow([repr(float(r.x[0])), repr(float(r.x[1]))])
-            w.writerow([repr(float(trace.final_x[0])),
-                        repr(float(trace.final_x[1]))])
     row = {
         "start": _vec(x0),
         "final_x": _vec(trace.final_x),
@@ -181,8 +168,6 @@ def _execute_start(payload):
 
 
 def cmd_run(args) -> int:
-    import os
-
     try:
         flat = _gather_flat(args)
     except (ValueError, OSError) as exc:
@@ -212,26 +197,18 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     master_seed = flat.get("starts.seed", 0)  # typed by _gather_flat
-    try:
+    try:  # OverflowError: an int start beyond float range
         starts = _resolve_starts(flat, problem.dim, master_seed)
-    except (ValueError, OverflowError) as exc:  # a box too wide to sample
+        os.makedirs(args.out, exist_ok=True)  # OSError: a file at --out
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    os.makedirs(args.out, exist_ok=True)
-    payloads = []
-    for i, x0 in enumerate(starts):
-        trace_path = os.path.join(args.out, f"trace_{i:03d}.jsonl")
-        plot_paths = None
-        if args.plot_data and problem.dim == 2:
-            plot_paths = (
-                os.path.join(args.out, f"phi_{i:03d}.csv"),
-                os.path.join(args.out, f"path_{i:03d}.csv"),
-            )
-        payloads.append((
-            i, problem_name, solver, flat, [float(v) for v in x0],
-            [master_seed, i], trace_path, plot_paths,
-        ))
+    payloads = [
+        (i, problem_name, solver, flat, [float(v) for v in x0],
+         [master_seed, i], os.path.join(args.out, f"trace_{i:03d}.jsonl"))
+        for i, x0 in enumerate(starts)
+    ]
 
     if args.workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -12,7 +12,6 @@ rather than postponing their evaluation.
 import base64
 import binascii
 import csv
-import itertools
 import json
 import math
 import operator
@@ -339,7 +338,9 @@ class IterationRecord:
     """Complete state of one iteration, enough to recheck every certified
     inequality after the fact.  A record stores what the solver chose; the
     norms the certificates compare are derived from its arrays, so no stored
-    copy of them can disagree with the pair they measure."""
+    copy of them can disagree with the pair they measure.  Nor is the
+    linesearch's step floor stored: ``linesearch`` derives it from a
+    record."""
 
     k: int
     x: np.ndarray
@@ -354,8 +355,6 @@ class IterationRecord:
     n_backtracks: int
     phi_y: float
     phi_next: float
-    tau_hat: Optional[float] = None
-    tau: Optional[float] = None
 
     @property
     def d_norm(self) -> float:
@@ -369,11 +368,10 @@ class IterationRecord:
         return l2_norm(self.w - self.xi)
 
 
-# --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  Under
-# DERIVED_ARRAYS a record may also leave out x and xi, which read_jsonl
-# fills back in bit for bit; ARRAY_ENCODING traces store every array.
+# --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  A
+# record may leave out x and xi, which read_jsonl fills back in bit for bit;
+# the header's "arrays": DERIVED_ARRAYS names this, the one trace format.
 
-ARRAY_ENCODING = "base64-f8le"
 DERIVED_ARRAYS = "base64-f8le-derived"
 _F8LE = np.dtype("<f8")
 
@@ -395,25 +393,17 @@ def _encode_array(a, name: str) -> str:
 
 
 def _decode_array(value):
-    """A trace array: a base64 string, or a list of numbers as traces
-    written before the encoding hold."""
-    if isinstance(value, str):
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except binascii.Error as exc:
-            raise ValueError(f"invalid base64 ({exc})") from None
-        if len(raw) % 8:
-            raise ValueError(f"{len(raw)} bytes is not a whole number of "
-                             "float64 values")
-        a = np.frombuffer(raw, _F8LE)  # dtype by keyword costs 2x here
-    elif isinstance(value, list):
-        a = np.asarray(value)
-        if a.ndim != 1 or a.dtype.kind not in "if":
-            raise ValueError("expected a list of numbers")
-        a = a.astype(float)
-    else:
+    """A trace array: base64 of its "<f8" bytes."""
+    if not isinstance(value, str):
         raise ValueError(f"expected a base64 string, got {value!r:.40}")
-    return a
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"invalid base64 ({exc})") from None
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes is not a whole number of "
+                         "float64 values")
+    return np.frombuffer(raw, _F8LE)  # dtype by keyword costs 2x here
 
 
 def _exactly(tp):
@@ -440,18 +430,13 @@ def _float(value):
     return value
 
 
-def _optional_float(value):
-    return None if value is None else _float(value)
-
-
 def _field(d: dict, name: str, read, dim=None):
-    """``d[name]`` read by ``read``; a ValueError names the field.  Only an
-    optional field may be missing, and an array must hold ``dim`` values
-    unless ``dim`` is None."""
-    if name not in d and read is not _optional_float:
+    """``d[name]`` read by ``read``; a ValueError names the field.  An array
+    must hold ``dim`` values unless ``dim`` is None."""
+    if name not in d:
         raise ValueError(f"field {name!r} is missing")
     try:
-        value = read(d.get(name))
+        value = read(d[name])
         if dim is not None and read is _decode_array and value.size != dim:
             raise ValueError(f"{value.size} values, the trace dimension "
                              f"is {dim}")
@@ -463,8 +448,7 @@ def _field(d: dict, name: str, read, dim=None):
 # field name -> reader of its JSON value, in field order; the CSV gets
 # every scalar field
 _RECORD_READERS = {
-    f.name: {np.ndarray: _decode_array, int: _int, float: _float,
-             Optional[float]: _optional_float}[f.type]
+    f.name: {np.ndarray: _decode_array, int: _int, float: _float}[f.type]
     for f in fields(IterationRecord)
 }
 TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
@@ -472,12 +456,10 @@ TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
 _ARRAY_FIELDS = [name for name, read in _RECORD_READERS.items()
                  if read is _decode_array]
 _SCALARS_OF = operator.itemgetter(*TRACE_CSV_COLUMNS)
-# the types of a record's scalars, in TRACE_CSV_COLUMNS order, that read as
-# they are: an int or float field holding its own type, an optional float
-# a float or null
-_PLAIN_SCALARS = frozenset(itertools.product(*(
-    {_int: (int,), _float: (float,), _optional_float: (float, type(None))}[
-        _RECORD_READERS[name]] for name in TRACE_CSV_COLUMNS)))
+# the types of a record's scalars, in TRACE_CSV_COLUMNS order, when each
+# holds its field's own type and so reads as it is
+_PLAIN_SCALARS = tuple(f.type for f in fields(IterationRecord)
+                       if f.type is not np.ndarray)
 _JSON = json.JSONEncoder(allow_nan=False)
 
 
@@ -509,10 +491,9 @@ def _record_obj(r: IterationRecord, x_derived):
 
 def _read_fields(d: dict, names, dim: int, x_derived, values: dict) -> dict:
     """``values`` with each of ``names`` read from ``d`` by ``_field``, in
-    order: a missing ``x`` is ``x_derived`` and a missing ``xi`` is ``w``,
-    unless ``x_derived`` is None (a trace that stores every array)."""
+    order: a missing ``x`` is ``x_derived`` and a missing ``xi`` is ``w``."""
     for name in names:
-        if name in d or x_derived is None or name not in ("x", "xi"):
+        if name in d or name not in ("x", "xi"):
             values[name] = _field(d, name, _RECORD_READERS[name], dim)
         else:
             values[name] = x_derived if name == "x" else values["w"]
@@ -533,7 +514,7 @@ def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
         scalars = ()
     # JSON gives no NaN here (its token is rejected), only an inf from a
     # literal beyond float range
-    if (tuple(map(type, scalars)) in _PLAIN_SCALARS
+    if (tuple(map(type, scalars)) == _PLAIN_SCALARS
             and math.inf not in scalars and -math.inf not in scalars):
         values = _read_fields(d, _ARRAY_FIELDS, dim, x_derived,
                               dict(zip(TRACE_CSV_COLUMNS, scalars)))
@@ -595,15 +576,13 @@ class Trace:
 
     @classmethod
     def read_jsonl(cls, path) -> "Trace":
-        """Inverse of write_jsonl.  Also reads traces that store every
-        array (``"arrays": ARRAY_ENCODING`` or no ``arrays`` key), in
-        base64 or as lists; only a DERIVED_ARRAYS trace may leave out
-        ``x`` or ``xi``.  A malformed line raises ValueError naming its
-        line number and field; the tokens NaN, Infinity and -Infinity,
-        which write_jsonl never emits, make a line malformed.  Keys that
-        are no record field are ignored, such as the ``d_norm``,
-        ``inexact_lhs``, ``inexact_rhs`` and ``lambda_bar`` that older
-        traces store."""
+        """Inverse of write_jsonl.  A header whose ``arrays`` is not
+        DERIVED_ARRAYS, or is missing, is malformed.  A malformed line
+        raises ValueError naming its line number and field; the tokens NaN,
+        Infinity and -Infinity, which write_jsonl never emits, make a line
+        malformed.  Keys that are no record field are ignored, such as the
+        ``d_norm``, ``inexact_lhs``, ``inexact_rhs``, ``lambda_bar`` and
+        step-floor pair that older traces store."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = ((n, ln) for n, ln in enumerate(fh, 1) if not ln.isspace())
             n, line = next(lines, (0, ""))
@@ -613,11 +592,10 @@ class Trace:
                 meta = _JSON_DECODER.decode(line)
                 if not isinstance(meta, dict) or "problem_name" not in meta:
                     raise ValueError("not a trace header")
-                encoding = meta.get("arrays", ARRAY_ENCODING)
-                if encoding not in (ARRAY_ENCODING, DERIVED_ARRAYS):
+                encoding = _field(meta, "arrays", _str)
+                if encoding != DERIVED_ARRAYS:
                     raise ValueError(f"field 'arrays': unknown encoding "
                                      f"{encoding!r:.40}")
-                derived = encoding == DERIVED_ARRAYS
                 x0 = _field(meta, "x0", _decode_array)
                 header = dict(
                     problem_name=_field(meta, "problem_name", _str),
@@ -628,7 +606,7 @@ class Trace:
                     termination=_field(meta, "termination", Termination),
                 )
                 records = []
-                x_derived = x0 if derived else None
+                x_derived = x0
                 with np.errstate(over="ignore", invalid="ignore"):
                     for n, line in lines:
                         d = _JSON_DECODER.decode(line)
@@ -636,8 +614,7 @@ class Trace:
                             raise ValueError("a record must be a JSON object")
                         r = _read_record(d, x0.size, x_derived)
                         records.append(r)
-                        if derived:
-                            x_derived = next_x(r.y, r.x, r.lambda_k)
+                        x_derived = next_x(r.y, r.x, r.lambda_k)
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from None
         return cls(records=records, **header)
@@ -648,8 +625,8 @@ class Trace:
             writer.writerow(TRACE_CSV_COLUMNS)
             for r in self.records:
                 row = [getattr(r, c) for c in TRACE_CSV_COLUMNS]
-                writer.writerow(["" if v is None else repr(v)
-                                 if isinstance(v, float) else v for v in row])
+                writer.writerow([repr(v) if isinstance(v, float) else v
+                                 for v in row])
 
 
 # --- flat config: one key per field, derived once from the fields

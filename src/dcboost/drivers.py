@@ -33,7 +33,7 @@ from .core import (
     next_x,
     validate,
 )
-from .linesearch import nonmonotone_search, tau_bound
+from .linesearch import nonmonotone_search
 from .subproblem import solve_inexact
 
 __all__ = [
@@ -78,7 +78,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         )
 
     rng = np.random.default_rng(seed)
-    sigma, theta, rho = problem.sigma, config.theta, config.rho
+    theta, rho = config.theta, config.rho
     g, h = problem.g, problem.h
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
@@ -120,12 +120,9 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         nu_k = lam = 0.0
         n_backtracks = 0
         phi_next = phi_y
-        tau_pair = None
         if not d_zero:
             nu_k, nu_memory = config.nu.allowance(nu_memory, k, phi_x,
                                                   eps_prev, d_sq)
-            if nu_k > 0.0:
-                tau_pair = tau_bound(g, x, y, d, nu_k, eps_k, sigma, rho)
             ls = nonmonotone_search(
                 phi_trial, y, d, phi_y, rho, config.beta, config.lambda_bar,
                 nu_k, config.max_backtracks,
@@ -138,8 +135,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
             xi=xi.copy(), nu_k=nu_k, lambda_k=lam, n_backtracks=n_backtracks,
             phi_y=phi_y, phi_next=phi_next,
-            tau_hat=None if tau_pair is None else tau_pair.tau_hat,
-            tau=None if tau_pair is None else tau_pair.tau,
         )
         for name, slack in slacks(record, problem, config).items():
             if not holds(name, slack):

@@ -82,6 +82,11 @@ def tau_bound(g: Sum, x, y, d, nu: float, eps: float, sigma: float,
     convexity makes the bracket at least sigma ||d||^2 > 0, which is asserted
     before dividing.  The acceptance condition holds for every lambda in (0, tau]
     with tau = min(1, tau_hat, sigma / rho).
+
+    On a trace record ``r`` with nu_k > 0 (so d != 0), the floor of that
+    step is ``tau_bound(problem.g, r.x, r.y, r.y - r.x, r.nu_k, r.eps_k,
+    problem.sigma, config.rho)``.  ``DcProblem`` rejects sigma above the
+    modulus of g, so the bracket check guards direct calls only.
     """
     x = as_point(x, g.lin.shape[0])
     y = as_point(y, x.shape[0])

@@ -97,12 +97,6 @@ def traces_field_equal(a, b, tol=1e-12):
         for f in ("x", "w", "y", "xi"):
             if np.max(np.abs(getattr(ra, f) - getattr(rb, f))) > tol:
                 return False
-        for f in ("tau", "tau_hat"):
-            va, vb = getattr(ra, f), getattr(rb, f)
-            if (va is None) != (vb is None):
-                return False
-            if va is not None and abs(va - vb) > tol:
-                return False
     return (
         np.max(np.abs(a.final_x - b.final_x)) <= tol
         and abs(a.final_phi - b.final_phi) <= tol

@@ -31,6 +31,7 @@ from dcboost.drivers import (
     run_inmbdca,
     run_nmbdca,
 )
+from dcboost.linesearch import tau_bound
 from dcboost.subproblem import solve_exact
 from dcboost import problems
 
@@ -150,11 +151,13 @@ def test_criterion_5_tau_guarantee(study):
         prob, traces, _ = study[name]
         for trace in traces:
             for r in trace.records:
-                if r.nu_k <= 0 or r.tau is None:
-                    continue
                 d = r.y - r.x
+                if r.nu_k <= 0 or not d.any():
+                    continue
                 d_sq = float(d @ d)
-                for lam in (r.tau, r.tau / 2):
+                tau = tau_bound(prob.g, r.x, r.y, d, r.nu_k, r.eps_k,
+                                prob.sigma, REF.rho).tau
+                for lam in (tau, tau / 2):
                     lhs = prob.phi(r.y + lam * d)
                     rhs = r.phi_y - REF.rho * lam * lam * d_sq + r.nu_k
                     worst = min(worst, rhs - lhs)

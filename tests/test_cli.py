@@ -5,6 +5,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from dcboost import cli, problems
 from dcboost.certificates import slacks
 from dcboost.cli import main
 from dcboost.core import Trace
+from dcboost.linesearch import tau_bound
 
 
 REF_FLAGS = [
@@ -169,6 +173,8 @@ def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
     ([], {"rhoo": 0.6}),
     ([], {"workers": 2}),
     (["--nu-kind", "zhang_hager", "--nu-eta", "1.0"], None),
+    ([], {"starts.box": [1]}),
+    ([], {"starts.box": [1, 2, 3]}),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -181,7 +187,7 @@ def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("run: ")
-    for key in set(config or ()) - {"starts", "starts.box"}:
+    for key in set(config or ()) - {"starts"}:
         assert repr(key) in err  # the message names the offending key
 
 
@@ -257,7 +263,6 @@ def test_run_options_are_pinned():
         "-h": (None, None), "--help": (None, None),
         "--config": (None, None), "--out": (None, None),
         "--problem": (None, None), "--start": (None, None),
-        "--plot-data": (None, None),
         "--solver": (None, ["bdca", "dca", "inmbdca", "nmbdca"]),
         "--eps-kind": (None, ["zero", "geometric", "harmonic2"]),
         "--nu-kind": (None, ["zero", "direct", "zhang_hager", "grippo",
@@ -376,7 +381,7 @@ def _set_literal(line, name, literal):
 
 
 @pytest.mark.parametrize("line_no, name, literal", [
-    (3, "phi_x", "1e400"), (2, "tau", "-1e400"), (3, "nu_k", "1E999"),
+    (3, "phi_x", "1e400"), (3, "nu_k", "1E999"),
     (1, "final_phi", "1e400"),
 ])
 @pytest.mark.parametrize("command", ["check", "complexity"])
@@ -460,7 +465,8 @@ def test_a_corrupted_w_violates_only_the_inexact_bound(tmp_path, capsys,
 
 
 # a record's keys in the format written before the direction norm, the
-# inexactness pair's norms and the trial step were left out of it
+# inexactness pair's norms, the trial step and the step floor were left out
+# of it
 _LEGACY_RECORD_KEYS = (
     "k", "phi_x", "eps_k", "eps_certified", "d_norm", "inexact_lhs",
     "inexact_rhs", "nu_k", "lambda_bar", "lambda_k", "n_backtracks", "phi_y",
@@ -469,10 +475,10 @@ _LEGACY_RECORD_KEYS = (
 
 def test_legacy_record_keys_are_ignored(tmp_path, capsys, stored_traces):
     # wrong stored norms that a trusting reader would flag (1e3 > theta d)
-    # or overflow on (1e200**2)
+    # or overflow on (1e200**2), and a step floor no search could keep
     lines = list(stored_traces["ex2"])
     stale = {"d_norm": 1e200, "inexact_lhs": 1e3, "inexact_rhs": 0.5,
-             "lambda_bar": 1.0}
+             "lambda_bar": 1.0, "tau_hat": -1.0, "tau": None}
     legacy = [lines[0]]
     for line in lines[1:]:
         both = {**json.loads(line), **stale}
@@ -491,8 +497,7 @@ def test_legacy_record_keys_are_ignored(tmp_path, capsys, stored_traces):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("k", True), ("k", 1.0), ("n_backtracks", 0.0), ("tau", "x"),
-    ("phi_y", False), ("tau_hat", [1.0]),
+    ("k", True), ("k", 1.0), ("n_backtracks", 0.0), ("phi_y", False),
 ])
 def test_scalar_of_the_wrong_type_names_its_field(tmp_path, capsys,
                                                   stored_traces, name, value):
@@ -510,20 +515,26 @@ def test_scalar_of_the_wrong_type_names_its_field(tmp_path, capsys,
 
 def test_reader_converts_ints_and_fills_missing_optionals(tmp_path,
                                                           stored_traces):
+    # the optional keys of a record are x and xi: a missing x is derived
+    # from the record before, a missing xi is w
     lines = list(stored_traces["ex2"])
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join(lines) + "\n")
     plain = Trace.read_jsonl(path)
     lines[2] = _set(lines[2], "phi_x", 1)
-    lines[3] = _drop(_drop(lines[3], "tau"), "tau_hat")
     path.write_text("\n".join(lines) + "\n")
     edited = Trace.read_jsonl(path)
-    r1, r2 = edited.records[1], edited.records[2]
+    r0, r1 = edited.records[0], edited.records[1]
     assert type(r1.phi_x) is float and r1.phi_x == 1.0
-    assert r2.tau is None and r2.tau_hat is None
     ref = plain.records[1]
-    assert (r1.k, r1.phi_y, r1.tau) == (ref.k, ref.phi_y, ref.tau)
+    assert (r1.k, r1.phi_y) == (ref.k, ref.phi_y)
+    stored = json.loads(lines[2])
+    assert "x" not in stored
+    assert r1.x.tobytes() == (r0.y + r0.lambda_k * (r0.y - r0.x)).tobytes()
     assert r1.x.tobytes() == ref.x.tobytes()
+    for line, r in zip(lines[1:], edited.records):
+        if "xi" not in json.loads(line):
+            assert r.xi.tobytes() == r.w.tobytes()
 
 
 def test_read_record_is_frozen_and_replaceable(tmp_path, stored_traces):
@@ -537,39 +548,24 @@ def test_read_record_is_frozen_and_replaceable(tmp_path, stored_traces):
     assert moved.k == r.k and moved.y is r.y
 
 
-@pytest.mark.parametrize("field", ["x", "xi"])
 @pytest.mark.parametrize("marker", [{"arrays": "base64-f8le"}, {}],
                          ids=["base64-f8le", "no-arrays-key"])
-def test_unmarked_trace_may_not_leave_out_x_or_xi(tmp_path, capsys,
-                                                   stored_traces, field,
-                                                   marker):
-    # a header without the derived-arrays marker stores every array, as
-    # traces written before it did; such a trace checks clean, and one of
-    # them without x or xi is a parse error naming the field
-    lines = stored_traces["ex2"]
-    path = tmp_path / "t.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    full = Trace.read_jsonl(path)
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_a_header_without_the_derived_marker_is_a_parse_error(
+        tmp_path, capsys, stored_traces, command, marker):
+    # there is one trace format: a header marked as the format that stored
+    # every array, or not marked at all, names the field
+    lines = list(stored_traces["ex2"])
     meta = json.loads(lines[0])
     del meta["arrays"]
     meta.update(marker)
-    records = [json.loads(line) for line in lines[1:]]
-    for obj, r in zip(records, full.records):
-        obj.update({name: base64.b64encode(getattr(r, name).tobytes())
-                    .decode("ascii") for name in ("x", "xi")})
-
-    def write():
-        path.write_text("".join(json.dumps(obj) + "\n"
-                                for obj in (meta, *records)))
-
-    write()
+    lines[0] = json.dumps(meta)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["check", str(path)]) == 0
-    del records[1][field]
-    write()
-    assert main(["check", str(path)]) == 2
-    assert (f"{path}: parse error: line 3: field {field!r} is missing"
-            in capsys.readouterr().err)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{path}: parse error: line 1: field 'arrays'")
 
 
 def test_check_flags_x_shifted_off_its_derivation(tmp_path, capsys):
@@ -644,19 +640,36 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["run", "--problem", "ex1", "--out", out,
                  *REF_FLAGS, "--theta", "0.5"]) == 2  # invalid config
     capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for target in (taken, taken / "sub"):  # a regular file at or above --out
+        assert main(["run", "--problem", "ex1", "--out", str(target),
+                     "--start=1,1", *REF_FLAGS]) == 2
+        assert capsys.readouterr().err.startswith("run: ")
+    assert taken.read_text() == ""
 
 
-def test_plot_data_files(tmp_path):
-    out = run_dir(tmp_path)
-    assert main(["run", "--problem", "ex2", "--out", out,
-                 "--start", "1.0,1.0", "--plot-data", *REF_FLAGS]) == 0
-    phi_rows = open(f"{out}/phi_000.csv").read().splitlines()
-    path_rows = open(f"{out}/path_000.csv").read().splitlines()
-    assert phi_rows[0] == "k,phi_x"
-    assert path_rows[0] == "x1,x2"
-    trace = Trace.read_jsonl(f"{out}/trace_000.jsonl")
-    assert len(phi_rows) == len(trace.records) + 2  # header + final value
-    assert len(path_rows) == len(trace.records) + 2
+SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+          / "reproduce_experiments.py")
+
+
+def test_plot_data_files(tmp_path, monkeypatch, capsys):
+    # the reproduction script derives each documented start's objective and
+    # path CSVs from its trace, ending with the final point, bit for bit
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--starts", "2",
+                                      "--out", str(tmp_path)])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert len(read_summary(tmp_path / "ex1")) == 2
+    for name in ("ex1", "ex2"):
+        out = tmp_path / f"{name}_single"
+        trace = Trace.read_jsonl(out / "trace_000.jsonl")
+        phis = [r.phi_x for r in trace.records] + [trace.final_phi]
+        xs = [r.x for r in trace.records] + [trace.final_x]
+        assert [r.k for r in trace.records] == list(range(len(phis) - 1))
+        assert (out / "phi_000.csv").read_text().splitlines() == [
+            "k,phi_x", *(f"{k},{v!r}" for k, v in enumerate(phis))]
+        assert (out / "path_000.csv").read_text().splitlines() == [
+            "x1,x2", *(f"{float(x[0])!r},{float(x[1])!r}" for x in xs)]
 
 
 def test_solver_vocabulary(tmp_path):
@@ -728,11 +741,16 @@ def test_retired_nu_key_in_a_trace_header_is_a_parse_error(tmp_path, capsys):
 
 
 # Taken over dim-2 problems only, so that numpy's reduction order cannot
-# differ between platforms, and over the decoded record fields, so that the
-# same run in an older trace format hashes the same.  A hot-path change that
-# moves any decoded trace value or summary residual by one bit fails here.
+# differ between platforms, and over the decoded record fields, so that a
+# key the reader ignores does not move it.  A hot-path change that moves any
+# decoded trace value or summary residual by one bit fails here.
 GOLDEN_TRACE_SHA256 = (
-    "f1deaa6857862665ecced0baf6fce5473f11819b3e06fbbedb483598c2106d3b")
+    "895939a50de77dcd0010c9696097c77764b1403b0d5fc8e314699921b7488991")
+# repr((tau_hat, tau)) from tau_bound on every golden record with nu_k > 0
+# (so d != 0), in trace order: the step floor a record derives equals, bit
+# for bit, the one the loop computed and stored before it was derived
+GOLDEN_TAU_SHA256 = (
+    "349c5aa0c52068388e5703bd3e3f897aa6aa1a0f51437bc02184707d73776d6b")
 GOLDEN_FINAL_RESIDUALS = {
     f"{problem}_{mode}": ["0.0"] * 5
     for problem in ("ex1", "ex2") for mode in ("inner_solver", "perturbed_exact")
@@ -780,6 +798,24 @@ def test_golden_traces_and_residuals(golden_runs):
     assert _trace_digest(paths) == GOLDEN_TRACE_SHA256
 
 
+def test_golden_step_floors_are_pinned(golden_runs):
+    paths, _ = golden_runs
+    h = hashlib.sha256()
+    floors = 0
+    for path in paths:
+        trace = Trace.read_jsonl(path)
+        problem = problems.resolve(trace.problem_name)
+        for r in trace.records:
+            d = r.y - r.x
+            if r.nu_k > 0 and d.any():
+                tb = tau_bound(problem.g, r.x, r.y, d, r.nu_k, r.eps_k,
+                               problem.sigma, trace.config.rho)
+                h.update(repr((tb.tau_hat, tb.tau)).encode())
+                floors += 1
+    assert floors == 273
+    assert h.hexdigest() == GOLDEN_TAU_SHA256
+
+
 # Short runs under each nu kind, two each for the kinds with parameters (at
 # their defaults and off them, and the direct rule under a positive eps that
 # enters its budget), hashed as the golden traces are.  Every allowance
@@ -795,7 +831,7 @@ NU_KIND_FLAGS = [
     ["--nu-kind", "zero"],
 ]
 GOLDEN_NU_SHA256 = (
-    "384466ba7a3abe11940e7e48cab5e0c546b95c51e6020c2c39477628624633a3")
+    "61efcf6024befe3403299f406fd8692eaf7703a9373e70d9b1472a08f3372001")
 
 
 def test_every_nu_kind_is_pinned_bit_for_bit(tmp_path):

@@ -28,7 +28,6 @@ from dcboost.core import (
     validate,
 )
 from dcboost import drivers, problems
-from dcboost.cli import main
 
 
 # --- objective values --------------------------------------------------------
@@ -276,7 +275,7 @@ def _tiny_trace():
 def test_trace_jsonl_round_trip(tmp_path):
     trace = _tiny_trace()
     trace.records.append(dataclasses.replace(
-        trace.records[0], k=1, n_backtracks=3, tau_hat=0.75, tau=0.5))
+        trace.records[0], k=1, n_backtracks=3, nu_k=0.5))
     path = tmp_path / "t.jsonl"
     trace.write_jsonl(path)
     back = Trace.read_jsonl(path)
@@ -293,7 +292,6 @@ def test_trace_jsonl_round_trip(tmp_path):
                 np.testing.assert_array_equal(got, want)
             else:
                 assert got == want and type(got) is type(want), field.name
-    assert back.records[0].tau is None and back.records[0].tau_hat is None
 
 
 def _with_record(trace, k, **changes):
@@ -354,40 +352,6 @@ def test_trace_meta_names_the_array_encoding(tmp_path):
     # the one-line decode the README gives
     y = np.frombuffer(base64.b64decode(record["y"]), "<f8")
     assert y.tobytes() == trace.records[0].y.tobytes()
-
-
-def test_legacy_list_trace_checks_like_base64(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "--problem", "ex2", "--out", str(out),
-                 "--start=5.0,5.0", "--rho", "0.6", "--beta", "0.1",
-                 "--theta", "0.2", "--nu-kind", "ratio", "--nu-omega", "0.01",
-                 "--inexact-mode", "inner_solver"]) == 0
-    path = out / "trace_000.jsonl"
-
-    def as_list(s):
-        return np.frombuffer(base64.b64decode(s), "<f8").tolist()
-
-    # the file leaves x (and xi where it equals w) out, so the all-arrays
-    # legacy records take every array from the decoded trace
-    meta, *records = map(json.loads, path.read_text().splitlines())
-    del meta["arrays"]
-    meta.update({name: as_list(meta[name]) for name in ("x0", "final_x")})
-    for obj, r in zip(records, Trace.read_jsonl(path).records):
-        obj.update({name: getattr(r, name).tolist()
-                    for name in ("x", "w", "y", "xi")})
-    legacy = tmp_path / "legacy.jsonl"
-    legacy.write_text("".join(json.dumps(obj) + "\n"
-                              for obj in (meta, *records)))
-
-    capsys.readouterr()
-    assert main(["check", str(path)]) == 0
-    encoded = capsys.readouterr().out
-    assert main(["check", str(legacy)]) == 0
-    assert capsys.readouterr().out.replace(str(legacy), str(path)) == encoded
-    a, b = Trace.read_jsonl(path), Trace.read_jsonl(legacy)
-    for ra, rb in zip(a.records, b.records):
-        for name in ("x", "w", "y", "xi"):
-            assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes()
 
 
 def _two_step_trace(x1, xi0=None):
@@ -509,12 +473,12 @@ def test_trace_csv_columns(tmp_path):
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     assert TRACE_CSV_COLUMNS == [
         "k", "phi_x", "eps_k", "eps_certified", "nu_k", "lambda_k",
-        "n_backtracks", "phi_y", "phi_next", "tau_hat", "tau",
+        "n_backtracks", "phi_y", "phi_next",
     ]
     row = lines[1].split(",")
     assert row[0] == "0"
     assert float(row[1]) == 2.0
-    assert row[-1] == ""  # tau not populated
+    assert row[-1] == repr(-10.0 / 9.0)  # floats by repr, bit-exact
 
 
 def test_trace_read_rejects_empty(tmp_path):

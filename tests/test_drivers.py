@@ -26,6 +26,7 @@ from dcboost.drivers import (
     run_nmbdca,
     solver_config,
 )
+from dcboost.linesearch import tau_bound
 from dcboost import problems
 
 
@@ -267,15 +268,21 @@ def test_final_residual_small_on_terminated_runs(sample_traces):
         assert final_residual(prob, trace) <= 1e-3
 
 
+def _tau(prob, trace, r):
+    """The step floor of record ``r`` (nu_k > 0), derived from the record."""
+    return tau_bound(prob.g, r.x, r.y, r.y - r.x, r.nu_k, r.eps_k, prob.sigma,
+                     trace.config.rho)
+
+
 def test_backtrack_count_bounded_on_recorded_searches(sample_traces):
     import math
 
-    for _, trace in sample_traces:
+    for prob, trace in sample_traces:
         beta, lambda_bar = trace.config.beta, trace.config.lambda_bar
         for r in trace.records:
-            if r.nu_k <= 0 or r.tau is None or lambda_bar <= 0:
+            if r.nu_k <= 0 or lambda_bar <= 0:
                 continue
-            ratio = min(r.tau, lambda_bar) / lambda_bar
+            ratio = min(_tau(prob, trace, r).tau, lambda_bar) / lambda_bar
             bound = max(0, math.ceil(math.log(ratio) / math.log(beta))) + 1
             assert r.n_backtracks <= bound
 
@@ -301,15 +308,17 @@ def test_positive_eps_schedules_converge_with_certificates(eps):
 
 
 def test_tau_fields_populated_when_nu_positive(sample_traces):
+    # the floor is derived from a record, not stored in it: every record
+    # with nu_k > 0 has d != 0, so tau_bound gives its floor
     seen = 0
-    for _, trace in sample_traces:
+    for prob, trace in sample_traces:
         for r in trace.records:
+            assert not hasattr(r, "tau") and not hasattr(r, "tau_hat")
             if r.nu_k > 0:
-                assert r.tau_hat is not None and r.tau is not None
-                assert 0 < r.tau <= min(1.0, r.tau_hat) + 1e-15
+                assert r.d_norm > trace.config.d_zero_tol
+                tb = _tau(prob, trace, r)
+                assert 0 < tb.tau <= min(1.0, tb.tau_hat) + 1e-15
                 seen += 1
-            elif r.d_norm > trace.config.d_zero_tol:
-                assert r.tau is None
     assert seen > 100
 
 
