@@ -78,12 +78,14 @@ def square(v):
 _square_rows = np.frompyfunc(square, 1, 1)
 
 
-def slacks(record, problem, config) -> dict:
+def slacks(record, problem, config, d_norm=None) -> dict:
     """Slack of every catalogue inequality by name.  ``record`` is one
     record, or a trace's records stacked by ``_columns``, for which each
-    slack is an array with one value per record."""
+    slack is an array with one value per record.  ``d_norm``, when given,
+    is the record's ``d_norm`` as its caller already computed it."""
     r, g = record, problem.g
-    d_norm = r.d_norm
+    if d_norm is None:
+        d_norm = r.d_norm
     d_sq = square(d_norm)
     decrease = (problem.sigma / 2 - config.theta) * d_sq
     step = config.rho * square(r.lambda_k) * d_sq

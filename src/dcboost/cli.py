@@ -69,8 +69,8 @@ _RUN_KEYS = {
 _FLAT_KEYS = {**_RUN_KEYS, **CONFIG_KEYS}
 
 
-def _vec(x) -> str:
-    return ";".join(repr(float(v)) for v in x)
+def _vec(x: np.ndarray) -> str:
+    return ";".join(map(repr, x.tolist()))
 
 
 def _build_run_parser(sub):
@@ -117,13 +117,16 @@ def _gather_flat(args) -> dict:
 
 def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
     if "starts" in flat:
-        starts = np.asarray(flat["starts"], dtype=float)
+        try:
+            starts = np.asarray(flat["starts"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a dict, a string or ragged rows
+            raise ValueError(f"config key 'starts': {exc}") from None
         if starts.size == 0:
             return np.zeros((0, dim))
         if starts.ndim != 2 or starts.shape[1] != dim:
-            raise ValueError(
-                f"explicit starts must be {dim}-dimensional points"
-            )
+            raise ValueError(f"config key 'starts': explicit starts must be "
+                             f"{dim}-dimensional points")
     else:
         box = flat.get("starts.box", [-10.0, 10.0])
         if not isinstance(box, list) or len(box) != 2:
@@ -135,8 +138,8 @@ def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
                              "finite interval")
         starts = problems.sample_starts(flat.get("starts.count", 1), (lo, hi),
                                         seed, dim)
-    if not np.isfinite(starts).all():
-        raise ValueError("start points must be finite")
+    if not np.isfinite(starts).all():  # only explicit starts can fail this
+        raise ValueError("config key 'starts': start points must be finite")
     return starts
 
 
@@ -145,14 +148,15 @@ def _execute_start(payload):
     index, problem_name, solver, flat, x0, seed, trace_path = payload
     problem = problems.resolve(problem_name)
     config = config_from_flat(flat)
+    x0 = np.asarray(x0)
     try:
-        trace = _SOLVERS[solver](problem, config, np.asarray(x0), seed)
+        trace = _SOLVERS[solver](problem, config, x0, seed)
     except (InvariantViolation, ValueError) as exc:
         return index, None, {
             "error": type(exc).__name__,
             "message": str(exc),
             "start_index": index,
-            "x0": list(map(float, x0)),
+            "x0": x0.tolist(),
         }
     trace.write_jsonl(trace_path)
     row = {
@@ -205,7 +209,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     payloads = [
-        (i, problem_name, solver, flat, [float(v) for v in x0],
+        (i, problem_name, solver, flat, x0.tolist(),
          [master_seed, i], os.path.join(args.out, f"trace_{i:03d}.jsonl"))
         for i, x0 in enumerate(starts)
     ]

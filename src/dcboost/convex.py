@@ -23,6 +23,7 @@ __all__ = [
     "l2_norm",
     "membership_gap",
     "subdiff_bounds",
+    "value_pair",
 ]
 
 
@@ -143,21 +144,27 @@ class Sum:
 
     def value(self, x) -> float:
         x = as_point(x, self.lin.shape[0])
+        return self._value(x, *_norms(x, self.quad, self.l1))
+
+    def _value(self, x, sq, abs_sum) -> float:
+        # the formula of value and value_pair, given sq = x @ x where quad
+        # is nonzero and abs_sum = sum_i |x_i| where l1 is
         total = 0.0
         if self.quad:
-            total += float(self.quad * (x @ x))
+            total += self.quad * sq
         total += float(self.lin @ x)
         if self.l1:
-            total += float(self.l1 * np.add.reduce(np.abs(x)))
+            total += self.l1 * abs_sum
         return total
 
     def subgrad(self, x) -> np.ndarray:
         """Canonical subgradient selection; uses sign(0) = 0 at l1 kinks."""
         x = as_point(x, self.lin.shape[0])
-        out = np.zeros_like(x)
+        # 0.0 + ... turns a -0.0 quadratic part into 0.0 before lin is added
         if self.quad:
-            out += 2.0 * self.quad * x
-        out += self.lin
+            out = 0.0 + 2.0 * self.quad * x + self.lin
+        else:
+            out = 0.0 + self.lin
         if self.l1:
             out += self.l1 * np.sign(x)
         return out
@@ -204,3 +211,19 @@ class Sum:
             radius *= 0.5
         # radius-0 fallback: the exact subgradient certifies with zero gap
         return EpsSubgradCert(self.subgrad(x), 0.0)
+
+
+def _norms(x, quad, l1):
+    """(x @ x, sum_i |x_i|) as floats, each only where its weight is nonzero
+    (0.0 otherwise)."""
+    sq = float(x @ x) if quad else 0.0
+    abs_sum = float(np.add.reduce(np.abs(x))) if l1 else 0.0
+    return sq, abs_sum
+
+
+def value_pair(f1: Sum, f2: Sum, x) -> tuple:
+    """(f1(x), f2(x)), bit for bit their ``value``s, computing x @ x and
+    sum_i |x_i| once for both."""
+    x = as_point(x, f1.lin.shape[0])
+    norms = _norms(x, f1.quad or f2.quad, f1.l1 or f2.l1)
+    return f1._value(x, *norms), f2._value(x, *norms)

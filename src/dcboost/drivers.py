@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import TOLERANCE, holds, slacks, square
-from .convex import as_point
+from .convex import as_point, value_pair
 from .core import (
     DcProblem,
     EpsSchedule,
@@ -82,16 +82,16 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     g, h = problem.g, problem.h
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
-    g_x = g.value(x)
-    phi_x = g_x - h.value(x)
+    g_x, h_x = value_pair(g, h, x)
+    phi_x = g_x - h_x
     g_trial = None
 
     def phi_trial(z):
         # phi at a linesearch trial point, keeping g there: the accepted
         # trial point is the next x
         nonlocal g_trial
-        g_trial = g.value(z)
-        return g_trial - h.value(z)
+        g_trial, h_z = value_pair(g, h, z)
+        return g_trial - h_z
 
     nu_memory = eps_prev = None
     records = []
@@ -106,8 +106,8 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         d = y - x
         d_sq = float(d @ d)
         d_norm = math.sqrt(d_sq)
-        g_y = g.value(y)
-        phi_y = g_y - h.value(y)
+        g_y, h_y = value_pair(g, h, y)
+        phi_y = g_y - h_y
 
         # live-only: replaying it would cost two evaluations of g per record
         lin_gap = g_x - g_y + float(w @ d)
@@ -125,7 +125,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
                                                   eps_prev, d_sq)
             ls = nonmonotone_search(
                 phi_trial, y, d, phi_y, rho, config.beta, config.lambda_bar,
-                nu_k, config.max_backtracks,
+                nu_k, config.max_backtracks, d_sq,
             )
             lam, n_backtracks = ls.lam, ls.n_backtracks
             phi_next = ls.accepted_value
@@ -136,7 +136,7 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             xi=xi.copy(), nu_k=nu_k, lambda_k=lam, n_backtracks=n_backtracks,
             phi_y=phi_y, phi_next=phi_next,
         )
-        for name, slack in slacks(record, problem, config).items():
+        for name, slack in slacks(record, problem, config, d_norm).items():
             if not holds(name, slack):
                 _flag(strict, f"{name.replace('_', ' ')} failed at iteration "
                               f"{k}: slack={slack}")

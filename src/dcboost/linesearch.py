@@ -37,7 +37,7 @@ class TauBound:
 
 def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
                        beta: float, lambda_bar: float, nu: float,
-                       max_backtracks: int) -> LinesearchResult:
+                       max_backtracks: int, d_sq=None) -> LinesearchResult:
     """Backtrack from lambda_bar by factor beta until acceptance, given
     ``phi_y`` = phi(y); ``phi_eval`` is called only at trial points.
 
@@ -45,11 +45,13 @@ def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
     slack nu); an exhausted budget also falls back to lambda = 0, which keeps
     the outer update well defined since nu >= 0.  A nonzero returned lambda
     is that of the last ``phi_eval`` call, whose argument was y + lambda * d:
-    ``run_inmbdca`` keeps g from that call as g at its next x.
+    ``run_inmbdca`` keeps g from that call as g at its next x.  ``d_sq``,
+    when given, is the caller's ``float(d @ d)``.
     """
     y = as_point(y)
     d = as_point(d, y.shape[0])
-    d_sq = float(d @ d)
+    if d_sq is None:
+        d_sq = float(d @ d)
     if d_sq == 0.0:
         raise ValueError("zero direction: the caller must take the d = 0 path")
     if nu < 0:

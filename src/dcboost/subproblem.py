@@ -27,10 +27,8 @@ __all__ = [
 _MAX_INNER_ITERS = 200
 _PERTURB_HALVINGS = 40
 _WIDEN_ROUNDS = 80
-# at most this dimension, finite inputs take _bisect_floats, which evaluates
-# the acceptance test once per _FLOAT_CHUNK steps (see _solve_inner)
-_FLOAT_MAX_DIM = 16
-_FLOAT_CHUNK = 24
+# at most this dimension, finite inputs take _bisect_floats (see _solve_inner)
+_FLOAT_MAX_DIM = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,18 +73,18 @@ def _selection(q2, lin, l1, t):
     return q2 * t + lin + l1 * np.sign(t)
 
 
-def _row_norms(v):
-    """``l2_norm`` of each row of a C-contiguous 2-D array, bit for bit: each
-    row's product is the same dot call as a 1-D ``v @ v`` (pinned by a
-    test)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+def _passes(v, e, theta) -> bool:
+    """The relative test ||v|| <= theta ||e|| with e != 0, by ``l2_norm``."""
+    dist = l2_norm(e)
+    return l2_norm(v) <= theta * dist and dist > 0.0
 
 
-def _bisect_floats(q2, lin, l1, w, x, theta, v_kink, w_l, x_l):
-    """``_bisect_arrays`` for finite w and x (``w_l`` and ``x_l`` as lists):
-    each coordinate's bracket path in Python floats, and one acceptance
-    test in numpy per chunk of steps.  Returns (accepted y or None, steps
-    taken)."""
+def _bisect_floats(q2, lin, l1, theta, w_l, x_l):
+    """``_bisect_arrays`` for finite w and x, given as lists, in Python
+    floats one step at a time.  Each step's relative test is read off the
+    sums of squares of v and e taken along the step wherever the margin of
+    ``_fails_between`` proves what ``_passes`` returns, and is evaluated by
+    ``_passes`` otherwise.  Returns (accepted y or None, steps taken)."""
     limit = 2.0**_WIDEN_ROUNDS
     paths = []
     for c, wc, xc in zip(lin.tolist(), w_l, x_l):
@@ -102,51 +100,66 @@ def _bisect_floats(q2, lin, l1, w, x, theta, v_kink, w_l, x_l):
             span *= 2.0
         if abs(wc - c) <= l1:
             lo = hi = 0.0
-        paths.append([lo, hi, c, wc])
+        # v at y = 0: w less its clip into the kink interval [c - l1, c + l1]
+        paths.append([lo, hi, c, wc, xc, wc - min(max(wc, c - l1), c + l1)])
 
-    it = 0
-    while it < _MAX_INNER_ITERS:
-        steps = min(_FLOAT_CHUNK, _MAX_INNER_ITERS - it)
-        cols, narrow = [], -1
+    step = (len(paths) + 4) * 2.0**-51
+    floor, slack = 1.0 - step, 1.0 + step
+    normal, inf = sys.float_info.min, math.inf
+    for it in range(1, _MAX_INNER_ITERS + 1):
+        ys, vs, es = [], [], []
+        sv = se = 0.0
+        wide = False
         for path in paths:
-            lo, hi, c, wc = path
-            col, bit, mask = [], 1, 0
-            for _ in range(steps):
-                y = 0.5 * (lo + hi)
-                col.append(y)
-                if hi - lo < 1e-13:
-                    mask |= bit
-                bit <<= 1
-                # the selection, up to a sign of zero no comparison sees
-                if q2 * y + c + (l1 if y > 0.0 else -l1 if y < 0.0
-                                 else 0.0) > wc:
-                    hi = y
-                else:
-                    lo = y
-            path[0], path[1] = lo, hi
-            cols.append(col)
-            narrow &= mask
-        # bit j of narrow: every bracket of step j is narrower than 1e-13
-        # (a NaN width is not, as in the max of _bisect_arrays), so no step
-        # after the first such one is reached
-        rows = (narrow & -narrow).bit_length() or steps
-        y = np.array(cols).T[:rows].copy()
-        s = _selection(q2, lin, l1, y)
-        lhs = _row_norms(np.where(y == 0.0, v_kink, w - s))
-        dist = _row_norms(y - x)
-        passed = (lhs <= theta * dist) & (dist > 0.0)
-        first = int(passed.argmax())
-        if passed[first]:
-            return y[first], it + first + 1
-        it += rows
-        if narrow:
+            lo, hi, c, wc, xc, v_kink = path
+            y = 0.5 * (lo + hi)
+            # the selection, up to a sign of zero no comparison or square sees
+            s = q2 * y + c + (l1 if y > 0.0 else -l1 if y < 0.0 else 0.0)
+            v = wc - s if y else v_kink
+            e = y - xc
+            ys.append(y)
+            vs.append(v)
+            es.append(e)
+            sv += v * v
+            se += e * e
+            if not hi - lo < 1e-13:
+                wide = True
+            if s > wc:
+                path[1] = y
+            else:
+                path[0] = y
+        # sqrt(sv) <= theta sqrt(se) with the rounding margin of
+        # _fails_between on either side; an exactly zero sv (and se) is
+        # exactly zero in numpy too
+        passed = None
+        if normal <= se < inf:
+            bound = theta * math.sqrt(se)
+            if sv == 0.0 and bound >= 0.0:
+                passed = True
+            elif normal <= sv < inf and normal <= bound < inf:
+                root = math.sqrt(sv)
+                if root * slack <= bound * floor:
+                    passed = True
+                elif root * floor > bound * slack:
+                    passed = False
+        elif se == 0.0:
+            passed = False
+        if passed is None:
+            passed = _passes(np.array(vs), np.array(es), theta)
+        if passed:
+            return np.array(ys), it
+        if not wide:
             break
     return None, it
 
 
-def _bisect_arrays(q2, lin, l1, w, x, theta, v_kink):
+def _bisect_arrays(quad, lin, l1, w, x, theta):
     """The bisection one whole-array step at a time.  Returns (accepted y
     or None, steps taken)."""
+    q2 = 2.0 * quad
+    # np.clip bit for bit (pinned by a test), without its Python layers
+    kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros(x.shape[0]))
+    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
     lo = np.minimum(x, 0.0) - 1.0
     hi = np.maximum(x, 0.0) + 1.0
     span = 1.0
@@ -170,9 +183,7 @@ def _bisect_arrays(q2, lin, l1, w, x, theta, v_kink):
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
         s = _selection(q2, lin, l1, y)
-        lhs = l2_norm(np.where(y == 0.0, v_kink, w - s))
-        dist = l2_norm(y - x)
-        if lhs <= theta * dist and dist > 0.0:
+        if _passes(np.where(y == 0.0, v_kink, w - s), y - x, theta):
             return y, it
         if (hi - lo).max() < 1e-13:
             break
@@ -195,38 +206,37 @@ def _solve_inner(g, w, x, theta) -> SubproblemSolution:
 
     Two paths run the same bisection bit for bit.  Above ``_FLOAT_MAX_DIM``
     or when w or x holds a non-finite value, ``_bisect_arrays`` takes one
-    whole-array step at a time.  Otherwise ``_bisect_floats`` runs each
-    coordinate's bracket alone in Python floats: the widening, the kink
-    capture and ``_FLOAT_CHUNK`` bisection steps at a time.  The coordinates
-    never interact: a coordinate stops widening once its bracket holds w,
-    so at its own k-th round it moves by the shared span 2^k.  Each step
-    only adds, halves, multiplies and compares IEEE doubles, and Python
-    floats round these exactly as numpy's elementwise loops do.  The
-    acceptance test is then evaluated once per chunk, on the stacked
-    iterates and in numpy, because the norms must stay numpy's: the BLAS
-    dot behind ``l2_norm`` uses FMA, and on 200,000 random 2-vectors about
-    one squared norm in six differs from a Python sum of squares.  The
-    first row that passes is the accepted step, and the chunk ends at the
-    first step whose brackets are all narrower than 1e-13.
+    whole-array step at a time.  Otherwise ``_bisect_floats`` runs the
+    whole solve in Python floats, one step at a time over the coordinates:
+    the widening, the kink capture, the moves and the relative test.  The
+    coordinates never interact: a coordinate stops widening once its
+    bracket holds w, so at its own k-th round it moves by the shared span
+    2^k.  Each step only adds, halves, multiplies and compares IEEE
+    doubles, and Python floats round these exactly as numpy's elementwise
+    loops do.  The norms are another matter: the BLAS dot behind
+    ``l2_norm`` uses FMA, and on 200,000 random 2-vectors about one squared
+    norm in six differs from a Python sum of squares.  So the float path
+    decides a step from its own sums only where the rounding margin of
+    ``_fails_between`` proves the comparison ``l2_norm`` would make, either
+    way, and hands any other step to numpy; none of the 30,670 steps of a
+    study2d pass needs it.  The accepted step's box and xi are built in
+    numpy on both paths.
 
     The crossover is measured per call on recorded inputs, the float path
-    against the array path with 24-step chunks (2 vCPU, CPython 3.11, numpy
-    2.4.6): 83 against 329 us on the 2,561 study2d calls (dim 2), 236
-    against 407 us at dim 16, 344 against 368 us at dim 24, 402 against
-    400 us at dim 32 and 576 against 406 us at dim 48 (random-sep, seed 0).
-    The float path's cost grows with the dimension times the chunk's steps,
-    those past the accepted one included, so dim 16 keeps a wide margin."""
+    against the array path, best of nine interleaved rounds (2 vCPU,
+    CPython 3.11, numpy 2.4.6): 24 against 246 us on the 2,561 study2d
+    calls (dim 2); on random-sep(seed=0) runs, 59 against 233 us at dim 8,
+    90 against 203 at dim 16, 129 against 207 at dim 24, 168 against 208
+    at dim 32, 204 against 209 at dim 40, 232 against 202 at dim 48 and
+    323 against 222 at dim 64.  The float path's cost grows with the
+    dimension times the steps; the array path's barely moves."""
     quad, lin, l1 = _coefficients(g)
-    q2 = 2.0 * quad
-    # np.clip bit for bit (pinned by a test), without its Python layers
-    kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros(x.shape[0]))
-    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
     small = 0 < x.shape[0] <= _FLOAT_MAX_DIM
     w_l, x_l = (w.tolist(), x.tolist()) if small else ([], [])
     if small and all(map(math.isfinite, w_l + x_l)):
-        y, it = _bisect_floats(q2, lin, l1, w, x, theta, v_kink, w_l, x_l)
+        y, it = _bisect_floats(2.0 * quad, lin, l1, theta, w_l, x_l)
     else:
-        y, it = _bisect_arrays(q2, lin, l1, w, x, theta, v_kink)
+        y, it = _bisect_arrays(quad, lin, l1, w, x, theta)
     if y is None:
         # no iterate passed; fall back to the closed form (covers y* = x,
         # where the caller takes the d = 0 stopping path)
@@ -264,11 +274,26 @@ def _fails_between(v_hi, e_hi, v_end, e_end, theta) -> bool:
     whenever slack >= F(n) = ((1+u)^2 sqrt(rho) / (1-u) + u (1+u) / (1-u))
     / ((1-u) (1 - u - u (1+u) / (1-u))) = 1 + (2n + 7) u + O(n^2 u^2).
 
-    floor = 1 - 4 (n + 4) u and slack = 1 + 4 (n + 4) u cover G(n) and F(n)
-    from n = 1 to 2^50 (checked in 80-digit arithmetic by a test) and are
-    exact in floating point.  So when the lower bound exceeds the upper one,
-    lhs > rhs at every candidate.  Any non-finite value skips the
-    certificate."""
+    ``_bisect_floats`` reads one step's test both ways off P and Q, Python
+    sums of squares of its v and its e: rounded dot products too.  Its fail
+    direction is the test below with m = v, E = e, fl(m @ m) = P and
+    fl(E @ E) = Q.  Its pass direction, with P, Q and b = fl(theta
+    fl(sqrt(Q))) normal: the bounds above then read fl(v @ v) <= rho P and
+    fl(e @ e) >= lam Q.  Rounding is monotone, so lhs <= A for a float
+    A once sqrt(fl(v @ v)) <= A, and A = fl(fl(sqrt(P)) slack) >= slack
+    sqrt(P) / (1+u)^2 gives that whenever slack >= (1+u)^2 sqrt(rho)
+    = 1 + (2n + 2) u + O(n^2 u^2).  Likewise rhs >= B for a float B once
+    theta fl(sqrt(fl(e @ e))) >= B, where theta fl(sqrt(fl(e @ e))) >= G(n) b.
+    B = fl(b floor) <= b (floor + u), since a product rounded into the
+    subnormals is off by at most u 2^-1022 <= u b.  So rhs >= B whenever
+    floor <= G(n) - u = 1 - (2n + 4) u + O(n^2 u^2).  When A <= B, the
+    test lhs <= rhs holds, and dist > 0 since fl(e @ e) >= lam Q > 0.
+
+    floor = 1 - 4 (n + 4) u and slack = 1 + 4 (n + 4) u cover all four
+    factors from n = 1 to 2^50 (checked in 80-digit arithmetic by a test)
+    and are exact in floating point.  So when the lower bound exceeds the
+    upper one, lhs > rhs at every candidate.  Any non-finite value skips
+    the certificate."""
     lo, hi = np.minimum(v_hi, v_end), np.maximum(v_hi, v_end)
     # lo_i > 0 or hi_i < 0 only where both ends share a strict sign
     m = np.maximum(np.maximum(lo, -hi), 0.0)

@@ -110,6 +110,16 @@ def test_summary_is_byte_identical_across_runs(tmp_path):
     assert a.endswith(b"\n")
 
 
+def test_summary_cells_repr_each_float_as_before():
+    # a cell is the repr of each coordinate's Python float, read off tolist()
+    # rather than a float() per element: the same text on signed zeros,
+    # subnormals, the ends of the range and integral values
+    x = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                  1.7976931348623157e308, 3.0, -7.0, 2.0**53, 0.1, 1 / 3])
+    assert cli._vec(x) == ";".join(repr(float(v)) for v in x)
+    assert cli._vec(x[:1]) == "-0.0"
+
+
 def test_worker_pool_matches_sequential(tmp_path):
     args = ["--problem", "ex2", "--starts-count", "4", "--starts-seed", "3",
             *REF_FLAGS]
@@ -175,6 +185,9 @@ def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
     (["--nu-kind", "zhang_hager", "--nu-eta", "1.0"], None),
     ([], {"starts.box": [1]}),
     ([], {"starts.box": [1, 2, 3]}),
+    ([], {"starts": {}}),
+    ([], {"starts": [[1, 2], [3]]}),
+    ([], {"starts": "a"}),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -187,7 +200,7 @@ def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("run: ")
-    for key in set(config or ()) - {"starts"}:
+    for key in config or ():
         assert repr(key) in err  # the message names the offending key
 
 

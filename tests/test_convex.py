@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcboost.convex import Sum, l2_norm, membership_gap, subdiff_bounds
+from dcboost.convex import (Sum, l2_norm, membership_gap, subdiff_bounds,
+                            value_pair)
 from dcboost.core import DcProblem
 from dcboost.drivers import criticality_residual
 
@@ -330,6 +331,49 @@ def test_compiled_calculus_matches_per_atom_reference(rng):
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(hi, sum(p[3] for p in parts),
                                        rtol=1e-12, atol=1e-12)
+
+
+def _summed_parts(f, x):
+    """f(x) and f's subgradient at x as the parts' numpy results summed into
+    0.0 and into a zero buffer, in the order quad, lin, l1."""
+    value, grad = 0.0, np.zeros_like(x)
+    if f.quad:
+        value += float(f.quad * (x @ x))
+        grad += 2.0 * f.quad * x
+    value += float(f.lin @ x)
+    grad += f.lin
+    if f.l1:
+        value += float(f.l1 * np.add.reduce(np.abs(x)))
+        grad += f.l1 * np.sign(x)
+    return value, grad
+
+
+def test_value_pair_and_subgrad_match_the_summed_parts_bit_for_bit(rng):
+    # value_pair shares x @ x and sum |x_i| between its two functions; both
+    # values, and each value and subgradient alone, keep the bits of the
+    # parts summed one at a time, on signed zeros, subnormals and kinks
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    for dim in (1, 2, 1000):
+        lin = rng.uniform(-2.0, 2.0, dim)
+        lin[::3], lin[1::3] = 0.0, -0.0
+        fs = [Sum(0.75, lin, 0.5), Sum(0.5, np.zeros(dim), 0.0),
+              Sum(0.0, lin, 1.25), Sum(0.0, -np.zeros(dim), 0.0),
+              random_expr(rng, dim)]
+        xs = [np.zeros(dim), -np.zeros(dim), kinked_point(rng, dim),
+              kinked_point(rng, dim, 1e-300), random_point(rng, dim)]
+        for x in xs:
+            for f in fs:
+                value, grad = _summed_parts(f, x)
+                assert type(f.value(x)) is float
+                assert bits(f.value(x)) == bits(value)
+                assert f.subgrad(x).tobytes() == grad.tobytes()
+                for h in fs:
+                    pair = value_pair(f, h, x)
+                    assert [type(v) for v in pair] == [float, float]
+                    assert ([bits(v) for v in pair]
+                            == [bits(f.value(x)), bits(h.value(x))])
 
 
 def test_negative_weights_rejected():

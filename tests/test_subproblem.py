@@ -7,9 +7,10 @@ from dcboost.certificates import holds, slacks
 from dcboost.convex import Sum, l2_norm
 from dcboost.core import (DcProblem, InexactMode, IterationRecord,
                           SolverConfig, UnsupportedProblemError)
-from dcboost.subproblem import (_FLOAT_MAX_DIM, _fails_between, _row_norms,
-                                 solve_exact, solve_inexact)
-from dcboost import problems
+from dcboost.drivers import run_inmbdca
+from dcboost.subproblem import (_FLOAT_MAX_DIM, _fails_between, solve_exact,
+                                 solve_inexact)
+from dcboost import drivers, problems, subproblem
 
 from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
                       random_point)
@@ -262,6 +263,11 @@ def test_certificate_slack_covers_the_rounding_bound():
             floor = 1.0 - (n + 4) * 2.0**-51
             assert decimal.Decimal(floor) == 1 - 4 * (n + 4) * u  # exact
             assert decimal.Decimal(floor) <= g, n
+            # the pass direction's factors: (1 + u)^2 sqrt(rho) below the
+            # slack (first-order term 2n + 2) and G(n) - u above the floor
+            # (2n + 4)
+            assert (1 + u) ** 2 * rho.sqrt() <= decimal.Decimal(slack), n
+            assert decimal.Decimal(floor) <= g - u, n
 
 
 def test_exact_mode_returns_w_as_xi(rng):
@@ -515,16 +521,92 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
             assert sol.xi.tobytes() == xi.tobytes()
 
 
-def test_row_norms_match_l2_norm_bit_for_bit(rng):
-    # the float bisection path reads each stacked iterate's norm off one
-    # stacked product; pin it to l2_norm of the row at every dimension the
-    # path takes, on signed zeros and subnormals
-    for dim in range(1, _FLOAT_MAX_DIM + 1):
-        for scale in (1e-160, 1.0, 1e150):
-            rows = np.array([kinked_point(rng, dim, scale) for _ in range(40)])
-            rows[-2], rows[-1] = 0.0, -0.0
-            for row, norm in zip(rows, _row_norms(rows)):
-                assert np.float64(l2_norm(row)).tobytes() == norm.tobytes()
+def _both_paths(monkeypatch, g, w, x, theta):
+    """The inner solve as it runs, and again with every dimension sent to
+    the array path."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sol = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
+        with monkeypatch.context() as m:
+            m.setattr(subproblem, "_FLOAT_MAX_DIM", 0)
+            ref = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
+    return sol, ref
+
+
+def _same_solution(sol, ref):
+    assert sol.mode_used is ref.mode_used
+    assert sol.inner_iters == ref.inner_iters
+    assert sol.y.tobytes() == ref.y.tobytes()
+    assert sol.xi.tobytes() == ref.xi.tobytes()
+
+
+def _run_inputs(problem, starts, max_iter=60):
+    """(g, w, x, theta) of every inner_solver subproblem that short inmbdca
+    runs from ``starts`` solve."""
+    config = problems.experiment_config(max_iter=max_iter)
+    inputs = []
+
+    def record(g, w, x, theta, mode, rng=None):
+        inputs.append((g, w.copy(), x.copy(), theta))
+        return solve_inexact(g, w, x, theta, mode, rng)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(drivers, "solve_inexact", record)
+        for x0 in starts:
+            run_inmbdca(problem, config, x0, strict=False)
+    return inputs
+
+
+def test_float_path_matches_array_path_bit_for_bit(monkeypatch):
+    # the float path's relative test, read off its own sums of squares
+    # with a rounding margin, against the array path's l2_norm test: the
+    # subproblems of random-sep runs at every dimension the float path takes
+    # and one past it, and the kinked cases (non-finite inputs included)
+    rng = np.random.default_rng(5)
+    for dim in range(1, _FLOAT_MAX_DIM + 2):
+        problem = problems.resolve(f"random-sep(dim={dim},seed=0)")
+        inputs = _run_inputs(problem, rng.uniform(-10.0, 10.0, (2, dim)))
+        assert len(inputs) >= 4
+        for g, w, x, theta in inputs:
+            _same_solution(*_both_paths(monkeypatch, g, w, x, theta))
+    for g, w, x in _small_kinked_cases():
+        for theta in (0.05, 0.2, 0.45):
+            _same_solution(*_both_paths(monkeypatch, g, w, x, theta))
+
+
+def test_undecided_step_is_evaluated_by_l2_norm(monkeypatch):
+    # theta set to the accepted step's own l2_norm ratio ||w - xi|| / ||y - x||
+    # (and its two neighbours): theta ||y - x|| lies within an ulp or two of
+    # ||w - xi||, inside the rounding margin, so the float path cannot
+    # decide that step from its sums and hands it to _passes
+    seen, passes = [], subproblem._passes
+
+    def recording(v, e, theta):
+        seen.append(e)
+        return passes(v, e, theta)
+
+    monkeypatch.setattr(subproblem, "_passes", recording)
+    cases = [(problems.resolve("ex2").g, np.array([1.0, 0.5]),
+              np.array([-3.0, 4.0]))]
+    cases += [c for c in _small_kinked_cases() if c[2].shape[0] <= 4][:40]
+    undecided = 0
+    for g, w, x in cases:
+        if not (np.isfinite(w).all() and np.isfinite(x).all()):
+            continue
+        sol = solve_inexact(g, w, x, 0.2, InexactMode.INNER_SOLVER)
+        lhs = l2_norm(w - sol.xi)
+        if sol.mode_used is not InexactMode.INNER_SOLVER or lhs == 0.0:
+            continue  # an exactly zero lhs is decided exactly
+        ratio = lhs / l2_norm(sol.y - x)
+        for theta in (np.nextafter(ratio, 0.0), ratio,
+                      np.nextafter(ratio, np.inf)):
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(subproblem, "_bisect_arrays", None)  # floats only
+                got = solve_inexact(g, w, x, theta, InexactMode.INNER_SOLVER)
+            assert any(e.tobytes() == (sol.y - x).tobytes() for e in seen)
+            undecided += 1
+            _same_solution(got, _both_paths(monkeypatch, g, w, x, theta)[1])
+    assert undecided >= 30
 
 
 def test_perturbed_certificate_bounds_the_norm_of_the_floors():
