@@ -95,11 +95,7 @@ def membership_gap(lo: np.ndarray, hi: np.ndarray, v: np.ndarray):
     a float; for a 2-D v, an array of the gap of each row."""
     # clamping the largest excess at 0 gives the bits of clamping each
     # coordinate first: a zero gap is +0.0 either way, and a NaN stays NaN
-    # (NaN <= 0.0 is false)
-    gap = np.maximum.reduce(np.maximum(lo - v, v - hi), -1)
-    if v.ndim > 1:
-        return np.maximum(gap, 0.0)
-    return 0.0 if gap <= 0.0 else float(gap)
+    return np.maximum(np.maximum.reduce(np.maximum(lo - v, v - hi), -1), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,14 @@
-"""Solver loops with per-iteration certificate checking, plus trace
-diagnostics: criticality residuals and iteration-count bounds evaluated
-against recorded runs.
+"""Solver loops with certificate checking, plus trace diagnostics:
+criticality residuals and iteration-count bounds evaluated against recorded
+runs.
 
-Each run checks every record it builds against the certificate catalogue
-(``certificates.py``), plus the subproblem linearization bound, which only
-the live loop checks.  In strict mode a violation beyond numerical slack
-aborts the run with a diagnostic naming the inequality and the iteration;
-otherwise it warns and continues.
+Each run checks the subproblem linearization bound at every iteration, as
+only the loop holds g(x) and g(y), and checks its finished trace against
+the certificate catalogue (``certificates.py``) by the same evaluation that
+``dcboost check`` replays.  In strict mode a violation beyond numerical
+slack raises a diagnostic naming the inequality and its iteration (the
+first failing one, in iteration order, for the catalogue); otherwise it
+warns for each.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import TOLERANCE, holds, slacks, square
+from .certificates import TOLERANCE, holds, slack_columns
 from .convex import as_point, value_pair
 from .core import (
     DcProblem,
@@ -130,17 +132,12 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             lam, n_backtracks = ls.lam, ls.n_backtracks
             phi_next = ls.accepted_value
 
-        record = IterationRecord(
+        records.append(IterationRecord(
             k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
             eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
             xi=xi.copy(), nu_k=nu_k, lambda_k=lam, n_backtracks=n_backtracks,
             phi_y=phi_y, phi_next=phi_next,
-        )
-        for name, slack in slacks(record, problem, config, d_norm).items():
-            if not holds(name, slack):
-                _flag(strict, f"{name.replace('_', ' ')} failed at iteration "
-                              f"{k}: slack={slack}")
-        records.append(record)
+        ))
         if d_zero:
             termination = Termination.D_ZERO
             break
@@ -150,12 +147,21 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         step = math.sqrt(step_vec @ step_vec)
         eps_prev = eps_k
         x, phi_x = x_next, phi_next
-        # a nonzero lam's point is the last one the search evaluated
-        g_x = g_trial if lam != 0.0 else g.value(x)
+        # a nonzero lam's point is the last one the search evaluated, and a
+        # zero lam's is y
+        g_x = g_trial if lam != 0.0 else g_y
         if step < config.stop_step_tol:
             termination = Termination.STEP_TOL
             break
 
+    if records:
+        found = slack_columns(records, problem, config, x)
+        names, table = list(found), np.array(list(found.values()))
+        failed = ~np.array([holds(name, s) for name, s in found.items()])
+        # record-major, catalogue order within a record
+        for i, j in np.argwhere(failed.T):
+            _flag(strict, f"{names[j].replace('_', ' ')} failed at iteration "
+                          f"{records[i].k}: slack={table[j, i]}")
     return Trace(
         problem_name=problem.name,
         config=config,
@@ -275,7 +281,7 @@ def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
     k0 = None
     for idx in range(len(records) - 1, -1, -1):
         r = records[idx]
-        if r.nu_k <= delta * square(r.d_norm):
+        if r.nu_k <= delta * (r.d_norm * r.d_norm):
             k0 = idx
         else:
             break
@@ -335,7 +341,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
 
     tail_start = bound_tail = bound_tail_stated = None
     eps_dominated = all(
-        r.eps_k <= xi * coef * square(d_norm) + 1e-15
+        r.eps_k <= xi * coef * (d_norm * d_norm) + 1e-15
         for r, d_norm in zip(records, d_norms)
     )
     if k0 is not None and eps_dominated and n_total > k0:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dcboost import cli, drivers, problems
-from dcboost.certificates import CERTIFICATES, TOLERANCE, replay, slacks
+from dcboost.certificates import (CERTIFICATES, TOLERANCE, holds, replay,
+                                  slack_columns, slacks)
 from dcboost.convex import l2_norm
 from dcboost.core import InvariantViolation, IterationRecord, Trace, next_x
 
@@ -36,6 +37,8 @@ def test_catalogue_names_match_the_slacks():
     assert list(slacks(trace.records[0], EX2, REF)) == names
     assert list(CORRUPTIONS) == names
     assert list(TOLERANCE) == names + ["reconstruction"]
+    assert list(slack_columns(trace.records, EX2, REF, trace.final_x)) == list(
+        TOLERANCE)
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))
@@ -71,6 +74,50 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
         drivers.run_inmbdca(EX2, REF, START, seed=0)
 
 
+def _corrupting(monkeypatch, edits):
+    """Make the loop build each record ``k`` of ``edits`` with its fields
+    replaced by ``edits[k](record)``."""
+    def build(**fields):
+        record = IterationRecord(**fields)
+        edit = edits.get(record.k)
+        return dataclasses.replace(record, **edit(record)) if edit else record
+
+    monkeypatch.setattr(drivers, "IterationRecord", build)
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_live_violation_reports_the_replayed_worst_slack(name, monkeypatch):
+    corrupt = CORRUPTIONS[name]
+    _corrupting(monkeypatch, {K_BAD: lambda r: corrupt(r, EX2, REF)})
+    with pytest.raises(InvariantViolation) as raised:
+        drivers.run_inmbdca(EX2, REF, START, seed=0)
+    with pytest.warns(RuntimeWarning):
+        trace = drivers.run_inmbdca(EX2, REF, START, seed=0, strict=False)
+    value, k = replay(trace, EX2)[name]
+    assert str(raised.value) == (f"{name.replace('_', ' ')} failed at "
+                                 f"iteration {k}: slack={value!r}")
+
+
+def test_violations_are_flagged_record_by_record(monkeypatch):
+    # record 2's failure comes after both of record 0's, which come in
+    # catalogue order; strict mode raises the first of them
+    _corrupting(monkeypatch, {
+        0: lambda r: {"phi_next": EX2.phi_lower_bound - 1.0,
+                      "eps_certified": r.eps_k + 1.0},
+        2: lambda r: {"phi_y": r.phi_x + 1.0},
+    })
+    with pytest.raises(InvariantViolation, match="^eps certificate failed "
+                                                 "at iteration 0:"):
+        drivers.run_inmbdca(EX2, REF, START, seed=0)
+    with pytest.warns(RuntimeWarning) as warned:
+        drivers.run_inmbdca(EX2, REF, START, seed=0, strict=False)
+    assert [str(w.message).split(":")[0] for w in warned] == [
+        "eps certificate failed at iteration 0",
+        "phi lower bound failed at iteration 0",
+        "descent y failed at iteration 2",
+    ]
+
+
 def test_nan_slack_stays_the_worst():
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     r = trace.records[0]
@@ -85,19 +132,13 @@ def _scan(trace, problem):
     """The worst slacks as a scan record by record keeps them: the first
     value, replaced only by a smaller one or a NaN, and never once NaN."""
     worst = {}
-
-    def note(name, slack, k):
-        old = worst.get(name)
-        if old is None or not (slack >= old[0] or math.isnan(old[0])):
-            worst[name] = (slack, k)
-
-    for r in trace.records:
-        for name, slack in slacks(r, problem, trace.config).items():
-            note(name, slack, r.k)
-    ends = [r.x for r in trace.records[1:]] + [trace.final_x]
-    for r, end in zip(trace.records, ends):
-        note("reconstruction", -l2_norm(end - next_x(r.y, r.x, r.lambda_k)),
-             r.k)
+    found = slack_columns(trace.records, problem, trace.config,
+                          trace.final_x)
+    for i, r in enumerate(trace.records):
+        for name, column in found.items():
+            slack, old = float(column[i]), worst.get(name)
+            if old is None or not (slack >= old[0] or math.isnan(old[0])):
+                worst[name] = (slack, r.k)
     return worst
 
 
@@ -144,44 +185,22 @@ def test_first_nan_after_a_worse_finite_slack_stays_the_worst():
     assert math.isnan(value) and k == 2
 
 
-def test_inf_meeting_minus_inf_in_phi_is_a_nan_lower_bound_slack():
+def test_inf_meeting_minus_inf_in_phi_fails_the_lower_bound():
+    # the lowest of inf, phi_y and -inf is -inf, so the line fails at -inf
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     trace = _edited(trace, {2: {"phi_x": math.inf, "phi_next": -math.inf}})
     worst = replay(trace, EX2)
     assert _exact(worst) == _exact(_scan(trace, EX2))
     value, k = worst["phi_lower_bound"]
-    assert math.isnan(value) and k == 2
+    assert value == -math.inf and k == 2
+    assert not holds("phi_lower_bound", value)
 
 
-def test_squares_are_the_float_power_of_one_record():
-    # a float's **2 is libm's pow, which differs from d * d in the last bit
-    # for some d; replay squares exactly as the live loop does.  The square
-    # of a 27-bit d in [sqrt 2, 2) can lie halfway between two floats, where
-    # pow may round the other way
-    start = math.ceil(math.sqrt(2.0) * 2**26) | 1
-    candidates = [m * 2.0**-26 for m in range(start, start + 4000, 2)]
-    odd = [d for d in candidates if d**2 != d * d][:2] or candidates[:2]
-    trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
-    zero = {"phi_x": 0.0, "phi_y": 0.0, "phi_next": 0.0, "eps_k": 0.0,
-            "nu_k": 0.0, "x": np.zeros(2)}
-    # y - x = (d, 0), whose norm sqrt(fl(d * d)) is d again
-    trace = _edited(trace, {
-        1: {**zero, "y": np.array([odd[0], 0.0]), "lambda_k": 1.0},
-        2: {**zero, "y": np.array([1.0, 0.0]), "lambda_k": odd[1]},
-    })
-    assert [r.d_norm for r in trace.records[1:3]] == [odd[0], 1.0]
-    got, want = replay(trace, EX2), _scan(trace, EX2)
-    assert _exact(got) == _exact(want)
-    assert got["descent_y"][1] == 1 and got["linesearch"][1] == 2
-
-
-# the record scan's own reconstruction norm overflows
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_a_square_beyond_float_range_is_inf_live_and_replayed(tmp_path):
-    # 1e200**2 raises OverflowError for a float; one record and the columns
-    # both read the square as inf, and take 1e150**2 = 1e300 as it is.  A
-    # derived ||y - x|| is at most sqrt of the largest float, so only
-    # lambda_k squares past float range, and a stored d_norm is stale
+    # 1e200 * 1e200 reads inf, for one record and in the columns alike, and
+    # 1e150 * 1e150 = 1e300 stays as it is.  A derived ||y - x|| is at most
+    # sqrt of the largest float, so only lambda_k squares past float range,
+    # and a stored d_norm is stale
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     path, stale = tmp_path / "trace.jsonl", tmp_path / "stale.jsonl"
     trace.write_jsonl(path)
@@ -198,8 +217,9 @@ def test_a_square_beyond_float_range_is_inf_live_and_replayed(tmp_path):
                             3: {"y": r3.x + np.array([1e150, 0.0])},
                             4: {"lambda_k": -1e150}})
     assert trace.records[3].d_norm == 1e150
-    s = slacks(trace.records[2], EX2, REF)
-    assert s["linesearch"] == -math.inf
+    assert slacks(trace.records[2], EX2, REF)["linesearch"] == -math.inf
+    found = slack_columns(trace.records, EX2, REF, trace.final_x)
+    assert found["linesearch"][2] == -math.inf
     assert _exact(replay(trace, EX2)) == _exact(_scan(trace, EX2))
 
 
@@ -215,6 +235,12 @@ def test_reconstruction_takes_each_row_norm_as_l2_norm(dim):
         for k, r in enumerate(trace.records) if k % 4
     })
     assert _exact(replay(trace, p)) == _exact(_scan(trace, p))
+    ends = [r.x for r in trace.records[1:]] + [trace.final_x]
+    want = [-l2_norm(end - next_x(r.y, r.x, r.lambda_k))
+            for r, end in zip(trace.records, ends)]
+    got = slack_columns(trace.records, p, REF, trace.final_x)
+    assert list(map(repr, got["reconstruction"].tolist())) == list(
+        map(repr, want))
 
 
 def test_ties_go_to_the_first_record_signed_zeros_included(capsys,

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dcboost.certificates import replay, slacks
+from dcboost.certificates import replay, slack_columns
+from dcboost.convex import Sum
 from dcboost.core import (
     DcProblem,
     DirectNu,
@@ -41,10 +42,9 @@ from conftest import traces_field_equal as records_equal
 def descends(prob, trace):
     """Both descent estimates (to y, and from y along the step) hold on
     every record, to 1e-9."""
-    return all(
-        s["descent_y"] >= -1e-9 and s["linesearch"] >= -1e-9
-        for s in (slacks(r, prob, trace.config) for r in trace.records)
-    )
+    s = slack_columns(trace.records, prob, trace.config, trace.final_x)
+    return bool((s["descent_y"] >= -1e-9).all()
+                and (s["linesearch"] >= -1e-9).all())
 
 
 # --- main runs -------------------------------------------------------------------
@@ -182,6 +182,22 @@ def test_dca_immediate_stop_at_critical_point():
     trace = run_dca(EX1, REF, [-1.0, -1.0])
     assert trace.termination is Termination.D_ZERO
     assert len(trace.records) <= 1
+
+
+def test_dca_evaluates_g_only_together_with_h(monkeypatch):
+    # every dca step is a zero step, after which x is y, whose g the loop
+    # already holds: g is evaluated only through value_pair, never alone
+    calls = []
+    value = Sum.value
+
+    def counted(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(Sum, "value", counted)
+    starts = problems.sample_starts(20, [-10, 10], 42, 2)
+    iters = sum(len(run_dca(EX2, REF, x0).records) for x0 in starts)
+    assert iters > 300 and calls == []
 
 
 def test_monotone_configuration_is_monotone():
@@ -331,7 +347,8 @@ def test_descent_y_slack_matches_hand_computation():
                               nu=ZeroNu())
     trace = run_dca(EX1, cfg, [1.0, 1.0])
     assert EX1.sigma == 1.0
-    slack_y = slacks(trace.records[0], EX1, trace.config)["descent_y"]
+    slack_y, = slack_columns(trace.records, EX1, trace.config,
+                             trace.final_x)["descent_y"]
     # phi(y) = 2/9 against 2 - 0.5 * 8/9: slack 4/3
     assert slack_y == pytest.approx(4 / 3, abs=1e-12)
     assert slack_y >= -1e-9

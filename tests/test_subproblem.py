@@ -3,7 +3,7 @@ import decimal
 import numpy as np
 import pytest
 
-from dcboost.certificates import holds, slacks
+from dcboost.certificates import holds, slack_columns
 from dcboost.convex import Sum, l2_norm
 from dcboost.core import (DcProblem, InexactMode, IterationRecord,
                           SolverConfig, UnsupportedProblemError)
@@ -18,13 +18,14 @@ from conftest import (box_reference, grid_argmin, kinked_point, random_expr,
 
 def _pair_slacks(g, w, x, y, xi, theta):
     """The ``subgrad_membership`` and ``inexact_bound`` slacks of a record
-    holding the pair (y, xi) solved at (w, x); the other fields are 0."""
+    holding the pair (y, xi) solved at (w, x), by the checker of a run;
+    the other fields are 0."""
     record = IterationRecord(
         k=0, x=x, phi_x=0.0, eps_k=0.0, eps_certified=0.0, w=w, y=y, xi=xi,
         nu_k=0.0, lambda_k=0.0, n_backtracks=0, phi_y=0.0, phi_next=0.0)
     problem = DcProblem("pair", g, g, x.shape[0], g.modulus())
-    s = slacks(record, problem, SolverConfig(theta=theta))
-    return s["subgrad_membership"], s["inexact_bound"]
+    s = slack_columns([record], problem, SolverConfig(theta=theta), y)
+    return s["subgrad_membership"][0], s["inexact_bound"][0]
 
 
 def _accepted(g, w, x, y, xi, theta):
