@@ -30,7 +30,7 @@ import types
 
 import numpy as np
 
-from .convex import l2_norm, membership_gap, subdiff_bounds
+from .convex import membership_gap, row_norms, subdiff_bounds
 from .core import TRACE_CSV_COLUMNS, next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "slack_columns",
@@ -80,20 +80,23 @@ def slacks(record, problem, config) -> dict:
     }
 
 
-# the scalar fields, then the norms each record derives from its arrays
-_SCALARS = (*TRACE_CSV_COLUMNS, "d_norm", "inexact_lhs")
-_ROW = operator.attrgetter(*_SCALARS)
-_ARRAYS = ("x", "y", "xi")  # the array fields slacks reads
+_ARRAY_NAMES = ("x", "w", "y", "xi")
+_SCALARS = operator.attrgetter(*TRACE_CSV_COLUMNS)
+_ARRAYS = operator.attrgetter(*_ARRAY_NAMES)
 
 
 def _columns(records):
-    """A nonempty list of records stacked, one row per record: each of
-    ``_ARRAYS`` a 2-D float array, and each scalar field and derived norm a
-    float64 array of the records' own values."""
-    table = np.array(list(map(_ROW, records)), float)
-    cols = {name: table[:, j] for j, name in enumerate(_SCALARS)}
-    for name in _ARRAYS:
-        cols[name] = np.array([getattr(r, name) for r in records])
+    """A nonempty list of records stacked, one row per record: x, w, y and
+    xi as 2-D float arrays, each scalar field a float64 array of the
+    records' own values, and the derived norms ``d_norm`` and
+    ``inexact_lhs`` taken by ``row_norms``, so each equals the record's
+    own."""
+    table = np.array(list(map(_SCALARS, records)), float)
+    cols = {name: table[:, j] for j, name in enumerate(TRACE_CSV_COLUMNS)}
+    stacked = np.array(list(map(_ARRAYS, records)))
+    cols.update(zip(_ARRAY_NAMES, stacked.transpose(1, 0, 2)))
+    cols["d_norm"] = row_norms(cols["y"] - cols["x"])
+    cols["inexact_lhs"] = row_norms(cols["w"] - cols["xi"])
     return types.SimpleNamespace(**cols)
 
 
@@ -107,12 +110,7 @@ def slack_columns(records, problem, config, final_x) -> dict:
         found = slacks(r, problem, config)
         misses = (np.vstack((r.x[1:], final_x))
                   - next_x(r.y, r.x, r.lambda_k[:, None]))
-        # l2_norm of a row with no nonzero entry is 0.0, so only the others
-        # (a stored x that is not derived, NaN) take their own norm
-        err = np.zeros(len(records))
-        for i in np.flatnonzero(misses.any(axis=1)):
-            err[i] = l2_norm(misses[i])
-    found["reconstruction"] = -err
+        found["reconstruction"] = -row_norms(misses)
     return found
 
 

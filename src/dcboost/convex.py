@@ -22,8 +22,9 @@ __all__ = [
     "as_point",
     "l2_norm",
     "membership_gap",
+    "row_norms",
     "subdiff_bounds",
-    "value_pair",
+    "value_rows",
 ]
 
 
@@ -43,6 +44,13 @@ def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector: what ``np.linalg.norm`` computes
     for one, ``sqrt(v @ v)``, bit for bit, without its Python layers."""
     return math.sqrt(v @ v)
+
+
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """``l2_norm`` of each row of a 2-D float array, bit for bit:
+    ``np.vecdot`` takes one BLAS dot per row, as ``v @ v`` does for one
+    (``np.einsum`` sums in another order)."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 def subdiff_bounds(quad: float, lin: np.ndarray, l1: float, x: np.ndarray,
@@ -140,15 +148,22 @@ class Sum:
 
     def value(self, x) -> float:
         x = as_point(x, self.lin.shape[0])
-        return self._value(x, *_norms(x, self.quad, self.l1))
-
-    def _value(self, x, sq, abs_sum) -> float:
-        # the formula of value and value_pair, given sq = x @ x where quad
-        # is nonzero and abs_sum = sum_i |x_i| where l1 is
         total = 0.0
         if self.quad:
-            total += self.quad * sq
+            total += self.quad * float(x @ x)
         total += float(self.lin @ x)
+        if self.l1:
+            total += self.l1 * float(np.add.reduce(np.abs(x)))
+        return total
+
+    def _rows(self, Z, sq, abs_sum) -> np.ndarray:
+        # value's running total over the rows of Z, given sq = z @ z where
+        # quad is nonzero and abs_sum = sum_i |z_i| where l1 is.  quad * sq
+        # is never -0.0, so 0.0 + quad * sq is quad * sq, bit for bit; a
+        # total that starts at the lin part keeps the 0.0 + that turns -0.0
+        # into 0.0
+        lin = np.vecdot(Z, self.lin)
+        total = self.quad * sq + lin if self.quad else 0.0 + lin
         if self.l1:
             total += self.l1 * abs_sum
         return total
@@ -209,17 +224,12 @@ class Sum:
         return EpsSubgradCert(self.subgrad(x), 0.0)
 
 
-def _norms(x, quad, l1):
-    """(x @ x, sum_i |x_i|) as floats, each only where its weight is nonzero
-    (0.0 otherwise)."""
-    sq = float(x @ x) if quad else 0.0
-    abs_sum = float(np.add.reduce(np.abs(x))) if l1 else 0.0
-    return sq, abs_sum
-
-
-def value_pair(f1: Sum, f2: Sum, x) -> tuple:
-    """(f1(x), f2(x)), bit for bit their ``value``s, computing x @ x and
-    sum_i |x_i| once for both."""
-    x = as_point(x, f1.lin.shape[0])
-    norms = _norms(x, f1.quad or f2.quad, f1.l1 or f2.l1)
-    return f1._value(x, *norms), f2._value(x, *norms)
+def value_rows(f1: Sum, f2: Sum, Z) -> tuple:
+    """(f1, f2) at every row of the 2-D float array Z: two float64 arrays,
+    each entry bit for bit the ``value`` of its row.  z @ z and sum_i |z_i|
+    are computed once per row for both: the square by one BLAS dot per row
+    (``np.vecdot``, as ``z @ z`` takes one), the sum by the reduction
+    ``value`` takes."""
+    sq = np.vecdot(Z, Z) if f1.quad or f2.quad else None
+    abs_sum = np.add.reduce(np.abs(Z), axis=-1) if f1.l1 or f2.l1 else None
+    return f1._rows(Z, sq, abs_sum), f2._rows(Z, sq, abs_sum)

@@ -11,7 +11,6 @@ rather than postponing their evaluation.
 
 import base64
 import binascii
-import csv
 import json
 import math
 import operator
@@ -40,6 +39,7 @@ __all__ = [
     "DcProblem",
     "IterationRecord",
     "Trace",
+    "make_record",
     "next_x",
     "validate",
     "config_to_flat",
@@ -368,6 +368,15 @@ class IterationRecord:
         return l2_norm(self.w - self.xi)
 
 
+def make_record(values: dict) -> IterationRecord:
+    """The record whose fields are ``values``, one entry per field.  The
+    fields are set at once, not one object.__setattr__ each as the dataclass
+    __init__ sets them; assigning to the record still raises."""
+    record = object.__new__(IterationRecord)
+    record.__dict__.update(values)
+    return record
+
+
 # --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  A
 # record may leave out x and xi, which read_jsonl fills back in bit for bit;
 # the header's "arrays": DERIVED_ARRAYS names this, the one trace format.
@@ -445,8 +454,8 @@ def _field(d: dict, name: str, read, dim=None):
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-# field name -> reader of its JSON value, in field order; the CSV gets
-# every scalar field
+# field name -> reader of its JSON value, in field order; TRACE_CSV_COLUMNS
+# names the scalar fields, the columns of a run's scalar table
 _RECORD_READERS = {
     f.name: {np.ndarray: _decode_array, int: _int, float: _float}[f.type]
     for f in fields(IterationRecord)
@@ -520,11 +529,7 @@ def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
                               dict(zip(TRACE_CSV_COLUMNS, scalars)))
     else:
         values = _read_fields(d, _RECORD_READERS, dim, x_derived, {})
-    # the fields at once, not one object.__setattr__ each as the dataclass
-    # __init__ sets them; assigning to the record still raises
-    record = object.__new__(IterationRecord)
-    record.__dict__.update(values)
-    return record
+    return make_record(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,15 +623,6 @@ class Trace:
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from None
         return cls(records=records, **header)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_CSV_COLUMNS)
-            for r in self.records:
-                row = [getattr(r, c) for c in TRACE_CSV_COLUMNS]
-                writer.writerow([repr(v) if isinstance(v, float) else v
-                                 for v in row])
 
 
 # --- flat config: one key per field, derived once from the fields

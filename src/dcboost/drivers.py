@@ -20,18 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import TOLERANCE, holds, slack_columns
-from .convex import as_point, value_pair
+from .certificates import TOLERANCE, slack_columns
+from .convex import as_point, row_norms, value_rows
 from .core import (
     DcProblem,
     EpsSchedule,
     InexactMode,
     InvariantViolation,
-    IterationRecord,
     SolverConfig,
     Termination,
     Trace,
     ZeroNu,
+    make_record,
     next_x,
     validate,
 )
@@ -50,6 +50,19 @@ __all__ = [
     "complexity_report",
     "step_domination_start",
 ]
+
+
+# -tol of each slack, a column in slack_columns order: a slack holds when
+# it is >= its entry, as ``holds`` tests one
+_MINUS_TOLERANCE = -np.array(list(TOLERANCE.values()))[:, None]
+
+
+def _phi_rows(g, h, Z):
+    """phi and g at every row of Z, each a list of floats; phi is g - h in
+    Python floats, which warn of no inf - inf."""
+    g_rows, h_rows = value_rows(g, h, Z)
+    gs = g_rows.tolist()
+    return [a - b for a, b in zip(gs, h_rows.tolist())], gs
 
 
 def _flag(strict: bool, message: str) -> None:
@@ -79,24 +92,25 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             stacklevel=2,
         )
 
-    rng = np.random.default_rng(seed)
-    theta, rho = config.theta, config.rho
+    # only a nonzero eps budget and the perturbed solve draw
+    draws = (config.eps.kind != "zero"
+             or config.inexact_mode is InexactMode.PERTURBED_EXACT)
+    rng = np.random.default_rng(seed) if draws else None
+    theta, rho, beta = config.theta, config.rho, config.beta
+    lambda_bar, max_backtracks = config.lambda_bar, config.max_backtracks
+    # y and the search's first trial points y + lambda d, refilled each
+    # iteration: row 0 of ``points``, then the rows of its view ``trials``
+    lams = np.array([lambda_bar * beta**j for j in range(
+        min(2, max_backtracks + 1) if lambda_bar else 0)])[:, None]
+    points = np.empty((1 + len(lams), problem.dim))
+    trials = points[1:]
     g, h = problem.g, problem.h
     x = as_point(x0, problem.dim).copy()
     x_start = x.copy()
-    g_x, h_x = value_pair(g, h, x)
-    phi_x = g_x - h_x
-    g_trial = None
-
-    def phi_trial(z):
-        # phi at a linesearch trial point, keeping g there: the accepted
-        # trial point is the next x
-        nonlocal g_trial
-        g_trial, h_z = value_pair(g, h, z)
-        return g_trial - h_z
+    (phi_x,), (g_x,) = _phi_rows(g, h, x[None])
 
     nu_memory = eps_prev = None
-    records = []
+    rows = []
     termination = Termination.MAX_ITER
 
     for k in range(config.max_iter):
@@ -108,8 +122,11 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         d = y - x
         d_sq = float(d @ d)
         d_norm = math.sqrt(d_sq)
-        g_y, h_y = value_pair(g, h, y)
-        phi_y = g_y - h_y
+        d_zero = d_norm <= config.d_zero_tol
+        points[0] = y
+        np.add(y, np.multiply(lams, d, out=trials), out=trials)
+        phis, gs = _phi_rows(g, h, points)
+        phi_y, g_y = phis[0], gs[0]
 
         # live-only: replaying it would cost two evaluations of g per record
         lin_gap = g_x - g_y + float(w @ d)
@@ -118,7 +135,6 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
                   f"subproblem linearization bound g(x) >= g(y) - <w, y-x> "
                   f"failed at iteration {k}: gap={lin_gap}")
 
-        d_zero = d_norm <= config.d_zero_tol
         nu_k = lam = 0.0
         n_backtracks = 0
         phi_next = phi_y
@@ -126,18 +142,19 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             nu_k, nu_memory = config.nu.allowance(nu_memory, k, phi_x,
                                                   eps_prev, d_sq)
             ls = nonmonotone_search(
-                phi_trial, y, d, phi_y, rho, config.beta, config.lambda_bar,
-                nu_k, config.max_backtracks, d_sq,
+                problem.phi, y, d, phi_y, rho, beta, lambda_bar, nu_k,
+                max_backtracks, d_sq, phis[1:],
             )
             lam, n_backtracks = ls.lam, ls.n_backtracks
             phi_next = ls.accepted_value
 
-        records.append(IterationRecord(
-            k=k, x=x.copy(), phi_x=phi_x, eps_k=eps_k,
-            eps_certified=cert.eps_achieved, w=w.copy(), y=y.copy(),
-            xi=xi.copy(), nu_k=nu_k, lambda_k=lam, n_backtracks=n_backtracks,
-            phi_y=phi_y, phi_next=phi_next,
-        ))
+        rows.append({
+            "k": k, "x": x.copy(), "phi_x": phi_x, "eps_k": eps_k,
+            "eps_certified": cert.eps_achieved, "w": w.copy(), "y": y.copy(),
+            "xi": xi.copy(), "nu_k": nu_k, "lambda_k": lam,
+            "n_backtracks": n_backtracks, "phi_y": phi_y,
+            "phi_next": phi_next,
+        })
         if d_zero:
             termination = Termination.D_ZERO
             break
@@ -147,19 +164,20 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
         step = math.sqrt(step_vec @ step_vec)
         eps_prev = eps_k
         x, phi_x = x_next, phi_next
-        # a nonzero lam's point is the last one the search evaluated, and a
-        # zero lam's is y
-        g_x = g_trial if lam != 0.0 else g_y
+        # g at the accepted point: y for a zero lam, else a trial point,
+        # held unless the search evaluated it alone
+        g_x = (g_y if lam == 0.0 else gs[n_backtracks + 1]
+               if n_backtracks + 1 < len(gs) else g.value(x))
         if step < config.stop_step_tol:
             termination = Termination.STEP_TOL
             break
 
+    records = [make_record(values) for values in rows]
     if records:
         found = slack_columns(records, problem, config, x)
         names, table = list(found), np.array(list(found.values()))
-        failed = ~np.array([holds(name, s) for name, s in found.items()])
         # record-major, catalogue order within a record
-        for i, j in np.argwhere(failed.T):
+        for i, j in np.argwhere((~(table >= _MINUS_TOLERANCE)).T):
             _flag(strict, f"{names[j].replace('_', ' ')} failed at iteration "
                           f"{records[i].k}: slack={table[j, i]}")
     return Trace(
@@ -278,14 +296,21 @@ def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
     if delta <= 0:
         raise ValueError("delta must be positive")
     records = trace.records
+    d_norms = _d_norms(records)
     k0 = None
     for idx in range(len(records) - 1, -1, -1):
-        r = records[idx]
-        if r.nu_k <= delta * (r.d_norm * r.d_norm):
+        if records[idx].nu_k <= delta * (d_norms[idx] * d_norms[idx]):
             k0 = idx
         else:
             break
     return k0
+
+
+def _d_norms(records) -> list:
+    """Each record's ``d_norm``, as floats, by the row kernel."""
+    if not records:
+        return []
+    return row_norms(np.array([r.y - r.x for r in records])).tolist()
 
 
 def complexity_report(trace: Trace, phi_bar: float, sigma: float,
@@ -321,7 +346,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
 
     # an edited trace's arrays may overflow: their norms read inf, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        d_norms = [r.d_norm for r in records]
+        d_norms = _d_norms(records)
         k0 = step_domination_start(trace, xi * coef)
     phi0 = records[0].phi_x
     min_d = math.inf

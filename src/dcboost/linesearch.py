@@ -37,16 +37,19 @@ class TauBound:
 
 def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
                        beta: float, lambda_bar: float, nu: float,
-                       max_backtracks: int, d_sq=None) -> LinesearchResult:
+                       max_backtracks: int, d_sq=None,
+                       known=()) -> LinesearchResult:
     """Backtrack from lambda_bar by factor beta until acceptance, given
-    ``phi_y`` = phi(y); ``phi_eval`` is called only at trial points.
+    ``phi_y`` = phi(y).  ``known`` holds phi at the first trial points y +
+    lambda_bar beta^j d, j = 0, 1, ..., as the caller evaluated them; they
+    are examined first, and ``phi_eval`` is called, one point at a time,
+    only at later trial points.
 
     lambda_bar = 0 returns lambda = 0 immediately (the condition holds with
     slack nu); an exhausted budget also falls back to lambda = 0, which keeps
     the outer update well defined since nu >= 0.  A nonzero returned lambda
-    is that of the last ``phi_eval`` call, whose argument was y + lambda * d:
-    ``run_inmbdca`` keeps g from that call as g at its next x.  ``d_sq``,
-    when given, is the caller's ``float(d @ d)``.
+    is that of the last trial examined, at y + lambda * d.  ``d_sq``, when
+    given, is the caller's ``float(d @ d)``.
     """
     y = as_point(y)
     d = as_point(d, y.shape[0])
@@ -66,7 +69,7 @@ def nonmonotone_search(phi_eval, y, d, phi_y: float, rho: float,
         return LinesearchResult(0.0, 0, phi_y)
     for j in range(max_backtracks + 1):
         lam = lambda_bar * beta**j
-        val = float(phi_eval(y + lam * d))
+        val = known[j] if j < len(known) else float(phi_eval(y + lam * d))
         bound = phi_y - rho * lam * lam * d_sq + nu
         if val <= bound:
             return LinesearchResult(lam, j, val)

@@ -64,25 +64,25 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
                if line.endswith("[VIOLATED]")]
     assert flagged == [name]
 
-    def build(**fields):
-        record = IterationRecord(**fields)
+    def build(values):
+        record = IterationRecord(**values)
         return corrupted(record) if record.k == K_BAD else record
 
-    monkeypatch.setattr(drivers, "IterationRecord", build)
+    monkeypatch.setattr(drivers, "make_record", build)
     message = f"^{name.replace('_', ' ')} failed at iteration {K_BAD}:"
     with pytest.raises(InvariantViolation, match=message):
         drivers.run_inmbdca(EX2, REF, START, seed=0)
 
 
 def _corrupting(monkeypatch, edits):
-    """Make the loop build each record ``k`` of ``edits`` with its fields
+    """Make the run build each record ``k`` of ``edits`` with its fields
     replaced by ``edits[k](record)``."""
-    def build(**fields):
-        record = IterationRecord(**fields)
+    def build(values):
+        record = IterationRecord(**values)
         edit = edits.get(record.k)
         return dataclasses.replace(record, **edit(record)) if edit else record
 
-    monkeypatch.setattr(drivers, "IterationRecord", build)
+    monkeypatch.setattr(drivers, "make_record", build)
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))

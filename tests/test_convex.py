@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcboost.convex import (Sum, l2_norm, membership_gap, subdiff_bounds,
-                            value_pair)
+from dcboost.convex import (Sum, l2_norm, membership_gap, row_norms,
+                            subdiff_bounds, value_rows)
 from dcboost.core import DcProblem
 from dcboost.drivers import criticality_residual
 
@@ -348,32 +348,53 @@ def _summed_parts(f, x):
     return value, grad
 
 
-def test_value_pair_and_subgrad_match_the_summed_parts_bit_for_bit(rng):
-    # value_pair shares x @ x and sum |x_i| between its two functions; both
-    # values, and each value and subgradient alone, keep the bits of the
-    # parts summed one at a time, on signed zeros, subnormals and kinks
-    def bits(v):
-        return np.float64(v).tobytes()
+def _pinned_rows(rng, dim):
+    """Rows for the row-kernel bit pins: signed zeros, kinked and subnormal
+    points, random points at spread scales, a row whose squares overflow to
+    inf and a row holding a NaN."""
+    huge = np.full(dim, 1e200)
+    huge[::2] = -1e200
+    nan = random_point(rng, dim)
+    nan[dim // 2] = math.nan
+    spread = (rng.standard_normal((40, dim))
+              * 10.0 ** rng.uniform(-150, 150, (40, 1)))
+    return np.vstack([np.zeros(dim), -np.zeros(dim), kinked_point(rng, dim),
+                      kinked_point(rng, dim, 1e-300), random_point(rng, dim),
+                      rng.uniform(-1e-308, 1e-308, dim), huge, nan, spread])
 
-    for dim in (1, 2, 1000):
+
+def test_value_rows_and_row_norms_match_the_one_point_calls_bit_for_bit(rng):
+    # value_rows shares z @ z and sum |z_i| between its two functions and
+    # takes one dot per row; each row's two values, and its norm, keep the
+    # bits of the one-point calls, which keep those of the parts summed one
+    # at a time (the subgradient too), on every row _pinned_rows makes
+    def bits(values):
+        return np.asarray(values, float).view(np.int64)
+
+    for dim in (1, 2, 3, 7, 32, 33, 1000):
         lin = rng.uniform(-2.0, 2.0, dim)
         lin[::3], lin[1::3] = 0.0, -0.0
         fs = [Sum(0.75, lin, 0.5), Sum(0.5, np.zeros(dim), 0.0),
               Sum(0.0, lin, 1.25), Sum(0.0, -np.zeros(dim), 0.0),
               random_expr(rng, dim)]
-        xs = [np.zeros(dim), -np.zeros(dim), kinked_point(rng, dim),
-              kinked_point(rng, dim, 1e-300), random_point(rng, dim)]
-        for x in xs:
+        Z = _pinned_rows(rng, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (bits(row_norms(Z)) == bits([l2_norm(z) for z in Z])).all()
+            one_point = []
             for f in fs:
-                value, grad = _summed_parts(f, x)
-                assert type(f.value(x)) is float
-                assert bits(f.value(x)) == bits(value)
-                assert f.subgrad(x).tobytes() == grad.tobytes()
-                for h in fs:
-                    pair = value_pair(f, h, x)
-                    assert [type(v) for v in pair] == [float, float]
-                    assert ([bits(v) for v in pair]
-                            == [bits(f.value(x)), bits(h.value(x))])
+                for z in Z:
+                    value, grad = _summed_parts(f, z)
+                    assert type(f.value(z)) is float
+                    assert bits(f.value(z)) == bits(value)
+                    assert f.subgrad(z).tobytes() == grad.tobytes()
+                one_point.append(bits([f.value(z) for z in Z]))
+            for f, f_bits in zip(fs, one_point):
+                for h, h_bits in zip(fs, one_point):
+                    rows = value_rows(f, h, Z)
+                    assert [(v.dtype, v.shape) for v in rows] == [
+                        (np.float64, (len(Z),))] * 2
+                    assert (bits(rows[0]) == f_bits).all()
+                    assert (bits(rows[1]) == h_bits).all()
 
 
 def test_negative_weights_rejected():

@@ -20,7 +20,6 @@ from dcboost.core import (
     SolverConfig,
     Termination,
     Trace,
-    TRACE_CSV_COLUMNS,
     ZeroNu,
     ZhangHagerNu,
     config_from_flat,
@@ -463,22 +462,6 @@ def test_trace_jsonl_exact_floats(tmp_path):
     back = Trace.read_jsonl(path)
     assert back.records[0].phi_next == trace.records[0].phi_next
     assert back.records[0].d_norm == trace.records[0].d_norm
-
-
-def test_trace_csv_columns(tmp_path):
-    trace = _tiny_trace()
-    path = tmp_path / "t.csv"
-    trace.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
-    assert TRACE_CSV_COLUMNS == [
-        "k", "phi_x", "eps_k", "eps_certified", "nu_k", "lambda_k",
-        "n_backtracks", "phi_y", "phi_next",
-    ]
-    row = lines[1].split(",")
-    assert row[0] == "0"
-    assert float(row[1]) == 2.0
-    assert row[-1] == repr(-10.0 / 9.0)  # floats by repr, bit-exact
 
 
 def test_trace_read_rejects_empty(tmp_path):

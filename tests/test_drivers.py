@@ -28,7 +28,7 @@ from dcboost.drivers import (
     solver_config,
 )
 from dcboost.linesearch import tau_bound
-from dcboost import problems
+from dcboost import drivers, problems
 
 
 EX1 = problems.resolve("ex1")
@@ -186,7 +186,7 @@ def test_dca_immediate_stop_at_critical_point():
 
 def test_dca_evaluates_g_only_together_with_h(monkeypatch):
     # every dca step is a zero step, after which x is y, whose g the loop
-    # already holds: g is evaluated only through value_pair, never alone
+    # already holds: g is evaluated only through value_rows, never alone
     calls = []
     value = Sum.value
 
@@ -198,6 +198,55 @@ def test_dca_evaluates_g_only_together_with_h(monkeypatch):
     starts = problems.sample_starts(20, [-10, 10], 42, 2)
     iters = sum(len(run_dca(EX2, REF, x0).records) for x0 in starts)
     assert iters > 300 and calls == []
+
+
+def test_one_row_evaluation_per_iteration_and_no_rng_where_nothing_draws(
+        monkeypatch):
+    # phi at x0, then at y and the first two trial points of each iteration
+    # in one value_rows call; only a later trial is evaluated alone, so a
+    # run whose searches accept within one backtrack evaluates nothing more.
+    # Only a run that can draw makes a generator
+    rows, alone, made = [], [], []
+    value_rows, value = drivers.value_rows, Sum.value
+    default_rng = np.random.default_rng
+
+    def counted_rows(f1, f2, Z):
+        rows.append(len(Z))
+        return value_rows(f1, f2, Z)
+
+    def counted_value(self, x):
+        alone.append(x)
+        return value(self, x)
+
+    def counted_rng(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    starts = problems.sample_starts(20, [-10, 10], 42, 2)
+    monkeypatch.setattr(drivers, "value_rows", counted_rows)
+    monkeypatch.setattr(Sum, "value", counted_value)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    short = 0
+    for i, x0 in enumerate(starts):
+        rows.clear()
+        alone.clear()
+        trace = run_inmbdca(EX2, REF, x0, seed=[42, i])
+        assert rows == [1] + [3] * len(trace.records)
+        if all(r.n_backtracks <= 1 for r in trace.records):
+            short += 1
+            assert alone == []
+        else:
+            assert alone
+    assert 0 < short < len(starts) and made == []
+
+    for run in (run_nmbdca, run_bdca, run_dca):
+        assert [len(run(EX2, REF, x0).records) for x0 in starts[:5]]
+    assert made == []
+    drawing = [dataclasses.replace(REF, eps=EpsSchedule.geometric(0.1)),
+               problems.experiment_config(mode=InexactMode.PERTURBED_EXACT)]
+    for cfg in drawing:
+        run_inmbdca(EX2, cfg, starts[0], seed=[42, 0])
+    assert made == [([42, 0],)] * 2
 
 
 def test_monotone_configuration_is_monotone():

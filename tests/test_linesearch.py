@@ -63,25 +63,34 @@ def test_determinism():
     assert a == b
 
 
-@pytest.mark.parametrize("lambda_bar, want_backtracks", [
-    (1.0, 0),    # the full step is accepted at once
-    (50.0, 2),   # 50 and 5 fail, 0.5 is accepted
+@pytest.mark.parametrize("lambda_bar, want_backtracks, n_known", [
+    # the full step is accepted at once
+    pytest.param(1.0, 0, 0, id="1.0-0"),
+    # 50 and 5 fail, 0.5 is accepted
+    pytest.param(50.0, 2, 0, id="50.0-2"),
+    # the same searches given phi at the first two trial points
+    pytest.param(1.0, 0, 2, id="1.0-0-known2"),
+    pytest.param(50.0, 2, 2, id="50.0-2-known2"),
 ])
 def test_accepted_lambda_is_the_last_evaluated_point(lambda_bar,
-                                                     want_backtracks):
-    # run_inmbdca keeps g from the last phi_eval call as g at its next x
+                                                     want_backtracks,
+                                                     n_known):
+    # phi_eval is called only past the ``known`` trial values, and the
+    # accepted value is phi at y + lambda d, the last trial examined
     seen = []
 
     def phi(p):
         seen.append(p.copy())
         return EX1.phi(p)
 
+    known = [EX1.phi(Y + lambda_bar * 0.1**j * D) for j in range(n_known)]
     res = nonmonotone_search(phi, Y, D, EX1.phi(Y), 0.6, 0.1, lambda_bar, 0.0,
-                             60)
+                             60, known=known)
     assert res.lam != 0.0 and res.n_backtracks == want_backtracks
-    assert len(seen) == want_backtracks + 1
-    assert seen[-1].tobytes() == (Y + res.lam * D).tobytes()
-    assert res.accepted_value == EX1.phi(seen[-1])
+    assert len(seen) == max(want_backtracks + 1 - n_known, 0)
+    if seen:
+        assert seen[-1].tobytes() == (Y + res.lam * D).tobytes()
+    assert res.accepted_value == EX1.phi(Y + res.lam * D)
 
 
 # --- the guaranteed floor ------------------------------------------------------
