@@ -31,7 +31,7 @@ import types
 import numpy as np
 
 from .convex import membership_gap, row_norms, subdiff_bounds
-from .core import TRACE_CSV_COLUMNS, next_x
+from .core import RECORD_ARRAYS, RECORD_SCALARS, next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "slack_columns",
            "replay"]
@@ -80,9 +80,8 @@ def slacks(record, problem, config) -> dict:
     }
 
 
-_ARRAY_NAMES = ("x", "w", "y", "xi")
-_SCALARS = operator.attrgetter(*TRACE_CSV_COLUMNS)
-_ARRAYS = operator.attrgetter(*_ARRAY_NAMES)
+_SCALARS = operator.attrgetter(*RECORD_SCALARS)
+_ARRAYS = operator.attrgetter(*RECORD_ARRAYS)
 
 
 def _columns(records):
@@ -92,9 +91,9 @@ def _columns(records):
     ``inexact_lhs`` taken by ``row_norms``, so each equals the record's
     own."""
     table = np.array(list(map(_SCALARS, records)), float)
-    cols = {name: table[:, j] for j, name in enumerate(TRACE_CSV_COLUMNS)}
+    cols = {name: table[:, j] for j, name in enumerate(RECORD_SCALARS)}
     stacked = np.array(list(map(_ARRAYS, records)))
-    cols.update(zip(_ARRAY_NAMES, stacked.transpose(1, 0, 2)))
+    cols.update(zip(RECORD_ARRAYS, stacked.transpose(1, 0, 2)))
     cols["d_norm"] = row_norms(cols["y"] - cols["x"])
     cols["inexact_lhs"] = row_norms(cols["w"] - cols["xi"])
     return types.SimpleNamespace(**cols)

@@ -38,6 +38,7 @@ from .core import (
 from .drivers import (
     complexity_report,
     final_residual,
+    lowest_phi,
     run_bdca,
     run_dca,
     run_inmbdca,
@@ -144,15 +145,13 @@ def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
 
 
 def _execute_start(payload):
-    """Run one start; returns (index, summary row, error record or None)."""
-    index, problem_name, solver, flat, x0, seed, trace_path = payload
+    """Run one start; returns (summary row, error record or None)."""
+    index, problem_name, solver, config, x0, seed, trace_path = payload
     problem = problems.resolve(problem_name)
-    config = config_from_flat(flat)
-    x0 = np.asarray(x0)
     try:
         trace = _SOLVERS[solver](problem, config, x0, seed)
     except (InvariantViolation, ValueError) as exc:
-        return index, None, {
+        return None, {
             "error": type(exc).__name__,
             "message": str(exc),
             "start_index": index,
@@ -168,7 +167,7 @@ def _execute_start(payload):
         "termination": trace.termination.value,
         "final_residual": repr(final_residual(problem, trace)),
     }
-    return index, row, None
+    return row, None
 
 
 def cmd_run(args) -> int:
@@ -209,7 +208,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     payloads = [
-        (i, problem_name, solver, flat, x0.tolist(),
+        (i, problem_name, solver, config, x0,
          [master_seed, i], os.path.join(args.out, f"trace_{i:03d}.jsonl"))
         for i, x0 in enumerate(starts)
     ]
@@ -220,7 +219,6 @@ def cmd_run(args) -> int:
     else:
         results = [_execute_start(p) for p in payloads]
 
-    results.sort(key=lambda t: t[0])
     exit_code = EXIT_OK
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", encoding="utf-8", newline="") as fh:
@@ -231,7 +229,7 @@ def cmd_run(args) -> int:
             lineterminator="\n",
         )
         writer.writeheader()
-        for _, row, error in results:
+        for row, error in results:
             if error is not None:
                 print(json.dumps(error), file=sys.stderr)
                 exit_code = EXIT_CHECK_FAILED
@@ -292,10 +290,7 @@ def cmd_complexity(args) -> int:
             print("complexity: empty trace and no lower bound available",
                   file=sys.stderr)
             return EXIT_USAGE
-        phi_bar = min(
-            min(min(r.phi_x, r.phi_y, r.phi_next) for r in trace.records),
-            trace.final_phi,
-        ) - 1e-6
+        phi_bar = lowest_phi(trace) - 1e-6
         heuristic = True
     try:
         report = complexity_report(
@@ -316,7 +311,8 @@ def cmd_complexity(args) -> int:
     if report.bound_tail is not None:
         print(f"tail-dominated bound from k0={report.tail_start} "
               f"(xi={report.xi}): {report.bound_tail:.6e} "
-              f"(looser stated variant: {report.bound_tail_stated:.6e})")
+              f"(smaller stated variant, needs nu_k + eps_k <= xi*(sigma/2-"
+              f"theta)*||d||^2, unchecked: {report.bound_tail_stated:.6e})")
     else:
         print("tail-dominated bound: not applicable "
               "(domination of nu/eps by xi*(sigma/2-theta)*||d||^2 not met)")

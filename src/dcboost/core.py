@@ -46,7 +46,8 @@ __all__ = [
     "config_from_flat",
     "flat_value",
     "CONFIG_KEYS",
-    "TRACE_CSV_COLUMNS",
+    "RECORD_SCALARS",
+    "RECORD_ARRAYS",
 ]
 
 
@@ -454,18 +455,18 @@ def _field(d: dict, name: str, read, dim=None):
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
-# field name -> reader of its JSON value, in field order; TRACE_CSV_COLUMNS
-# names the scalar fields, the columns of a run's scalar table
+# field name -> reader of its JSON value, in field order; RECORD_SCALARS and
+# RECORD_ARRAYS name the scalar and the array fields, each in field order
 _RECORD_READERS = {
     f.name: {np.ndarray: _decode_array, int: _int, float: _float}[f.type]
     for f in fields(IterationRecord)
 }
-TRACE_CSV_COLUMNS = [name for name, read in _RECORD_READERS.items()
-                     if read is not _decode_array]
-_ARRAY_FIELDS = [name for name, read in _RECORD_READERS.items()
+RECORD_SCALARS = [name for name, read in _RECORD_READERS.items()
+                  if read is not _decode_array]
+RECORD_ARRAYS = [name for name, read in _RECORD_READERS.items()
                  if read is _decode_array]
-_SCALARS_OF = operator.itemgetter(*TRACE_CSV_COLUMNS)
-# the types of a record's scalars, in TRACE_CSV_COLUMNS order, when each
+_SCALARS_OF = operator.itemgetter(*RECORD_SCALARS)
+# the types of a record's scalars, in RECORD_SCALARS order, when each
 # holds its field's own type and so reads as it is
 _PLAIN_SCALARS = tuple(f.type for f in fields(IterationRecord)
                        if f.type is not np.ndarray)
@@ -487,7 +488,7 @@ def _record_obj(r: IterationRecord, x_derived):
     from the "<f8" values a reader decodes, and is None when not finite, so
     an omitted array is always finite."""
     x, w, y, xi = (np.asarray(a, _F8LE) for a in (r.x, r.w, r.y, r.xi))
-    obj = {name: getattr(r, name) for name in TRACE_CSV_COLUMNS}
+    obj = {name: getattr(r, name) for name in RECORD_SCALARS}
     if x_derived is None or x.tobytes() != x_derived.tobytes():
         obj["x"] = _encode_array(x, "x")
     obj["w"] = _encode_array(w, "w")
@@ -525,8 +526,8 @@ def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
     # literal beyond float range
     if (tuple(map(type, scalars)) == _PLAIN_SCALARS
             and math.inf not in scalars and -math.inf not in scalars):
-        values = _read_fields(d, _ARRAY_FIELDS, dim, x_derived,
-                              dict(zip(TRACE_CSV_COLUMNS, scalars)))
+        values = _read_fields(d, RECORD_ARRAYS, dim, x_derived,
+                              dict(zip(RECORD_SCALARS, scalars)))
     else:
         values = _read_fields(d, _RECORD_READERS, dim, x_derived, {})
     return make_record(values)

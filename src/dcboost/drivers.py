@@ -48,6 +48,7 @@ __all__ = [
     "final_residual",
     "ComplexityReport",
     "complexity_report",
+    "lowest_phi",
     "step_domination_start",
 ]
 
@@ -274,9 +275,11 @@ class ComplexityReport:
 
     ``bound_total`` uses the recorded sums of nu and eps, which
     under-approximate the series the analysis allows, so the true bound is
-    at least as large.  ``bound_tail`` is the sharper bound available when
-    the allowance is eventually dominated by xi*(sigma/2 - theta)*||d||^2;
-    ``bound_tail_stated`` is its looser (1 - xi) variant, reported alongside.
+    at least as large.  ``bound_tail``, with factor (1 - 2 xi), holds when
+    nu_k (from ``tail_start`` on) and eps_k (at every k) are each at most
+    xi*(sigma/2 - theta)*||d^k||^2, as the report checks.
+    ``bound_tail_stated`` is the smaller (1 - xi) bound: it needs
+    nu_k + eps_k <= xi*(sigma/2 - theta)*||d^k||^2, which is not checked.
     """
 
     n: int
@@ -290,20 +293,28 @@ class ComplexityReport:
     bound_tail_stated: Optional[float] = None
 
 
+def lowest_phi(trace: Trace) -> float:
+    """The lowest phi a nonempty trace records, its final value included."""
+    return min(min(min(r.phi_x, r.phi_y, r.phi_next) for r in trace.records),
+               trace.final_phi)
+
+
+def _domination_start(records, d_norms, delta) -> Optional[int]:
+    """``step_domination_start`` on the records' ``_d_norms``."""
+    k0 = None
+    for k in range(len(records) - 1, -1, -1):
+        if not records[k].nu_k <= delta * (d_norms[k] * d_norms[k]):
+            break
+        k0 = k
+    return k0
+
+
 def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
     """Smallest k0 with nu_k <= delta * ||d^k||^2 for every recorded k >= k0,
     or None when even the final record violates the bound."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    records = trace.records
-    d_norms = _d_norms(records)
-    k0 = None
-    for idx in range(len(records) - 1, -1, -1):
-        if records[idx].nu_k <= delta * (d_norms[idx] * d_norms[idx]):
-            k0 = idx
-        else:
-            break
-    return k0
+    return _domination_start(trace.records, _d_norms(trace.records), delta)
 
 
 def _d_norms(records) -> list:
@@ -334,10 +345,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
     if coef <= 0:
         raise ValueError("need theta < sigma/2")
 
-    seen = min(
-        min(min(r.phi_x, r.phi_y, r.phi_next) for r in records),
-        trace.final_phi,
-    )
+    seen = lowest_phi(trace)
     if not phi_bar <= seen + 1e-9:  # NaN is no lower bound either
         raise ValueError(
             f"phi_bar={phi_bar} exceeds a recorded value phi={seen}; not a "
@@ -347,32 +355,27 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
     # an edited trace's arrays may overflow: their norms read inf, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         d_norms = _d_norms(records)
-        k0 = step_domination_start(trace, xi * coef)
+    k0 = _domination_start(records, d_norms, xi * coef)
     phi0 = records[0].phi_x
     min_d = math.inf
     sum_nu = sum_eps = 0.0
-    prefix_ok = True
+    prefix_ok = eps_dominated = True
     bound = math.inf
     for n, (r, d_norm) in enumerate(zip(records, d_norms), start=1):
+        if n - 1 == k0:  # the tail bound takes the sums before k0
+            numer = phi0 - phi_bar + sum_nu + sum_eps
         min_d = min(min_d, d_norm)
         sum_nu += r.nu_k
         sum_eps += r.eps_k
         bound = math.sqrt((phi0 - phi_bar + sum_nu + sum_eps) / (coef * n))
         if min_d > bound + 1e-10:
             prefix_ok = False
+        if not r.eps_k <= xi * coef * (d_norm * d_norm) + 1e-15:
+            eps_dominated = False
 
     n_total = len(records)
-    liminf_proxy = min(d_norms[n_total // 2:])
-
     tail_start = bound_tail = bound_tail_stated = None
-    eps_dominated = all(
-        r.eps_k <= xi * coef * (d_norm * d_norm) + 1e-15
-        for r, d_norm in zip(records, d_norms)
-    )
-    if k0 is not None and eps_dominated and n_total > k0:
-        head_nu = sum(r.nu_k for r in records[:k0])
-        head_eps = sum(r.eps_k for r in records[:k0])
-        numer = phi0 - phi_bar + head_nu + head_eps
+    if k0 is not None and eps_dominated:
         tail_start = k0
         bound_tail = math.sqrt(numer / ((1 - 2 * xi) * coef * n_total))
         bound_tail_stated = math.sqrt(numer / ((1 - xi) * coef * n_total))
@@ -382,7 +385,7 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
         min_d_norm=min_d,
         bound_total=bound,
         prefix_ok=prefix_ok,
-        liminf_proxy=liminf_proxy,
+        liminf_proxy=min(d_norms[n_total // 2:]),
         xi=xi,
         tail_start=tail_start,
         bound_tail=bound_tail,

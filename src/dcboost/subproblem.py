@@ -352,8 +352,7 @@ def _solve_perturbed(g, w, x, theta, rng) -> SubproblemSolution:
         box_lo, box_hi = subdiff_bounds(quad, lin, l1, y)
         xi = np.minimum(np.maximum(w, box_lo), box_hi)
         v, e = w - xi, y - x
-        dist = l2_norm(e)
-        return l2_norm(v) <= theta * dist and dist > 0.0, (y, xi), v, e
+        return _passes(v, e, theta), (y, xi), v, e
 
     r_hi = max(1.0, l2_norm(y_star - x))
     ok, sol, v_hi, e_hi = candidate(r_hi)

@@ -16,6 +16,7 @@ from dcboost import cli, problems
 from dcboost.certificates import slack_columns
 from dcboost.cli import main
 from dcboost.core import Trace
+from dcboost.drivers import complexity_report
 from dcboost.linesearch import tau_bound
 
 
@@ -121,15 +122,32 @@ def test_summary_cells_repr_each_float_as_before():
 
 
 def test_worker_pool_matches_sequential(tmp_path):
-    args = ["--problem", "ex2", "--starts-count", "4", "--starts-seed", "3",
-            *REF_FLAGS]
-    out_a, out_b = run_dir(tmp_path, "seq"), run_dir(tmp_path, "par")
-    assert main(["run", "--out", out_a, *args]) == 0
-    assert main(["run", "--out", out_b, "--workers", "2", *args]) == 0
-    assert (
-        open(f"{out_a}/summary.csv", "rb").read()
-        == open(f"{out_b}/summary.csv", "rb").read()
-    )
+    # perturbed_exact draws from the seed each start's payload carries
+    for mode in ("inner_solver", "perturbed_exact"):
+        args = ["--problem", "ex2", "--starts-count", "4", "--starts-seed",
+                "3", *REF_FLAGS, "--inexact-mode", mode]
+        seq, par = tmp_path / f"seq_{mode}", tmp_path / f"par_{mode}"
+        assert main(["run", "--out", str(seq), *args]) == 0
+        assert main(["run", "--out", str(par), "--workers", "2", *args]) == 0
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == sorted(p.name for p in par.iterdir())
+        assert len(names) == 5 and "summary.csv" in names
+        for name in names:
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+
+def test_run_parses_its_config_once(tmp_path, monkeypatch):
+    calls = []
+    parse = cli.config_from_flat
+
+    def counted(flat):
+        calls.append(flat)
+        return parse(flat)
+
+    monkeypatch.setattr(cli, "config_from_flat", counted)
+    assert main(["run", "--problem", "ex2", "--out", run_dir(tmp_path),
+                 "--starts-count", "3", *REF_FLAGS]) == 0
+    assert len(calls) == 1
 
 
 def test_check_flags_corrupted_linesearch(tmp_path, capsys):
@@ -859,6 +877,39 @@ def test_every_nu_kind_is_pinned_bit_for_bit(tmp_path):
                             (tmp_path / f"{i}_{problem}").glob("trace_*.jsonl"))
     assert len(paths) == 42
     assert _trace_digest(paths) == GOLDEN_NU_SHA256
+
+
+# repr of every ComplexityReport field, in field order, at each xi, with
+# phi_bar the problem's declared lower bound: on the golden traces, where
+# every tail bound starts at k0 = 0, and on runs whose larger allowance and
+# eps budget give tail bounds from k0 > 0, so the sums before k0 enter
+TAIL_FLAGS = ["--nu-omega", "1", "--eps-kind", "geometric", "--eps-eps0",
+              "0.01", "--eps-q", "0.1"]
+GOLDEN_COMPLEXITY_SHA256 = (
+    "a5a2fd4f5332da84cf8bd3beed1a6f865f7aa4d12b9a4727d2558d0e55fabd15")
+
+
+def test_golden_complexity_reports_are_pinned(golden_runs, tmp_path):
+    paths, _ = golden_runs
+    for problem in ("ex1", "ex2"):
+        out = run_dir(tmp_path, problem)
+        assert main(["run", "--problem", problem, "--out", out,
+                     "--starts-count", "5", "--starts-seed", "42",
+                     *REF_FLAGS, *TAIL_FLAGS]) == 0
+        paths = paths + sorted(str(p) for p in
+                               (tmp_path / problem).glob("trace_*.jsonl"))
+    h = hashlib.sha256()
+    heads = 0
+    for path in paths:
+        trace = Trace.read_jsonl(path)
+        problem = problems.resolve(trace.problem_name)
+        for xi in (0.1, 0.25, 0.45):
+            report = complexity_report(trace, problem.phi_lower_bound,
+                                       problem.sigma, trace.config.theta, xi)
+            h.update(repr(dataclasses.astuple(report)).encode())
+            heads += bool(report.tail_start)
+    assert heads > 0
+    assert h.hexdigest() == GOLDEN_COMPLEXITY_SHA256
 
 
 def test_descent_step_is_descent_y_plus_linesearch(golden_runs):

@@ -491,6 +491,21 @@ def test_report_rejects_bad_lower_bound():
         complexity_report(trace, 0.0, EX2.sigma, REF.theta)
 
 
+def test_report_takes_the_direction_norms_once(monkeypatch):
+    calls = []
+    norms = drivers._d_norms
+
+    def counted(records):
+        calls.append(len(records))
+        return norms(records)
+
+    monkeypatch.setattr(drivers, "_d_norms", counted)
+    trace = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=5)
+    rep = complexity_report(trace, -1.125, EX2.sigma, REF.theta)
+    assert rep.tail_start is not None
+    assert calls == [len(trace.records)]
+
+
 def test_report_needs_records():
     cfg = dataclasses.replace(REF, max_iter=0)
     trace = run_inmbdca(EX2, cfg, [1.0, 1.0], seed=0)
