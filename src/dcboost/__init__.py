@@ -25,10 +25,8 @@ from .drivers import (
     complexity_report,
     criticality_residual,
     final_residual,
-    run_bdca,
-    run_dca,
     run_inmbdca,
-    run_nmbdca,
+    solver_config,
     step_domination_start,
 )
 from .linesearch import LinesearchResult, TauBound, nonmonotone_search, tau_bound

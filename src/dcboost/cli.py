@@ -19,7 +19,9 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -36,13 +38,12 @@ from .core import (
     validate,
 )
 from .drivers import (
+    SOLVERS,
     complexity_report,
+    config_warning,
     final_residual,
     lowest_phi,
-    run_bdca,
-    run_dca,
     run_inmbdca,
-    run_nmbdca,
     solver_config,
 )
 
@@ -52,18 +53,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-_SOLVERS = {
-    "inmbdca": lambda p, c, x0, seed: run_inmbdca(p, c, x0, seed=seed),
-    "nmbdca": lambda p, c, x0, seed: run_nmbdca(p, c, x0),
-    "bdca": lambda p, c, x0, seed: run_bdca(p, c, x0),
-    "dca": lambda p, c, x0, seed: run_dca(p, c, x0),
-}
-
 # flat keys that choose what runs, beside the solver's CONFIG_KEYS:
 # key -> (value type, choices or None)
 _RUN_KEYS = {
     "problem": (str, None),
-    "solver": (str, tuple(sorted(_SOLVERS))),
+    "solver": (str, tuple(sorted(SOLVERS))),
     "starts.count": (int, None),
     "starts.seed": (int, None),
 }
@@ -134,22 +128,30 @@ def _resolve_starts(flat: dict, dim: int, seed: int) -> np.ndarray:
             raise ValueError("config key 'starts.box': expected a list of two "
                              f"numbers, got {box!r:.40}")
         lo, hi = (flat_value("starts.box", v, float) for v in box)
-        if not np.isfinite(hi - lo):  # also a box too wide to sample
+        if not 0.0 <= hi - lo < np.inf:  # also a box too wide to sample
             raise ValueError(f"config key 'starts.box': [{lo}, {hi}] is not a "
-                             "finite interval")
-        starts = problems.sample_starts(flat.get("starts.count", 1), (lo, hi),
-                                        seed, dim)
+                             "finite interval lo <= hi")
+        count = flat.get("starts.count", 1)
+        if count < 0:
+            raise ValueError(f"config key 'starts.count': {count} is negative")
+        starts = problems.sample_starts(count, (lo, hi), seed, dim)
     if not np.isfinite(starts).all():  # only explicit starts can fail this
         raise ValueError("config key 'starts': start points must be finite")
     return starts
 
 
+def _quiet(warning) -> None:
+    """Ignore ``warning``, which ``run`` prints once, in this process."""
+    if warning:
+        warnings.filterwarnings("ignore", re.escape(warning), RuntimeWarning)
+
+
 def _execute_start(payload):
     """Run one start; returns (summary row, error record or None)."""
-    index, problem_name, solver, config, x0, seed, trace_path = payload
+    index, problem_name, config, x0, seed, trace_path = payload
     problem = problems.resolve(problem_name)
     try:
-        trace = _SOLVERS[solver](problem, config, x0, seed)
+        trace = run_inmbdca(problem, config, x0, seed=seed)
     except (InvariantViolation, ValueError) as exc:
         return None, {
             "error": type(exc).__name__,
@@ -173,51 +175,43 @@ def _execute_start(payload):
 def cmd_run(args) -> int:
     try:
         flat = _gather_flat(args)
-    except (ValueError, OSError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    problem_name = flat.get("problem")
-    if not problem_name:
-        print("run: no problem selected (key 'problem')", file=sys.stderr)
-        return EXIT_USAGE
-    solver = flat.get("solver", "inmbdca")
-    if solver not in _SOLVERS:
-        print(f"run: unknown solver {solver!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        problem_name = flat.get("problem")
+        if not problem_name:
+            raise ValueError("no problem selected (key 'problem')")
         problem = problems.resolve(problem_name)
         config = config_from_flat(flat)
+        solved = solver_config(flat.get("solver", "inmbdca"), config)
         # values are range-checked as given (a trial step of -1 is an error
         # although dca runs 0), and the theta > 0 rule against the mode the
         # solver runs
-        mode = solver_config(solver, config).inexact_mode
-        violations = validate(problem, replace(config, inexact_mode=mode))
-    except ValueError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if violations:
-        print("run: invalid configuration: " + "; ".join(violations),
-              file=sys.stderr)
-        return EXIT_USAGE
-    master_seed = flat.get("starts.seed", 0)  # typed by _gather_flat
-    try:  # OverflowError: an int start beyond float range
+        violations = validate(problem, replace(
+            config, inexact_mode=solved.inexact_mode))
+        if violations:
+            raise ValueError("invalid configuration: " + "; ".join(violations))
+        master_seed = flat.get("starts.seed", 0)  # typed by _gather_flat
         starts = _resolve_starts(flat, problem.dim, master_seed)
         os.makedirs(args.out, exist_ok=True)  # OSError: a file at --out
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     payloads = [
-        (i, problem_name, solver, config, x0,
+        (i, problem_name, solved, x0,
          [master_seed, i], os.path.join(args.out, f"trace_{i:03d}.jsonl"))
         for i, x0 in enumerate(starts)
     ]
 
-    if args.workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_execute_start, payloads))
-    else:
-        results = [_execute_start(p) for p in payloads]
+    warning = config_warning(solved)
+    if warning:
+        print(f"run: warning: {warning}", file=sys.stderr)
+    with warnings.catch_warnings():
+        _quiet(warning)
+        if args.workers > 1 and len(payloads) > 1:
+            with ProcessPoolExecutor(args.workers, initializer=_quiet,
+                                     initargs=(warning,)) as pool:
+                results = list(pool.map(_execute_start, payloads))
+        else:
+            results = [_execute_start(p) for p in payloads]
 
     exit_code = EXIT_OK
     summary = os.path.join(args.out, "summary.csv")

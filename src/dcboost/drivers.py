@@ -1,6 +1,6 @@
-"""Solver loops with certificate checking, plus trace diagnostics:
-criticality residuals and iteration-count bounds evaluated against recorded
-runs.
+"""The solver loop with certificate checking, the configurations its
+baselines run it under, plus trace diagnostics: criticality residuals and
+iteration-count bounds evaluated against recorded runs.
 
 Each run checks the subproblem linearization bound at every iteration, as
 only the loop holds g(x) and g(y), and checks its finished trace against
@@ -40,10 +40,9 @@ from .subproblem import solve_inexact
 
 __all__ = [
     "run_inmbdca",
-    "run_nmbdca",
-    "run_dca",
-    "run_bdca",
+    "SOLVERS",
     "solver_config",
+    "config_warning",
     "criticality_residual",
     "final_residual",
     "ComplexityReport",
@@ -85,13 +84,9 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     violations = validate(problem, config)
     if violations:
         raise ValueError("invalid configuration: " + "; ".join(violations))
-    if config.nu.kind == "direct" and config.nu.delta == 0.0:
-        warnings.warn(
-            "direct nu rule with delta = 0 carries no summability "
-            "guarantee; proceeding anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warning = config_warning(config)
+    if warning:
+        warnings.warn(warning, RuntimeWarning, stacklevel=2)
 
     # only a nonzero eps budget and the perturbed solve draw
     draws = (config.eps.kind != "zero"
@@ -192,10 +187,13 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
     )
 
 
+SOLVERS = ("inmbdca", "nmbdca", "bdca", "dca")  # what solver_config takes
+
+
 def solver_config(solver: str, config: SolverConfig) -> SolverConfig:
-    """The configuration ``solver`` runs.  nmbdca, bdca and dca take exact
-    subgradients of h and exact subproblem solves (zero eps, exact mode);
-    bdca also takes zero allowance and dca no boosted move."""
+    """The configuration ``run_inmbdca`` runs as ``solver``.  nmbdca, bdca
+    and dca take exact subgradients of h and exact subproblem solves (zero
+    eps, exact mode); bdca takes zero allowance too, dca no boosted move."""
     if solver == "inmbdca":
         return config
     cfg = replace(config, eps=EpsSchedule.zero(), inexact_mode=InexactMode.EXACT)
@@ -208,27 +206,12 @@ def solver_config(solver: str, config: SolverConfig) -> SolverConfig:
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def run_nmbdca(problem: DcProblem, config: SolverConfig, x0,
-               strict: bool = True) -> Trace:
-    """Exact-subproblem variant: subgradient of h taken exactly and the
-    subproblem solved to its unique minimizer (same loop otherwise)."""
-    return run_inmbdca(problem, solver_config("nmbdca", config), x0, seed=0,
-                       strict=strict)
-
-
-def run_bdca(problem: DcProblem, config: SolverConfig, x0,
-             strict: bool = True) -> Trace:
-    """Monotone boosted variant: exact subproblems and zero allowance."""
-    return run_inmbdca(problem, solver_config("bdca", config), x0, seed=0,
-                       strict=strict)
-
-
-def run_dca(problem: DcProblem, config: SolverConfig, x0,
-            strict: bool = True) -> Trace:
-    """Classical baseline: exact subproblems and no boosted move, so the
-    update is x <- y."""
-    return run_inmbdca(problem, solver_config("dca", config), x0, seed=0,
-                       strict=strict)
+def config_warning(config: SolverConfig) -> Optional[str]:
+    """The warning a run of ``config`` starts with, or None."""
+    if config.nu.kind == "direct" and config.nu.delta == 0.0:
+        return ("direct nu rule with delta = 0 carries no summability "
+                "guarantee; proceeding anyway")
+    return None
 
 
 def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:

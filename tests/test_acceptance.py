@@ -27,9 +27,8 @@ from dcboost.core import (
 from dcboost.drivers import (
     complexity_report,
     criticality_residual,
-    run_dca,
     run_inmbdca,
-    run_nmbdca,
+    solver_config,
 )
 from dcboost.linesearch import tau_bound
 from dcboost.subproblem import solve_exact
@@ -192,7 +191,7 @@ def test_criterion_7_reduction_equivalence():
     exact_cfg = dataclasses.replace(
         base, theta=0.0, eps=EpsSchedule.zero(), inexact_mode=InexactMode.EXACT
     )
-    # hand the reduced drivers configs they must override themselves
+    # hand solver_config configs it must override for the baselines
     noisy_cfg = dataclasses.replace(
         base, theta=0.0, eps=EpsSchedule.geometric(0.3, 0.5),
         inexact_mode=InexactMode.INNER_SOLVER,
@@ -201,14 +200,14 @@ def test_criterion_7_reduction_equivalence():
     for name, x0 in (("ex1", [6.2945, 8.1158]), ("ex2", [-4.4615, -9.0766])):
         prob = problems.resolve(name)
         a = run_inmbdca(prob, exact_cfg, x0, seed=1)
-        b = run_nmbdca(prob, noisy_cfg, x0)
+        b = run_inmbdca(prob, solver_config("nmbdca", noisy_cfg), x0)
         ok = ok and traces_field_equal(a, b, tol=1e-12)
         c = run_inmbdca(
             prob,
             dataclasses.replace(exact_cfg, lambda_bar=0.0),
             x0, seed=1,
         )
-        d = run_dca(prob, noisy_cfg, x0)
+        d = run_inmbdca(prob, solver_config("dca", noisy_cfg), x0)
         ok = ok and traces_field_equal(c, d, tol=1e-12)
     report(7, ok,
            "exactness collapse: inmbdca(theta=0, eps=0, nu=0, exact) equals "

@@ -155,13 +155,13 @@ def _edited(trace, edits):
 
 
 @pytest.mark.parametrize("problem, solver", [
-    ("ex1", drivers.run_inmbdca), ("ex2", drivers.run_inmbdca),
-    ("ex2", drivers.run_nmbdca), ("ex2", drivers.run_dca),
-    ("random-sep(dim=3,seed=5)", drivers.run_inmbdca),
-])
+    ("ex1", "inmbdca"), ("ex2", "inmbdca"), ("ex2", "nmbdca"), ("ex2", "dca"),
+    ("random-sep(dim=3,seed=5)", "inmbdca"),
+], ids=lambda v: f"run_{v}" if v in drivers.SOLVERS else None)
 def test_replay_matches_the_record_scan_on_solver_traces(problem, solver):
     p = problems.resolve(problem)
-    trace = solver(p, REF, [5.0] + [-3.0] * (p.dim - 1))
+    trace = drivers.run_inmbdca(p, drivers.solver_config(solver, REF),
+                                [5.0] + [-3.0] * (p.dim - 1))
     assert len(trace.records) > 3
     assert _exact(replay(trace, p)) == _exact(_scan(trace, p))
 

@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import numpy as np
@@ -15,8 +17,8 @@ import pytest
 from dcboost import cli, problems
 from dcboost.certificates import slack_columns
 from dcboost.cli import main
-from dcboost.core import Trace
-from dcboost.drivers import complexity_report
+from dcboost.core import Trace, config_from_flat, config_to_flat
+from dcboost.drivers import complexity_report, solver_config
 from dcboost.linesearch import tau_bound
 
 
@@ -206,6 +208,8 @@ def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
     ([], {"starts": {}}),
     ([], {"starts": [[1, 2], [3]]}),
     ([], {"starts": "a"}),
+    ([], {"starts.count": -1}),
+    ([], {"starts.box": [5.0, 1.0]}),
 ])
 def test_bad_starts_rejected_before_writing(tmp_path, capsys, flags, config):
     if config is not None:
@@ -955,18 +959,53 @@ def test_inexact_bound_slack_is_nonnegative_exactly(golden_runs):
     assert records > 100
 
 
-@pytest.mark.parametrize("solver", ["nmbdca", "bdca", "dca"])
+@pytest.mark.parametrize("solver", ["inmbdca", "nmbdca", "bdca", "dca"])
 @pytest.mark.parametrize("theta", [[], ["--theta", "0.2"]])
 def test_exact_solvers_record_the_mode_they_run(tmp_path, solver, theta):
-    # nmbdca, bdca and dca always solve exactly, so the mode flag has no
-    # effect with or without theta, and the header says what ran
+    # the header holds solver_config of the configuration the flags give.
+    # nmbdca, bdca and dca always solve exactly with zero eps, so the mode
+    # and eps flags have no effect with or without theta; inmbdca runs them
+    # as given, and inner_solver needs theta > 0
+    flat = {"inexact_mode": "inner_solver", "eps.kind": "geometric",
+            "eps.eps0": 1e-2, "eps.q": 0.5, **({"theta": 0.2} if theta else {})}
     out = run_dir(tmp_path)
-    assert main(["run", "--problem", "ex1", "--out", out, "--start=1,1",
+    code = main(["run", "--problem", "ex1", "--out", out, "--start=1,1",
                  "--solver", solver, "--inexact-mode", "inner_solver",
-                 *theta]) == 0
+                 "--eps-kind", "geometric", "--eps-eps0", "1e-2",
+                 "--eps-q", "0.5", *theta])
+    if solver == "inmbdca" and not theta:
+        assert code == 2
+        return
+    assert code == 0
     with open(f"{out}/trace_000.jsonl", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-    assert header["config"]["inexact_mode"] == "exact"
+    assert header["config"] == config_to_flat(
+        solver_config(solver, config_from_flat(flat)))
+    with pytest.raises(ValueError, match="unknown solver 'pdca'"):
+        solver_config("pdca", config_from_flat(flat))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_warns_once_in_its_own_words(tmp_path, workers):
+    # the direct rule at delta 0 has no summability guarantee: run says so
+    # in one line of its own, not per start or worker under a source line
+    # of the package, while numpy's warnings on an overflowing start print
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcboost.cli", "run", "--problem", "ex2",
+         "--out", str(tmp_path / "out"), "--nu-kind", "direct",
+         "--nu-delta", "0", "--start=1,2", "--start=3,4",
+         "--start=1e300,1e300", "--workers", workers],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1, proc.stderr  # the overflowing start fails
+    assert [line for line in proc.stderr.splitlines()
+            if "summability" in line] == [
+        "run: warning: direct nu rule with delta = 0 carries no summability "
+        "guarantee; proceeding anyway"]
+    assert "cli.py" not in proc.stderr
+    assert "RuntimeWarning: overflow encountered" in proc.stderr
 
 
 @pytest.mark.parametrize("solver", ["inmbdca", "nmbdca", "bdca", "dca"])

@@ -21,10 +21,7 @@ from dcboost.drivers import (
     complexity_report,
     criticality_residual,
     final_residual,
-    run_bdca,
-    run_dca,
     run_inmbdca,
-    run_nmbdca,
     solver_config,
 )
 from dcboost.linesearch import tau_bound
@@ -88,9 +85,9 @@ def test_inexact_mode_without_theta_rejected(mode):
     with pytest.raises(ValueError, match=f"inexact_mode {mode.value} needs "
                                          "theta > 0"):
         run_inmbdca(EX2, cfg, [1.0, 1.0])
-    # the exact-subproblem drivers set the exact mode before validating
-    for run in (run_nmbdca, run_bdca, run_dca):
-        assert run(EX2, cfg, [1.0, 1.0]).records
+    # solver_config gives the baselines the exact mode, which needs no theta
+    for solver in ("nmbdca", "bdca", "dca"):
+        assert run_inmbdca(EX2, solver_config(solver, cfg), [1.0, 1.0]).records
 
 
 def test_runs_are_deterministic_given_seed():
@@ -140,7 +137,7 @@ def test_inmbdca_with_exactness_collapses_to_nmbdca():
         inexact_mode=InexactMode.INNER_SOLVER,
     )
     a = run_inmbdca(EX2, inexact_cfg, [4.0, -7.0], seed=2)
-    b = run_nmbdca(EX2, nm_cfg, [4.0, -7.0])
+    b = run_inmbdca(EX2, solver_config("nmbdca", nm_cfg), [4.0, -7.0])
     assert records_equal(a, b)
 
 
@@ -151,27 +148,28 @@ def test_zero_boost_collapses_to_dca():
         lambda_bar=0.0,
     )
     a = run_inmbdca(EX1, base, [6.2945, 8.1158], seed=2)
-    b = run_dca(EX1, dataclasses.replace(base, lambda_bar=1.0), [6.2945, 8.1158])
+    b = run_inmbdca(EX1, solver_config(
+        "dca", dataclasses.replace(base, lambda_bar=1.0)), [6.2945, 8.1158])
     assert records_equal(a, b)
     assert all(r.lambda_k == 0.0 for r in a.records)
 
 
 def test_bdca_is_monotone_on_smooth_g():
     # ex1's g is smooth, so with nu = 0 every step must decrease phi
-    trace = run_bdca(EX1, REF, [6.2945, 8.1158])
+    trace = run_inmbdca(EX1, solver_config("bdca", REF), [6.2945, 8.1158])
     phis = [r.phi_x for r in trace.records] + [trace.final_phi]
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
 
 
 def test_dca_one_step_from_reference_point():
     cfg = dataclasses.replace(REF, max_iter=1)
-    trace = run_dca(EX1, cfg, [1.0, 1.0])
+    trace = run_inmbdca(EX1, solver_config("dca", cfg), [1.0, 1.0])
     np.testing.assert_allclose(trace.records[0].y, [1 / 3, 1 / 3], atol=1e-14)
     np.testing.assert_allclose(trace.final_x, [1 / 3, 1 / 3], atol=1e-14)
 
 
 def test_dca_lands_on_a_critical_point():
-    trace = run_dca(EX1, REF, [6.2945, 8.1158])
+    trace = run_inmbdca(EX1, solver_config("dca", REF), [6.2945, 8.1158])
     dists = [np.linalg.norm(trace.final_x - np.asarray(p))
              for p in EX1.known_critical_points]
     assert min(dists) < 1e-3
@@ -179,7 +177,7 @@ def test_dca_lands_on_a_critical_point():
 
 
 def test_dca_immediate_stop_at_critical_point():
-    trace = run_dca(EX1, REF, [-1.0, -1.0])
+    trace = run_inmbdca(EX1, solver_config("dca", REF), [-1.0, -1.0])
     assert trace.termination is Termination.D_ZERO
     assert len(trace.records) <= 1
 
@@ -196,7 +194,8 @@ def test_dca_evaluates_g_only_together_with_h(monkeypatch):
 
     monkeypatch.setattr(Sum, "value", counted)
     starts = problems.sample_starts(20, [-10, 10], 42, 2)
-    iters = sum(len(run_dca(EX2, REF, x0).records) for x0 in starts)
+    dca = solver_config("dca", REF)
+    iters = sum(len(run_inmbdca(EX2, dca, x0).records) for x0 in starts)
     assert iters > 300 and calls == []
 
 
@@ -239,8 +238,9 @@ def test_one_row_evaluation_per_iteration_and_no_rng_where_nothing_draws(
             assert alone
     assert 0 < short < len(starts) and made == []
 
-    for run in (run_nmbdca, run_bdca, run_dca):
-        assert [len(run(EX2, REF, x0).records) for x0 in starts[:5]]
+    for solver in ("nmbdca", "bdca", "dca"):
+        cfg = solver_config(solver, REF)
+        assert [len(run_inmbdca(EX2, cfg, x0).records) for x0 in starts[:5]]
     assert made == []
     drawing = [dataclasses.replace(REF, eps=EpsSchedule.geometric(0.1)),
                problems.experiment_config(mode=InexactMode.PERTURBED_EXACT)]
@@ -394,7 +394,7 @@ def test_descent_y_slack_matches_hand_computation():
     cfg = dataclasses.replace(REF, theta=0.0, eps=EpsSchedule.zero(),
                               inexact_mode=InexactMode.EXACT, max_iter=1,
                               nu=ZeroNu())
-    trace = run_dca(EX1, cfg, [1.0, 1.0])
+    trace = run_inmbdca(EX1, solver_config("dca", cfg), [1.0, 1.0])
     assert EX1.sigma == 1.0
     slack_y, = slack_columns(trace.records, EX1, trace.config,
                              trace.final_x)["descent_y"]
@@ -531,13 +531,18 @@ def test_wrong_lower_bound_aborts_run():
         run_inmbdca(bad, REF, [1.0, 1.0], seed=0)
 
 
-@pytest.mark.parametrize("solver, run", [("inmbdca", run_inmbdca),
-                                         ("nmbdca", run_nmbdca),
-                                         ("bdca", run_bdca), ("dca", run_dca)])
-def test_solver_config_is_what_each_driver_runs(solver, run):
+# ids name each solver with the run_ function it once had its own wrapper for
+@pytest.mark.parametrize("solver", drivers.SOLVERS,
+                         ids=lambda solver: f"{solver}-run_{solver}")
+def test_solver_config_is_what_each_driver_runs(solver):
     cfg = dataclasses.replace(REF, eps=EpsSchedule.geometric(1e-2, 0.5))
-    trace = run(EX2, cfg, [1.0, 1.0])
+    trace = run_inmbdca(EX2, solver_config(solver, cfg), [1.0, 1.0])
     assert config_to_flat(trace.config) == config_to_flat(
         solver_config(solver, cfg))
+    # the baselines take exact subproblems, bdca no allowance, dca no boost
+    exact = solver != "inmbdca"
+    assert all((r.eps_k == 0.0) == exact for r in trace.records)
+    assert any(r.nu_k > 0.0 for r in trace.records) == (solver != "bdca")
+    assert any(r.lambda_k > 0.0 for r in trace.records) == (solver != "dca")
     with pytest.raises(ValueError, match="unknown solver 'pdca'"):
         solver_config("pdca", cfg)
