@@ -4,22 +4,28 @@ Every inequality the solver certifies per iteration is named here, with its
 slack as a function of a record, the problem and the configuration.
 ``slack_columns`` evaluates each formula once over a run's records stacked
 into float64 columns: ``run_inmbdca`` checks the trace it has just built,
-and ``dcboost check`` and the ``complexity`` gate replay a stored one.  With
-d = y - x, c = sigma/2 - theta and phi_bar the problem's declared lower bound
-(-inf when none is declared), the slacks are
+and ``dcboost check`` and the ``complexity`` gate replay a stored one; no
+inequality is checked elsewhere.  With d = y - x, c = sigma/2 - theta and
+phi_bar the problem's declared lower bound (-inf when none is declared),
+the slacks are
 
     eps_certificate     eps_k - eps_certified
     subgrad_membership  -(distance of xi from the subdifferential bounds of g at y)
     inexact_bound       theta ||y - x|| - ||w - xi||
-    descent_y           phi(x) - c ||d||^2 + eps_k - phi(y)
+    g_linearization     g(x) - g(y) + <w, d> - c ||d||^2
+    h_eps_subgradient   (g(y) - phi(y)) - (g(x) - phi(x)) - <w, d> + eps_k
     linesearch          phi(y) - rho lambda^2 ||d||^2 + nu_k - phi(x+)
     phi_lower_bound     min(phi(x), phi(y), phi(x+)) - phi_bar
     reconstruction      -||x+ - (y + lambda d)||
 
-where x+ is the next record's x or the run's final point.  An inequality
-fails when ``not slack >= -tol``, so a NaN slack fails.  The descent of a
-whole step, phi(x+) <= phi(x) - (c + rho lambda^2) ||d||^2 + nu_k + eps_k, is
-the sum of descent_y and linesearch and is not checked on its own.
+where x+ is the next record's x or the run's final point, g is the
+oracle's and phi the recorded value.  The middle two are the halves of the
+descent lemma: strong convexity of g and the relative test give the g
+half, and w in the eps_k-subdifferential of h at x the h half, h read as
+g - phi.  They sum to phi(x) - c ||d||^2 + eps_k - phi(y), the descent to
+y, and a failure names the oracle at fault.  An inequality fails when
+``not slack >= -tol``, so a NaN slack fails.  The descent of a whole step
+is the sum of both halves and linesearch and is not checked on its own.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import types
 
 import numpy as np
 
-from .convex import membership_gap, row_norms, subdiff_bounds
+from .convex import membership_gap, row_norms, subdiff_bounds, value_rows
 from .core import RECORD_ARRAYS, RECORD_SCALARS, next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "slack_columns",
@@ -44,7 +50,8 @@ CERTIFICATES = (
     ("eps_certificate", 1e-15),
     ("subgrad_membership", 1e-10),
     ("inexact_bound", 1e-12),
-    ("descent_y", 1e-9),
+    ("g_linearization", 1e-9),
+    ("h_eps_subgradient", 1e-9),
     ("linesearch", 1e-9),
     ("phi_lower_bound", 1e-9),
 )
@@ -62,8 +69,11 @@ def slacks(record, problem, config) -> dict:
     """Slack of every catalogue inequality by name.  ``record`` is one
     record, or a run's records stacked by ``_columns``, for which each slack
     is an array with one value per record; each value takes the same float
-    operations either way."""
+    operations either way.  g at x and y comes from one ``value_rows``
+    call, whose h values go unused: the h half reads h as g - phi."""
     r, g = record, problem.g
+    g_x, g_y = value_rows(g, problem.h, np.stack((r.x, r.y)))[0]
+    w_d = np.vecdot(r.w, r.y - r.x)
     d_sq = r.d_norm * r.d_norm
     decrease = (problem.sigma / 2 - config.theta) * d_sq
     step = config.rho * (r.lambda_k * r.lambda_k) * d_sq
@@ -74,7 +84,8 @@ def slacks(record, problem, config) -> dict:
         "subgrad_membership":
             -membership_gap(*subdiff_bounds(g.quad, g.lin, g.l1, r.y), r.xi),
         "inexact_bound": config.theta * r.d_norm - r.inexact_lhs,
-        "descent_y": (r.phi_x - decrease + r.eps_k) - r.phi_y,
+        "g_linearization": (g_x - g_y + w_d) - decrease,
+        "h_eps_subgradient": (g_y - r.phi_y) - (g_x - r.phi_x) - w_d + r.eps_k,
         "linesearch": (r.phi_y - step + r.nu_k) - r.phi_next,
         "phi_lower_bound": lowest - (-math.inf if floor is None else floor),
     }

@@ -225,11 +225,11 @@ class Sum:
 
 
 def value_rows(f1: Sum, f2: Sum, Z) -> tuple:
-    """(f1, f2) at every row of the 2-D float array Z: two float64 arrays,
-    each entry bit for bit the ``value`` of its row.  z @ z and sum_i |z_i|
-    are computed once per row for both: the square by one BLAS dot per row
-    (``np.vecdot``, as ``z @ z`` takes one), the sum by the reduction
-    ``value`` takes."""
+    """(f1, f2) at every row (slice along the last axis) of the float array
+    Z: two float64 arrays, each entry bit for bit the ``value`` of its row.
+    z @ z and sum_i |z_i| are computed once per row for both: the square by
+    one BLAS dot per row (``np.vecdot``, as ``z @ z`` takes one), the sum by
+    the reduction ``value`` takes."""
     sq = np.vecdot(Z, Z) if f1.quad or f2.quad else None
     abs_sum = np.add.reduce(np.abs(Z), axis=-1) if f1.l1 or f2.l1 else None
     return f1._rows(Z, sq, abs_sum), f2._rows(Z, sq, abs_sum)

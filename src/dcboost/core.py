@@ -76,6 +76,7 @@ class Termination(Enum):
     STEP_TOL = "step_tol"
     D_ZERO = "d_zero"
     MAX_ITER = "max_iter"
+    NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ class DirectNu:
         if memory is None:
             return float(self.nu0), (phi_x, float(self.nu0))
         phi_prev, nu_prev = memory
-        # the step's descent inequality (checked by the loop) makes the
-        # budget nonnegative up to rounding
+        # the step's descent inequality (the sum of the catalogue's descent
+        # lines) makes the budget nonnegative up to rounding
         budget = max(phi_prev - phi_x + nu_prev + eps_prev, 0.0)
         nu = (1.0 - self.delta) * budget
         return nu, (phi_x, nu)

@@ -1,5 +1,7 @@
 """The certificate catalogue: each inequality fails alone when only it is
-broken, in the live loop and in ``dcboost check`` alike, and NaN fails."""
+broken, in the run's own check and in ``dcboost check`` alike, and NaN
+fails.  A record edit breaks each line but ``g_linearization``, which an
+inconsistent g oracle breaks."""
 
 import dataclasses
 import json
@@ -8,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dcboost import cli, drivers, problems
+from dcboost import certificates, cli, drivers, problems
 from dcboost.certificates import (CERTIFICATES, TOLERANCE, holds, replay,
                                   slack_columns, slacks)
 from dcboost.convex import l2_norm
@@ -22,13 +24,42 @@ K_BAD = 0
 
 CORRUPTIONS = {
     "eps_certificate": lambda r, p, c: {"eps_certified": r.eps_k + 1.0},
-    # w moves with xi, so ||w - xi|| stays what the solver accepted
-    "subgrad_membership": lambda r, p, c: {"xi": r.xi + 10.0, "w": r.w + 10.0},
+    # w moves with xi, across d, so ||w - xi|| and <w, d> stay what the
+    # solver accepted
+    "subgrad_membership": lambda r, p, c: {"xi": r.xi + _across(r),
+                                           "w": r.w + _across(r)},
     "inexact_bound": lambda r, p, c: {"w": r.xi + (c.theta * r.d_norm + 1.0)},
-    "descent_y": lambda r, p, c: {"phi_y": r.phi_x + 1.0},
+    # for a consistent g oracle the g half follows from subgrad_membership
+    # and inexact_bound, so no record edit fails it alone: the record stays,
+    # and _break_oracle makes g at record K_BAD's y read 10 higher
+    "g_linearization": lambda r, p, c: {},
+    "h_eps_subgradient": lambda r, p, c: {"phi_y": r.phi_x + 1.0},
     "linesearch": lambda r, p, c: {"phi_y": r.phi_next - 1.0},
     "phi_lower_bound": lambda r, p, c: {"phi_next": p.phi_lower_bound - 1.0},
 }
+
+
+def _across(r):
+    """10 times a unit vector orthogonal to the 2-D direction y - x."""
+    d = r.y - r.x
+    return 10.0 * np.array([-d[1], d[0]]) / r.d_norm
+
+
+def _break_oracle(name, monkeypatch):
+    """For ``g_linearization``, make the g values the checker reads hold
+    g(y) + 10 at record K_BAD, for one record and in the columns alike: 10
+    is above that record's g half slack (8.1), so the g half fails, and the
+    h half, which reads g(y) - phi(y), gains 10."""
+    if name != "g_linearization":
+        return
+    value_rows = certificates.value_rows
+
+    def inconsistent(f1, f2, Z):
+        g, h = value_rows(f1, f2, Z)  # g at the x rows, then at the y rows
+        g.reshape(2, -1)[1, K_BAD] += 10.0
+        return g, h
+
+    monkeypatch.setattr(certificates, "value_rows", inconsistent)
 
 
 def test_catalogue_names_match_the_slacks():
@@ -51,6 +82,7 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
 
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     trace.records[K_BAD] = corrupted(trace.records[K_BAD])
+    _break_oracle(name, monkeypatch)
     slack = slacks(trace.records[K_BAD], EX2, REF)
     failing = {n for n, s in slack.items() if not s >= -TOLERANCE[n]}
     assert failing == {name}
@@ -89,6 +121,7 @@ def _corrupting(monkeypatch, edits):
 def test_live_violation_reports_the_replayed_worst_slack(name, monkeypatch):
     corrupt = CORRUPTIONS[name]
     _corrupting(monkeypatch, {K_BAD: lambda r: corrupt(r, EX2, REF)})
+    _break_oracle(name, monkeypatch)
     with pytest.raises(InvariantViolation) as raised:
         drivers.run_inmbdca(EX2, REF, START, seed=0)
     with pytest.warns(RuntimeWarning):
@@ -114,7 +147,7 @@ def test_violations_are_flagged_record_by_record(monkeypatch):
     assert [str(w.message).split(":")[0] for w in warned] == [
         "eps certificate failed at iteration 0",
         "phi lower bound failed at iteration 0",
-        "descent y failed at iteration 2",
+        "h eps subgradient failed at iteration 2",
     ]
 
 
@@ -123,7 +156,7 @@ def test_nan_slack_stays_the_worst():
     r = trace.records[0]
     trace.records[0] = dataclasses.replace(r, phi_y=math.nan)
     worst = replay(trace, EX2)
-    for name in ("descent_y", "linesearch", "phi_lower_bound"):
+    for name in ("h_eps_subgradient", "linesearch", "phi_lower_bound"):
         value, k = worst[name]
         assert math.isnan(value) and k == 0
 
@@ -170,7 +203,7 @@ def test_first_nan_after_a_worse_finite_slack_stays_the_worst():
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     r1, r3 = trace.records[1], trace.records[3]
     trace = _edited(trace, {
-        1: {"phi_y": r1.phi_x + 5.0},  # descent_y -5: finite and worse
+        1: {"phi_y": r1.phi_x + 5.0},  # h_eps_subgradient -5: finite, worse
         3: {"phi_y": math.nan},
         5: {"phi_y": math.nan},  # a second NaN does not move it
         2: {"eps_certified": math.nan},
@@ -178,7 +211,7 @@ def test_first_nan_after_a_worse_finite_slack_stays_the_worst():
     })
     worst = replay(trace, EX2)
     assert _exact(worst) == _exact(_scan(trace, EX2))
-    for name in ("descent_y", "linesearch", "phi_lower_bound"):
+    for name in ("h_eps_subgradient", "linesearch", "phi_lower_bound"):
         value, k = worst[name]
         assert math.isnan(value) and k == 3
     value, k = worst["eps_certificate"]
@@ -221,6 +254,24 @@ def test_a_square_beyond_float_range_is_inf_live_and_replayed(tmp_path):
     found = slack_columns(trace.records, EX2, REF, trace.final_x)
     assert found["linesearch"][2] == -math.inf
     assert _exact(replay(trace, EX2)) == _exact(_scan(trace, EX2))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "random-sep(dim=3,seed=5)",
+                                  "random-sep(dim=1000,seed=1)"])
+def test_one_record_gives_the_bits_of_its_column(name):
+    # g at x and y comes from value_rows over the stacked (x, y) pair or
+    # the stacked columns, each value bit for bit g.value at its point
+    p = problems.resolve(name)
+    trace = drivers.run_inmbdca(p, REF, np.linspace(-5.0, 5.0, p.dim))
+    found = slack_columns(trace.records, p, REF, trace.final_x)
+    for i, r in enumerate(trace.records):
+        one = slacks(r, p, REF)
+        assert {n: repr(float(v)) for n, v in one.items()} == {
+            n: repr(float(found[n][i])) for n in one}
+        d = r.y - r.x
+        lin = p.g.value(r.x) - p.g.value(r.y) + float(r.w @ d)
+        assert one["g_linearization"] == lin - (
+            (p.sigma / 2 - REF.theta) * (r.d_norm * r.d_norm))
 
 
 @pytest.mark.parametrize("dim", [3, 50, 1000])

@@ -107,8 +107,8 @@ def test_summary_is_byte_identical_across_runs(tmp_path):
     out_a, out_b = run_dir(tmp_path, "a"), run_dir(tmp_path, "b")
     assert main(["run", "--out", out_a, *args]) == 0
     assert main(["run", "--out", out_b, *args]) == 0
-    a = open(f"{out_a}/summary.csv", "rb").read()
-    b = open(f"{out_b}/summary.csv", "rb").read()
+    a = pathlib.Path(out_a, "summary.csv").read_bytes()
+    b = pathlib.Path(out_b, "summary.csv").read_bytes()
     assert a == b
     assert a.endswith(b"\n")
 
@@ -156,13 +156,13 @@ def test_check_flags_corrupted_linesearch(tmp_path, capsys):
     out = run_dir(tmp_path)
     main(["run", "--problem", "ex2", "--out", out, "--start", "5.0,5.0",
           *REF_FLAGS])
-    path = f"{out}/trace_000.jsonl"
-    lines = open(path).read().splitlines()
+    path = pathlib.Path(out, "trace_000.jsonl")
+    lines = path.read_text().splitlines()
     rec = json.loads(lines[3])
     rec["phi_next"] += 1.0
     lines[3] = json.dumps(rec)
-    open(path, "w").write("\n".join(lines) + "\n")
-    code = main(["check", path])
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["check", str(path)])
     captured = capsys.readouterr().out
     assert code == 1
     assert "linesearch" in captured
@@ -176,14 +176,14 @@ def test_check_rejects_a_nan_phi_token(tmp_path, capsys):
     out = run_dir(tmp_path)
     assert main(["run", "--problem", "ex2", "--out", out, "--start=5.0,5.0",
                  *REF_FLAGS]) == 0
-    path = f"{out}/trace_000.jsonl"
-    lines = open(path).read().splitlines()
+    path = pathlib.Path(out, "trace_000.jsonl")
+    lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     rec["phi_x"] = math.nan
     lines[2] = json.dumps(rec)
-    open(path, "w").write("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["check", path]) == 2
+    assert main(["check", str(path)]) == 2
     assert (f"{path}: parse error: line 3: NaN is not a finite JSON number"
             in capsys.readouterr().err)
 
@@ -438,8 +438,10 @@ def test_float_literal_beyond_range_is_a_parse_error(
 @pytest.mark.parametrize("name, broken", [
     ("d_norm", []),  # derived from y - x: a stored d_norm is a stale key
     # the next record's x, derived by this lambda_k, moves 1e200 away from
-    # its y, so that record's derived ||d|| squares to inf in descent_y
-    ("lambda_k", ["descent_y", "linesearch", "reconstruction"]),
+    # its y, so that record's derived ||d|| squares to inf and g(x) reads
+    # inf in both halves of the descent to y
+    ("lambda_k", ["g_linearization", "h_eps_subgradient", "linesearch",
+                  "reconstruction"]),
 ])
 @pytest.mark.parametrize("command", ["check", "complexity"])
 def test_a_square_beyond_float_range_is_violated_not_raised(
@@ -474,28 +476,53 @@ def _f8(values) -> str:
     return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
+def _check_with_w(tmp_path, capsys, stored_traces, edit):
+    """``check`` on the ex2 trace whose first record storing xi, record k,
+    has w replaced by ``edit(w, d)``, d = y - x: the exit code, k, the
+    names of the [VIOLATED] lines and the output."""
+    lines = list(stored_traces["ex2"])
+    n = next(i for i, line in enumerate(lines[1:], 1)
+             if "xi" in json.loads(line))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    r = Trace.read_jsonl(path).records[n - 1]
+    lines[n] = _set(lines[n], "w", _f8(edit(r.w, r.y - r.x)))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["check", str(path)])
+    out = capsys.readouterr()
+    flagged = [line.split(":")[0].strip() for line in out.out.splitlines()
+               if line.endswith("[VIOLATED]")]
+    return code, n - 1, flagged, out
+
+
 @pytest.mark.parametrize("edit", [
-    lambda w: w + 1e3,
-    lambda w: np.array([math.nan, math.inf]),
-], ids=["shifted", "non_finite"])
+    # across d, so <w, d> and both halves of the descent to y keep their
+    # values up to rounding
+    lambda w, d: w + 1e3 * np.array([-d[1], d[0]]) / np.sqrt(d @ d),
+], ids=["shifted"])
 def test_a_corrupted_w_violates_only_the_inexact_bound(tmp_path, capsys,
                                                        stored_traces, edit):
     # ||w - xi|| is recomputed from the record's pair, so an edited w
     # cannot pass on the strength of a stored norm
-    lines = list(stored_traces["ex2"])
-    n = next(i for i, line in enumerate(lines[1:], 1)
-             if "xi" in json.loads(line))
-    w = np.frombuffer(base64.b64decode(json.loads(lines[n])["w"]), "<f8")
-    lines[n] = _set(lines[n], "w", _f8(edit(w)))
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["check", str(path)]) == 1
-    out = capsys.readouterr()
-    flagged = [line.split(":")[0].strip() for line in out.out.splitlines()
-               if line.endswith("[VIOLATED]")]
-    assert flagged == ["inexact_bound"]
-    assert f"at k={n - 1} [VIOLATED]" in out.out
+    code, k, flagged, out = _check_with_w(tmp_path, capsys, stored_traces,
+                                          edit)
+    assert (code, flagged) == (1, ["inexact_bound"])
+    assert f"at k={k} [VIOLATED]" in out.out
+    assert out.err == ""
+
+
+def test_a_non_finite_w_violates_every_line_that_reads_w(tmp_path, capsys,
+                                                          stored_traces):
+    # ||w - xi|| and <w, d>, which both halves of the descent to y read,
+    # are NaN
+    code, k, flagged, out = _check_with_w(
+        tmp_path, capsys, stored_traces,
+        lambda w, d: np.array([math.nan, math.inf]))
+    assert code == 1
+    assert flagged == ["inexact_bound", "g_linearization",
+                       "h_eps_subgradient"]
+    assert out.out.count(f"at k={k} [VIOLATED]") == 3
     assert out.err == ""
 
 
@@ -916,11 +943,12 @@ def test_golden_complexity_reports_are_pinned(golden_runs, tmp_path):
     assert h.hexdigest() == GOLDEN_COMPLEXITY_SHA256
 
 
-def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
+def test_descent_step_is_g_plus_h_plus_linesearch(golden_runs):
     # the descent of a whole step, phi(x) - (c + rho lambda^2) ||d||^2 +
-    # nu_k + eps_k - phi(x+), is term for term descent_y's slack plus
-    # linesearch's; on every golden record the two agree to a few ulps of
-    # the largest term, so it is no certificate of its own
+    # nu_k + eps_k - phi(x+), is term for term the slacks of the g half,
+    # the h half and linesearch summed (g(x), g(y) and <w, d> cancel); on
+    # every golden record they agree to a few ulps of the largest term, so
+    # it is no certificate of its own
     paths, _ = golden_runs
     records = 0
     for path in paths:
@@ -932,9 +960,12 @@ def test_descent_step_is_descent_y_plus_linesearch(golden_runs):
             decrease = (problem.sigma / 2 - config.theta) * d_sq
             step = config.rho * r.lambda_k**2 * d_sq
             whole = (r.phi_x - decrease - step + r.nu_k + r.eps_k) - r.phi_next
+            g_x, g_y = problem.g.value(r.x), problem.g.value(r.y)
+            w_d = float(r.w @ (r.y - r.x))
             terms = (r.phi_x, decrease, step, r.nu_k, r.eps_k, r.phi_y,
-                     r.phi_next)
-            gap = whole - (s["descent_y"][i] + s["linesearch"][i])
+                     r.phi_next, g_x, g_y, w_d)
+            gap = whole - (s["g_linearization"][i]
+                           + s["h_eps_subgradient"][i] + s["linesearch"][i])
             assert abs(gap) <= 4 * math.ulp(max(map(abs, terms))), (path, r.k)
             records += 1
     assert records > 100

@@ -37,11 +37,11 @@ from conftest import traces_field_equal as records_equal
 
 
 def descends(prob, trace):
-    """Both descent estimates (to y, and from y along the step) hold on
-    every record, to 1e-9."""
+    """Both halves of the descent to y, and the descent from y along the
+    step, hold on every record, to 1e-9."""
     s = slack_columns(trace.records, prob, trace.config, trace.final_x)
-    return bool((s["descent_y"] >= -1e-9).all()
-                and (s["linesearch"] >= -1e-9).all())
+    return all((s[name] >= -1e-9).all() for name in (
+        "g_linearization", "h_eps_subgradient", "linesearch"))
 
 
 # --- main runs -------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_dca_immediate_stop_at_critical_point():
 
 
 def test_dca_evaluates_g_only_together_with_h(monkeypatch):
-    # every dca step is a zero step, after which x is y, whose g the loop
+    # every dca step is a zero step, after which x is y, whose phi the loop
     # already holds: g is evaluated only through value_rows, never alone
     calls = []
     value = Sum.value
@@ -202,9 +202,9 @@ def test_dca_evaluates_g_only_together_with_h(monkeypatch):
 def test_one_row_evaluation_per_iteration_and_no_rng_where_nothing_draws(
         monkeypatch):
     # phi at x0, then at y and the first two trial points of each iteration
-    # in one value_rows call; only a later trial is evaluated alone, so a
-    # run whose searches accept within one backtrack evaluates nothing more.
-    # Only a run that can draw makes a generator
+    # in one value_rows call; only a later trial is evaluated alone, g and h
+    # once each, so a run whose searches accept within one backtrack
+    # evaluates nothing more.  Only a run that can draw makes a generator
     rows, alone, made = [], [], []
     value_rows, value = drivers.value_rows, Sum.value
     default_rng = np.random.default_rng
@@ -231,11 +231,12 @@ def test_one_row_evaluation_per_iteration_and_no_rng_where_nothing_draws(
         alone.clear()
         trace = run_inmbdca(EX2, REF, x0, seed=[42, i])
         assert rows == [1] + [3] * len(trace.records)
-        if all(r.n_backtracks <= 1 for r in trace.records):
-            short += 1
-            assert alone == []
-        else:
-            assert alone
+        # an exhausted search examines max_backtracks + 1 trials, as
+        # n_backtracks counts
+        later = sum(max(min(r.n_backtracks, REF.max_backtracks) - 1, 0)
+                    for r in trace.records)
+        assert len(alone) == 2 * later
+        short += later == 0
     assert 0 < short < len(starts) and made == []
 
     for solver in ("nmbdca", "bdca", "dca"):
@@ -396,20 +397,26 @@ def test_descent_y_slack_matches_hand_computation():
                               nu=ZeroNu())
     trace = run_inmbdca(EX1, solver_config("dca", cfg), [1.0, 1.0])
     assert EX1.sigma == 1.0
-    slack_y, = slack_columns(trace.records, EX1, trace.config,
-                             trace.final_x)["descent_y"]
-    # phi(y) = 2/9 against 2 - 0.5 * 8/9: slack 4/3
-    assert slack_y == pytest.approx(4 / 3, abs=1e-12)
-    assert slack_y >= -1e-9
+    s = slack_columns(trace.records, EX1, trace.config, trace.final_x)
+    # x = (1, 1), y = (1/3, 1/3), w = (2, 2): <w, d> = -8/3, c ||d||^2 =
+    # 4/9; g goes 5 -> 1 and phi 2 -> 2/9, so h goes 3 -> 7/9
+    g_half, = s["g_linearization"]
+    h_half, = s["h_eps_subgradient"]
+    assert g_half == pytest.approx(5 - 1 - 8 / 3 - 4 / 9, abs=1e-12)
+    assert h_half == pytest.approx(7 / 9 - 3 + 8 / 3, abs=1e-12)
+    # together, the descent to y: phi(y) = 2/9 against 2 - 4/9, slack 4/3
+    assert g_half + h_half == pytest.approx(4 / 3, abs=1e-12)
 
 
 def test_replay_flags_corrupted_descent_y():
     trace = run_inmbdca(EX2, REF, [3.0, 3.0], seed=1)
     r = trace.records[2]
     trace.records[2] = dataclasses.replace(r, phi_y=r.phi_y + 1.0)
-    slack_y, k = replay(trace, EX2)["descent_y"]
+    worst = replay(trace, EX2)
+    slack_h, k = worst["h_eps_subgradient"]
     assert k == 2
-    assert slack_y < -0.5
+    assert slack_h < -0.5
+    assert worst["g_linearization"][0] >= 0.0
 
 
 def test_theta_near_boundary_still_descends():
@@ -424,6 +431,22 @@ def test_overflowing_start_fails_at_first_iteration():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(InvariantViolation, match="at iteration 0:"):
             run_inmbdca(EX2, REF, [1e308, 0.0], seed=0)
+
+
+def test_non_finite_phi_records_its_iteration_and_stops():
+    # a lenient run from the same start ends after that one record, a zero
+    # step to y: the lines that read phi fail and reconstruction holds
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_inmbdca(EX2, REF, [1e308, 0.0], seed=0, strict=False)
+    assert trace.termination is Termination.NON_FINITE
+    r, = trace.records
+    assert np.isnan(r.phi_x) and r.lambda_k == 0.0 and r.nu_k == 0.0
+    assert trace.final_x.tobytes() == r.y.tobytes()
+    flagged = {str(w.message).split(" failed")[0] for w in caught
+               if " failed at iteration 0:" in str(w.message)}
+    assert flagged == {"g linearization", "h eps subgradient", "linesearch",
+                       "phi lower bound"}
 
 
 # --- criticality residual ----------------------------------------------------------------

@@ -62,7 +62,8 @@ def test_randomized_configurations_keep_certificates():
 
         if trace.records:
             s = slack_columns(trace.records, prob, cfg, trace.final_x)
-            assert (s["descent_y"] >= -1e-9).all()
+            assert (s["g_linearization"] >= -1e-9).all()
+            assert (s["h_eps_subgradient"] >= -1e-9).all()
             assert (s["linesearch"] >= -1e-9).all()
             assert (s["inexact_bound"] >= -1e-12).all()
         for r in trace.records:
