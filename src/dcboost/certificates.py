@@ -36,11 +36,11 @@ import types
 
 import numpy as np
 
-from .convex import membership_gap, row_norms, subdiff_bounds, value_rows
+from .convex import membership_gap, row_norms, subdiff_bounds
 from .core import RECORD_ARRAYS, RECORD_SCALARS, next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "slack_columns",
-           "replay"]
+           "replay", "replay_stacked"]
 
 # (name, tolerance), in the order slacks() returns them.  Membership
 # balances closed-form exactness against interval-arithmetic rounding; the
@@ -67,12 +67,12 @@ def holds(name: str, slack):
 
 def slacks(record, problem, config) -> dict:
     """Slack of every catalogue inequality by name.  ``record`` is one
-    record, or a run's records stacked by ``_columns``, for which each slack
-    is an array with one value per record; each value takes the same float
-    operations either way.  g at x and y comes from one ``value_rows``
-    call, whose h values go unused: the h half reads h as g - phi."""
+    record, or records stacked by ``_slack_table``, for which each slack is an
+    array with one value per record; each value takes the same float
+    operations either way.  g at x and y comes from one ``Sum.rows`` call:
+    the h half reads h as g - phi."""
     r, g = record, problem.g
-    g_x, g_y = value_rows(g, problem.h, np.stack((r.x, r.y)))[0]
+    g_x, g_y = g.rows(np.stack((r.x, r.y)))
     w_d = np.vecdot(r.w, r.y - r.x)
     d_sq = r.d_norm * r.d_norm
     decrease = (problem.sigma / 2 - config.theta) * d_sq
@@ -95,19 +95,25 @@ _SCALARS = operator.attrgetter(*RECORD_SCALARS)
 _ARRAYS = operator.attrgetter(*RECORD_ARRAYS)
 
 
-def _columns(records):
-    """A nonempty list of records stacked, one row per record: x, w, y and
-    xi as 2-D float arrays, each scalar field a float64 array of the
-    records' own values, and the derived norms ``d_norm`` and
-    ``inexact_lhs`` taken by ``row_norms``, so each equals the record's
-    own."""
+def _slack_table(runs, problem, config) -> dict:
+    """``slack_columns`` of runs, (nonempty records, final point) pairs,
+    stacked; ``d_norm`` and ``inexact_lhs`` are each record's own."""
+    records = [record for run, _ in runs for record in run]
     table = np.array(list(map(_SCALARS, records)), float)
-    cols = {name: table[:, j] for j, name in enumerate(RECORD_SCALARS)}
     stacked = np.array(list(map(_ARRAYS, records)))
-    cols.update(zip(RECORD_ARRAYS, stacked.transpose(1, 0, 2)))
-    cols["d_norm"] = row_norms(cols["y"] - cols["x"])
-    cols["inexact_lhs"] = row_norms(cols["w"] - cols["xi"])
-    return types.SimpleNamespace(**cols)
+    r = types.SimpleNamespace(**dict(zip(RECORD_SCALARS, table.T)), **dict(
+        zip(RECORD_ARRAYS, stacked.transpose(1, 0, 2))))
+    x_next = np.empty_like(r.x)
+    x_next[:-1] = r.x[1:]
+    x_next[np.cumsum([len(run) for run, _ in runs]) - 1] = [
+        final_x for _, final_x in runs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r.d_norm = row_norms(r.y - r.x)
+        r.inexact_lhs = row_norms(r.w - r.xi)
+        found = slacks(r, problem, config)
+        misses = x_next - next_x(r.y, r.x, r.lambda_k[:, None])
+        found["reconstruction"] = -row_norms(misses)
+    return found
 
 
 def slack_columns(records, problem, config, final_x) -> dict:
@@ -115,13 +121,32 @@ def slack_columns(records, problem, config, final_x) -> dict:
     order: a float64 array with one value per record of a nonempty list,
     whose last record moves to ``final_x``.  Overflow and invalid operations
     give inf and NaN slacks, unwarned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _columns(records)
-        found = slacks(r, problem, config)
-        misses = (np.vstack((r.x[1:], final_x))
-                  - next_x(r.y, r.x, r.lambda_k[:, None]))
-        found["reconstruction"] = -row_norms(misses)
-    return found
+    return _slack_table([(records, final_x)], problem, config)
+
+
+def replay_stacked(traces, problem) -> list:
+    """``replay`` of each of several traces of one problem and config, from
+    one ``slack_columns`` pass over all their records."""
+    full = [trace for trace in traces if trace.records]
+    if not full:
+        return [{} for _ in traces]
+    found = _slack_table([(t.records, t.final_x) for t in full], problem,
+                         full[0].config)
+    table = np.array(list(found.values()))
+    lengths = [len(t.records) for t in full]
+    starts = np.cumsum([0] + lengths[:-1])
+    # np.minimum keeps a NaN, so a trace's lowest slack is NaN if it has one
+    # and then no slack equals it: its NaNs are the candidates
+    lowest = np.minimum.reduceat(table, starts, axis=1)
+    worst = (table == np.repeat(lowest, lengths, axis=1)) | np.isnan(table)
+    rows = np.where(worst, np.arange(table.shape[1]), table.shape[1])
+    first = np.minimum.reduceat(rows, starts, axis=1)
+    values = np.take_along_axis(table, first, axis=1).T.tolist()
+    each = iter({name: (value, t.records[i].k)
+                 for name, value, i in zip(found, vs, firsts)}
+                for t, vs, firsts in zip(full, values,
+                                         (first - starts).T.tolist()))
+    return [next(each) if t.records else {} for t in traces]
 
 
 def replay(trace, problem) -> dict:
@@ -129,13 +154,4 @@ def replay(trace, problem) -> dict:
     record of a stored trace; a name with no record to check is absent.
     The worst is the first NaN, else the first minimum, as a scan record by
     record keeps it."""
-    records = trace.records
-    if not records:
-        return {}
-    found = slack_columns(records, problem, trace.config, trace.final_x)
-    table = np.array(list(found.values()))
-    nan = np.isnan(table)
-    first = np.where(nan.any(axis=1, keepdims=True), nan,
-                     table == table.min(axis=1, keepdims=True))
-    return {name: (float(table[j, i]), records[i].k)
-            for j, (name, i) in enumerate(zip(found, first.argmax(axis=1)))}
+    return replay_stacked([trace], problem)[0]

@@ -168,6 +168,12 @@ class Sum:
             total += self.l1 * abs_sum
         return total
 
+    def rows(self, Z) -> np.ndarray:
+        """``value`` at every row of Z, bit for bit as ``value_rows``."""
+        sq = np.vecdot(Z, Z) if self.quad else None
+        return self._rows(Z, sq, np.add.reduce(np.abs(Z), axis=-1)
+                          if self.l1 else None)
+
     def subgrad(self, x) -> np.ndarray:
         """Canonical subgradient selection; uses sign(0) = 0 at l1 kinks."""
         x = as_point(x, self.lin.shape[0])

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -385,6 +386,9 @@ def make_record(values: dict) -> IterationRecord:
 
 DERIVED_ARRAYS = "base64-f8le-derived"
 _F8LE = np.dtype("<f8")
+# what base64.b64decode(validate=True) calls after its ASCII conversion
+_a2b_base64 = (binascii.a2b_base64 if sys.version_info >= (3, 11) else
+               lambda s, strict_mode: base64.b64decode(s, validate=strict_mode))
 
 
 def next_x(y, x, lambda_k) -> np.ndarray:
@@ -408,7 +412,7 @@ def _decode_array(value):
     if not isinstance(value, str):
         raise ValueError(f"expected a base64 string, got {value!r:.40}")
     try:
-        raw = base64.b64decode(value, validate=True)
+        raw = _a2b_base64(value, strict_mode=True)
     except binascii.Error as exc:
         raise ValueError(f"invalid base64 ({exc})") from None
     if len(raw) % 8:
@@ -418,10 +422,13 @@ def _decode_array(value):
 
 
 def _exactly(tp):
-    """Reader of a JSON value that must have type ``tp`` (bool is no int)."""
+    """Reader of a JSON value that must have type ``tp`` (bool is no int);
+    an int must lie in float range, as a float64 column holds it."""
     def read(value):
         if type(value) is not tp:
             raise ValueError(f"expected {tp.__name__}, got {value!r:.40}")
+        if tp is int:
+            _float(value)
         return value
     return read
 
@@ -515,18 +522,17 @@ def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
     """Inverse of _record_obj.  A ValueError names the bad field, and every
     array must hold ``dim`` values.
 
-    A record whose scalars all hold their field's type and are finite keeps
-    them as they are, and only its arrays go through ``_field``; any other
-    record is read field by field, so every error message and int -> float
-    conversion is that of the field-by-field read."""
+    A record whose scalars all hold their field's type and have a finite
+    sum (JSON gives no NaN, so no inf from a literal beyond float range; an
+    int beyond it raises) keeps them, and only its arrays go through
+    ``_field``; any other record is read field by field, with its errors."""
     try:
         scalars = _SCALARS_OF(d)
-    except KeyError:  # a missing field; the field-by-field read names it
-        scalars = ()
-    # JSON gives no NaN here (its token is rejected), only an inf from a
-    # literal beyond float range
-    if (tuple(map(type, scalars)) == _PLAIN_SCALARS
-            and math.inf not in scalars and -math.inf not in scalars):
+        plain = (tuple(map(type, scalars)) == _PLAIN_SCALARS
+                 and math.isfinite(sum(scalars)))
+    except (KeyError, OverflowError):  # the field-by-field read names it
+        plain = False
+    if plain:
         values = _read_fields(d, RECORD_ARRAYS, dim, x_derived,
                               dict(zip(RECORD_SCALARS, scalars)))
     else:

@@ -13,7 +13,7 @@ import pytest
 from dcboost import certificates, cli, drivers, problems
 from dcboost.certificates import (CERTIFICATES, TOLERANCE, holds, replay,
                                   slack_columns, slacks)
-from dcboost.convex import l2_norm
+from dcboost.convex import Sum, l2_norm
 from dcboost.core import InvariantViolation, IterationRecord, Trace, next_x
 
 EX2 = problems.resolve("ex2")
@@ -52,14 +52,14 @@ def _break_oracle(name, monkeypatch):
     h half, which reads g(y) - phi(y), gains 10."""
     if name != "g_linearization":
         return
-    value_rows = certificates.value_rows
+    rows = Sum.rows
 
-    def inconsistent(f1, f2, Z):
-        g, h = value_rows(f1, f2, Z)  # g at the x rows, then at the y rows
+    def inconsistent(f, Z):
+        g = rows(f, Z)  # g at the x rows, then at the y rows
         g.reshape(2, -1)[1, K_BAD] += 10.0
-        return g, h
+        return g
 
-    monkeypatch.setattr(certificates, "value_rows", inconsistent)
+    monkeypatch.setattr(Sum, "rows", inconsistent)
 
 
 def test_catalogue_names_match_the_slacks():
@@ -360,3 +360,65 @@ def test_zero_record_trace_has_no_applicable_records(tmp_path, capsys):
         f"{path}: 0 record(s)",
         *(f"  {name}: no applicable records" for name in TOLERANCE),
     ]
+
+
+def _mixed_traces():
+    """(problem, trace) pairs in interleaved order: ex1, ex2 and a dim-3
+    problem under two configs, with zero-record traces, a NaN slack, a
+    0.0/-0.0 tie each way and a k beyond float64's integers among them."""
+    ex1, dim3 = problems.resolve("ex1"), problems.resolve(
+        "random-sep(dim=3,seed=1)")
+    other = dataclasses.replace(REF, rho=0.3, theta=0.1)
+
+    def run(p, config, start):
+        return p, drivers.run_inmbdca(p, config, start, seed=0)
+
+    ex2a, ex2b, ex2c = (run(EX2, REF, s) for s in ([5.0, 5.0], [-4.0, 2.0],
+                                                    [1.0, -3.0]))
+    ex1a = run(ex1, REF, [2.0, 3.0])
+    r = ex2a[1].records[2]
+    return [
+        ex2a,
+        (EX2, _edited(ex2b[1], {3: {"phi_y": math.nan}})),
+        (EX2, dataclasses.replace(ex2b[1], records=[])),
+        # k is taken from the record: a float64 column reads 2**53
+        (EX2, _edited(ex2a[1], {2: {"k": 2**53 + 1,
+                                    "eps_certified": r.eps_k + 1.0}})),
+        ex1a,
+        # eps_k - eps_certified is 0.0 on every record but a -0.0 one
+        (ex1, _edited(ex1a[1], {1: {"eps_k": -0.0}})),
+        run(ex1, other, [2.0, 3.0]),
+        run(dim3, REF, [1.0, 2.0, 3.0]),
+        run(dim3, other, [1.0, 2.0, 3.0]),
+        run(dim3, other, [-1.0, 0.5, 2.0]),
+        (EX2, _edited(ex2c[1], {0: {"eps_k": -0.0}})),
+        ex2c,
+        run(EX2, other, [5.0, 5.0]),
+        (ex1, dataclasses.replace(ex1a[1], records=[])),
+    ]
+
+
+def test_batched_replay_is_each_trace_replayed_alone_bit_for_bit():
+    mixed = _mixed_traces()
+    batches = [[mixed[0]]]
+    for p, t in mixed[1:]:
+        head_p, head_t = batches[-1][0]
+        if (p.name, t.config) == (head_p.name, head_t.config):
+            batches[-1].append((p, t))
+        else:
+            batches.append([(p, t)])
+    assert list(map(len, batches)) == [4, 2, 1, 1, 2, 2, 1, 1]
+    got = []
+    for batch in batches:
+        got += certificates.replay_stacked([t for _, t in batch], batch[0][0])
+    assert len(got) == len(mixed)
+    for (p, t), worst in zip(mixed, got):
+        scan = _scan(t, p) if t.records else {}
+        assert _exact(worst) == _exact(replay(t, p)) == _exact(scan)
+    value, k = got[1]["linesearch"]
+    assert math.isnan(value) and k == 3
+    assert got[2] == got[13] == {}
+    assert got[3]["eps_certificate"] == (-1.0, 2**53 + 1)
+    assert _exact({n: got[i]["eps_certificate"] for n, i in (
+        ("tie", 5), ("first", 10))}) == {"tie": ("0.0", 0),
+                                         "first": ("-0.0", 0)}

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import binascii
 import csv
 import dataclasses
 import hashlib
@@ -392,7 +393,8 @@ def test_non_finite_token_is_a_parse_error(tmp_path, capsys, stored_traces,
         "number\n")
 
 
-@pytest.mark.parametrize("line_no, name", [(3, "phi_x"), (1, "final_phi")])
+@pytest.mark.parametrize("line_no, name", [(3, "phi_x"), (1, "final_phi"),
+                                           (3, "k"), (3, "n_backtracks")])
 @pytest.mark.parametrize("command", ["check", "complexity"])
 def test_integer_beyond_float_range_is_a_parse_error(
         tmp_path, capsys, stored_traces, command, line_no, name):
@@ -405,6 +407,52 @@ def test_integer_beyond_float_range_is_a_parse_error(
     assert capsys.readouterr().err == (
         f"{path}: parse error: line {line_no}: field {name!r}: int too large "
         "to convert to float\n")
+
+
+def _parent_decode(value):
+    """The array decoder as it stood with ``base64.b64decode``: its
+    accept/reject decisions and messages are the ones to keep."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a base64 string, got {value!r:.40}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"invalid base64 ({exc})") from None
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes is not a whole number of "
+                         "float64 values")
+    return raw
+
+
+_ZEROS16 = "A" * 22 + "=="  # the 16 bytes of two 0.0 values
+
+
+@pytest.mark.parametrize("value", [
+    _ZEROS16, _ZEROS16 + "==",  # accepted: padding beyond the last quantum
+    _ZEROS16[:-1] + "é", "é" + _ZEROS16[1:],  # non-ASCII text
+    _ZEROS16[:-1], "A" * 22,  # bad padding
+    "=" + _ZEROS16[1:], "AAAA=" + _ZEROS16[5:], _ZEROS16 + "A",  # a stray =
+    "A" * 11 + " " + "A" * 11 + "=", _ZEROS16 + "\n",  # whitespace
+    "\t" + _ZEROS16[1:],
+    "A" * 10 + "==", "A" * 12,  # 7 and 9 decoded bytes
+    12345, None, [0.0, 0.0], {"x": 1},  # not a string
+])
+def test_array_decoding_keeps_its_accepted_inputs_and_messages(
+        tmp_path, capsys, stored_traces, value):
+    lines = list(stored_traces["ex2"])
+    lines[2] = _set(lines[2], "w", value)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    try:
+        _parent_decode(value)
+    except ValueError as exc:
+        assert (code, err) == (2, f"{path}: parse error: line 3: field 'w': "
+                                  f"{exc}\n")
+    else:
+        assert code != 2 and err == ""
 
 
 def _set_literal(line, name, literal):
@@ -662,6 +710,118 @@ def test_check_rejects_empty_file(tmp_path, capsys):
     path.write_text("")
     assert main(["check", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mixed_trace_paths(tmp_path_factory):
+    """Trace files in interleaved order: ex1, ex2 and a dim-3 problem under
+    two configs, theta 0.0 beside theta -0.0, zero-record ex2 traces and one
+    whose lambda_k squares past float range (violated, with inf slacks)."""
+    out = tmp_path_factory.mktemp("mixed")
+    other = [*REF_FLAGS, "--rho", "0.3", "--theta", "0.1"]
+    runs = {
+        "ex1": ["--problem", "ex1", *REF_FLAGS],
+        "ex2": ["--problem", "ex2", *REF_FLAGS],
+        "ex2_other": ["--problem", "ex2", *other],
+        "dim3": ["--problem", "random-sep(dim=3,seed=1)", *REF_FLAGS],
+        "dim3_other": ["--problem", "random-sep(dim=3,seed=1)", *other],
+        "theta0": ["--problem", "ex2", "--theta", "0.0"],
+        "theta-0": ["--problem", "ex2", "--theta=-0.0"],
+    }
+    for name, flags in runs.items():
+        assert main(["run", *flags, "--starts-count", "3", "--starts-seed",
+                     "7", "--out", str(out / name)]) == 0
+    (out / "zero").mkdir()
+    for i in range(3):  # ex2 traces cut to their header
+        header = (out / "ex2" / f"trace_{i:03d}.jsonl").read_text()
+        (out / "zero" / f"trace_{i:03d}.jsonl").write_text(
+            header.splitlines()[0] + "\n")
+    path = out / "ex2" / "trace_002.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = _set(lines[2], "lambda_k", 1e200)
+    path.write_text("\n".join(lines) + "\n")
+    order = ["ex2", "ex2", "zero", "ex2", "ex1", "ex2_other", "ex1", "dim3",
+             "dim3_other", "dim3_other", "zero", "theta0", "theta-0",
+             "theta-0", "theta0", "ex1", "dim3", "dim3", "ex2_other", "zero"]
+    taken = {}
+    paths = []
+    for name in order:
+        i = taken[name] = taken.get(name, -1) + 1
+        paths.append(str(out / name / f"trace_{i:03d}.jsonl"))
+    return paths
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of traces in each batch that ``check`` replays."""
+    sizes = []
+    replay_stacked = cli.replay_stacked
+
+    def spy(traces, problem):
+        sizes.extend([len(traces)] if traces else [])
+        return replay_stacked(traces, problem)
+
+    monkeypatch.setattr(cli, "replay_stacked", spy)
+    return sizes
+
+
+def test_one_check_prints_the_checks_of_each_file_in_turn(
+        capsys, batch_sizes, mixed_trace_paths):
+    capsys.readouterr()
+    codes, outs = [], []
+    for path in mixed_trace_paths:
+        codes.append(main(["check", path]))
+        out = capsys.readouterr()
+        assert out.err == ""
+        outs.append(out.out)
+    assert batch_sizes == [1] * len(mixed_trace_paths)
+    batch_sizes.clear()
+    code = main(["check", *mixed_trace_paths])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (max(codes), "".join(outs), "")
+    assert code == 1
+    assert batch_sizes == [4, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1]
+    signs = [line for line in "".join(outs).splitlines()
+             if line.startswith("  inexact_bound: worst slack ")
+             and "0.000e+00" in line]
+    assert len(signs) == 4 and sum("-0.000e+00" in line for line in signs) == 2
+
+
+def test_a_parse_error_stops_check_after_the_reports_before_it(
+        tmp_path, capsys, monkeypatch, mixed_trace_paths):
+    paths = list(mixed_trace_paths[:5])
+    bad = tmp_path / "bad.jsonl"
+    lines = pathlib.Path(paths[0]).read_text().splitlines()
+    lines[1] = _set(lines[1], "k", "1")
+    bad.write_text("\n".join(lines) + "\n")
+    paths[2] = str(bad)
+    capsys.readouterr()
+    assert [main(["check", path]) for path in paths[:2]] == [0, 0]
+    before = capsys.readouterr().out
+    opened = []
+    read = Trace.read_jsonl
+
+    def spy(path):
+        opened.append(path)
+        return read(path)
+
+    monkeypatch.setattr(Trace, "read_jsonl", spy)
+    assert main(["check", *paths]) == 2
+    out = capsys.readouterr()
+    assert out.out == before
+    assert out.err == (f"{bad}: parse error: line 2: field 'k': expected "
+                       "int, got '1'\n")
+    assert opened == paths[:3]
+
+
+def test_a_dim_1000_trace_replays_alone(tmp_path, batch_sizes):
+    out = tmp_path / "out"
+    assert main(["run", "--problem", "random-sep(dim=1000,seed=0)",
+                 "--starts-count", "3", "--max-iter", "1", "--out",
+                 str(out)]) == 0
+    traces = sorted(str(p) for p in out.glob("trace_*.jsonl"))
+    assert main(["check", *traces]) == 0
+    assert batch_sizes == [1, 1, 1]
 
 
 def test_empty_starts_list_is_ok(tmp_path):

@@ -389,6 +389,7 @@ def test_value_rows_and_row_norms_match_the_one_point_calls_bit_for_bit(rng):
                     assert f.subgrad(z).tobytes() == grad.tobytes()
                 one_point.append(bits([f.value(z) for z in Z]))
             for f, f_bits in zip(fs, one_point):
+                assert (bits(f.rows(Z)) == f_bits).all()
                 for h, h_bits in zip(fs, one_point):
                     rows = value_rows(f, h, Z)
                     assert [(v.dtype, v.shape) for v in rows] == [
