@@ -31,13 +31,12 @@ is the sum of both halves and linesearch and is not checked on its own.
 from __future__ import annotations
 
 import math
-import operator
 import types
 
 import numpy as np
 
 from .convex import membership_gap, row_norms, subdiff_bounds
-from .core import RECORD_ARRAYS, RECORD_SCALARS, next_x
+from .core import next_x
 
 __all__ = ["CERTIFICATES", "TOLERANCE", "holds", "slacks", "slack_columns",
            "replay", "replay_stacked"]
@@ -91,18 +90,12 @@ def slacks(record, problem, config) -> dict:
     }
 
 
-_SCALARS = operator.attrgetter(*RECORD_SCALARS)
-_ARRAYS = operator.attrgetter(*RECORD_ARRAYS)
-
-
-def _slack_table(runs, problem, config) -> dict:
-    """``slack_columns`` of runs, (nonempty records, final point) pairs,
-    stacked; ``d_norm`` and ``inexact_lhs`` are each record's own."""
-    records = [record for run, _ in runs for record in run]
-    table = np.array(list(map(_SCALARS, records)), float)
-    stacked = np.array(list(map(_ARRAYS, records)))
-    r = types.SimpleNamespace(**dict(zip(RECORD_SCALARS, table.T)), **dict(
-        zip(RECORD_ARRAYS, stacked.transpose(1, 0, 2))))
+def _slack_table(runs, problem, config):
+    """``slack_columns`` of runs, (nonempty Records, final point) pairs, and
+    the runs' columns joined, with ``d_norm`` and ``inexact_lhs`` added."""
+    r = types.SimpleNamespace(**{name: np.concatenate(
+        [records.columns[name] for records, _ in runs])
+        for name in runs[0][0].columns})
     x_next = np.empty_like(r.x)
     x_next[:-1] = r.x[1:]
     x_next[np.cumsum([len(run) for run, _ in runs]) - 1] = [
@@ -113,15 +106,15 @@ def _slack_table(runs, problem, config) -> dict:
         found = slacks(r, problem, config)
         misses = x_next - next_x(r.y, r.x, r.lambda_k[:, None])
         found["reconstruction"] = -row_norms(misses)
-    return found
+    return found, r
 
 
 def slack_columns(records, problem, config, final_x) -> dict:
     """Every slack of a run, ``reconstruction`` included, in ``TOLERANCE``
-    order: a float64 array with one value per record of a nonempty list,
+    order: a float64 array with one value per record of nonempty Records,
     whose last record moves to ``final_x``.  Overflow and invalid operations
     give inf and NaN slacks, unwarned."""
-    return _slack_table([(records, final_x)], problem, config)
+    return _slack_table([(records, final_x)], problem, config)[0]
 
 
 def replay_stacked(traces, problem) -> list:
@@ -130,8 +123,8 @@ def replay_stacked(traces, problem) -> list:
     full = [trace for trace in traces if trace.records]
     if not full:
         return [{} for _ in traces]
-    found = _slack_table([(t.records, t.final_x) for t in full], problem,
-                         full[0].config)
+    found, joined = _slack_table([(t.records, t.final_x) for t in full],
+                                 problem, full[0].config)
     table = np.array(list(found.values()))
     lengths = [len(t.records) for t in full]
     starts = np.cumsum([0] + lengths[:-1])
@@ -142,10 +135,8 @@ def replay_stacked(traces, problem) -> list:
     rows = np.where(worst, np.arange(table.shape[1]), table.shape[1])
     first = np.minimum.reduceat(rows, starts, axis=1)
     values = np.take_along_axis(table, first, axis=1).T.tolist()
-    each = iter({name: (value, t.records[i].k)
-                 for name, value, i in zip(found, vs, firsts)}
-                for t, vs, firsts in zip(full, values,
-                                         (first - starts).T.tolist()))
+    each = iter(dict(zip(found, zip(vs, k)))
+                for vs, k in zip(values, joined.k[first].T.tolist()))
     return [next(each) if t.records else {} for t in traces]
 
 

@@ -165,7 +165,7 @@ def _execute_start(payload):
         "final_x": _vec(trace.final_x),
         "final_phi": repr(trace.final_phi),
         "iterations": len(trace.records),
-        "total_backtracks": sum(r.n_backtracks for r in trace.records),
+        "total_backtracks": int(trace.records.columns["n_backtracks"].sum()),
         "termination": trace.termination.value,
         "final_residual": repr(final_residual(problem, trace)),
     }

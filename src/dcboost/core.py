@@ -16,8 +16,10 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -40,7 +42,8 @@ __all__ = [
     "DcProblem",
     "IterationRecord",
     "Trace",
-    "make_record",
+    "Records",
+    "record_columns",
     "next_x",
     "validate",
     "config_to_flat",
@@ -371,15 +374,6 @@ class IterationRecord:
         return l2_norm(self.w - self.xi)
 
 
-def make_record(values: dict) -> IterationRecord:
-    """The record whose fields are ``values``, one entry per field.  The
-    fields are set at once, not one object.__setattr__ each as the dataclass
-    __init__ sets them; assigning to the record still raises."""
-    record = object.__new__(IterationRecord)
-    record.__dict__.update(values)
-    return record
-
-
 # --- trace arrays: base64 of little-endian float64 bytes, bit-exact.  A
 # record may leave out x and xi, which read_jsonl fills back in bit for bit;
 # the header's "arrays": DERIVED_ARRAYS names this, the one trace format.
@@ -423,12 +417,14 @@ def _decode_array(value):
 
 def _exactly(tp):
     """Reader of a JSON value that must have type ``tp`` (bool is no int);
-    an int must lie in float range, as a float64 column holds it."""
+    an int must lie in float range, and in the range of its int64 column."""
     def read(value):
         if type(value) is not tp:
             raise ValueError(f"expected {tp.__name__}, got {value!r:.40}")
         if tp is int:
             _float(value)
+            if not -2**63 <= value < 2**63:
+                raise ValueError(f"{value:.6g} is beyond the int64 range")
         return value
     return read
 
@@ -474,10 +470,6 @@ RECORD_SCALARS = [name for name, read in _RECORD_READERS.items()
 RECORD_ARRAYS = [name for name, read in _RECORD_READERS.items()
                  if read is _decode_array]
 _SCALARS_OF = operator.itemgetter(*RECORD_SCALARS)
-# the types of a record's scalars, in RECORD_SCALARS order, when each
-# holds its field's own type and so reads as it is
-_PLAIN_SCALARS = tuple(f.type for f in fields(IterationRecord)
-                       if f.type is not np.ndarray)
 _JSON = json.JSONEncoder(allow_nan=False)
 
 
@@ -489,76 +481,156 @@ def _no_constant(name):
 _JSON_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
-def _record_obj(r: IterationRecord, x_derived):
-    """``r`` as a DERIVED_ARRAYS JSON object, scalars first, and the x the
-    next record derives.  ``x`` is left out when its "<f8" bytes equal
-    ``x_derived``'s, ``xi`` when they equal ``w``'s.  The next x is derived
-    from the "<f8" values a reader decodes, and is None when not finite, so
-    an omitted array is always finite."""
-    x, w, y, xi = (np.asarray(a, _F8LE) for a in (r.x, r.w, r.y, r.xi))
-    obj = {name: getattr(r, name) for name in RECORD_SCALARS}
-    if x_derived is None or x.tobytes() != x_derived.tobytes():
-        obj["x"] = _encode_array(x, "x")
-    obj["w"] = _encode_array(w, "w")
-    obj["y"] = _encode_array(y, "y")
-    if xi.tobytes() != w.tobytes():
-        obj["xi"] = _encode_array(xi, "xi")
-    derived = next_x(y, x, r.lambda_k)
-    return obj, derived if np.isfinite(derived).all() else None
+# --- records: a column per field; a record is a view of one row
+
+_DTYPES = {f.name: np.int64 if f.type is int else np.float64
+           for f in fields(IterationRecord)}
+_AS_ROW = operator.attrgetter(*_DTYPES)
+_INTS = [i for i, name in enumerate(RECORD_SCALARS)
+         if _DTYPES[name] is np.int64]
 
 
-def _read_fields(d: dict, names, dim: int, x_derived, values: dict) -> dict:
-    """``values`` with each of ``names`` read from ``d`` by ``_field``, in
-    order: a missing ``x`` is ``x_derived`` and a missing ``xi`` is ``w``."""
-    for name in names:
-        if name in d or name not in ("x", "xi"):
-            values[name] = _field(d, name, _RECORD_READERS[name], dim)
-        else:
-            values[name] = x_derived if name == "x" else values["w"]
-    return values
+class Records(Sequence):
+    """A trace's records as columns of the _DTYPES dtypes, a 1-D array per
+    scalar field and a (K, dim) array per array field.  ``records[i]`` is
+    row i's IterationRecord view, built once; its xi is its w when their
+    bytes are equal, as a reader fills a left-out xi."""
+
+    __slots__ = ("columns", "_views")
+
+    def __init__(self, columns: dict):
+        self.columns, self._views = columns, {}
+
+    def __len__(self) -> int:
+        return len(self.columns["k"])
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        if i not in self._views:
+            values = {name: column[i] if column.ndim > 1 else column.item(i)
+                      for name, column in self.columns.items()}
+            if values["xi"].tobytes() == values["w"].tobytes():
+                values["xi"] = values["w"]
+            self._views[i] = object.__new__(IterationRecord)  # still frozen
+            self._views[i].__dict__.update(values)
+        return self._views[i]
 
 
-def _read_record(d: dict, dim: int, x_derived) -> IterationRecord:
-    """Inverse of _record_obj.  A ValueError names the bad field, and every
-    array must hold ``dim`` values.
+def record_columns(rows, dim: int) -> Records:
+    """The Records of ``rows``: IterationRecords, or tuples of their field
+    values in field order, whose arrays hold ``dim`` values each."""
+    rows = [row if type(row) is tuple else _AS_ROW(row) for row in rows]
+    values = list(zip(*rows)) or [()] * len(_DTYPES)
+    return Records({name: np.array(column, _DTYPES[name]).reshape(
+        (len(rows), dim) if name in RECORD_ARRAYS else len(rows))
+        for name, column in zip(_DTYPES, values)})
 
-    A record whose scalars all hold their field's type and have a finite
-    sum (JSON gives no NaN, so no inf from a literal beyond float range; an
-    int beyond it raises) keeps them, and only its arrays go through
-    ``_field``; any other record is read field by field, with its errors."""
+
+def _read_records(lines, x0, n) -> Records:
+    """The records of a trace's (number, text) lines after its header, line
+    ``n``: read column by column, or if that fails, field by field by
+    ``_field`` to name the first bad field."""
+    seen, records = [], []
     try:
-        scalars = _SCALARS_OF(d)
-        plain = (tuple(map(type, scalars)) == _PLAIN_SCALARS
-                 and math.isfinite(sum(scalars)))
-    except (KeyError, OverflowError):  # the field-by-field read names it
-        plain = False
-    if plain:
-        values = _read_fields(d, RECORD_ARRAYS, dim, x_derived,
-                              dict(zip(RECORD_SCALARS, scalars)))
-    else:
-        values = _read_fields(d, _RECORD_READERS, dim, x_derived, {})
-    return make_record(values)
+        for n, line in lines:
+            seen.append((n, line))
+            line = line.strip(" \t\n\r")  # the whitespace JSON allows
+            d, end = _JSON_DECODER.scan_once(line, 0)
+            if end != len(line):
+                raise ValueError
+            records.append(d)
+        values = (list(zip(*map(_SCALARS_OF, records)))
+                  or [()] * len(RECORD_SCALARS))
+        raw = [[_a2b_base64(d[name], strict_mode=True)
+                if name in d or name in ("w", "y") else None
+                for d in records] for name in RECORD_ARRAYS]
+        table = np.array(values, np.float64)  # ints beyond range raise
+        columns = dict(zip(RECORD_SCALARS, table))
+        columns.update((RECORD_SCALARS[i], np.array(values[i], np.int64))
+                       for i in _INTS)
+        if (set(map(type, chain(*values))) - {int, float}
+                or set(map(type, chain(*map(values.__getitem__, _INTS))))
+                - {int} or not np.isfinite(table).all()
+                or {len(b) for b in chain(*raw) if b is not None}
+                - {8 * x0.size}):
+            raise ValueError
+    except (ValueError, TypeError, KeyError, OverflowError,
+            StopIteration) as exc:
+        for n, line in seen:  # every valid trace reads above: find the fault
+            try:
+                d = _JSON_DECODER.decode(line)
+                if not isinstance(d, dict):
+                    raise ValueError("a record must be a JSON object")
+                for name, read in _RECORD_READERS.items():
+                    if name in d or name not in ("x", "xi"):
+                        _field(d, name, read, x0.size)
+            except ValueError as error:
+                raise ValueError(f"line {n}: {error}") from None
+        raise ValueError(f"line {n}: {exc}") from None  # an undecodable line
+    xs, ws, ys, xis = raw
+    for name, column in (("w", ws), ("y", ys), ("xi", [
+            a if b is None else b for a, b in zip(ws, xis)])):
+        columns[name] = np.frombuffer(b"".join(column), _F8LE).reshape(
+            len(xs), x0.size)
+    columns["x"] = _derive_x(xs, columns["y"], columns["lambda_k"].tolist(),
+                             x0)
+    return Records(columns)
+
+
+def _derive_x(xs, y, lam, x0):
+    """The x column: each record's stored "<f8" bytes, or else next_x of
+    the record before (``x0`` for the first) by the same float operations.
+    Rows of up to 8 values go a coordinate at a time on Python floats:
+    numpy's per-call cost outweighs its rows below about 10 values."""
+    rows = [b if b is None else np.frombuffer(b, _F8LE) for b in xs]
+    if y.shape[1] > 8 or not rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, b in enumerate(rows):
+                if b is None:
+                    rows[k] = next_x(y[k - 1], rows[k - 1], lam[k - 1]) \
+                        if k else x0
+        return np.array(rows, np.float64).reshape(y.shape)
+    columns = []
+    for j, x_j in enumerate((x0 if rows[0] is None else rows[0]).tolist()):
+        columns.append([x_j])
+        for a, step, b in zip(y[:-1, j].tolist(), lam, rows[1:]):
+            x_j = a + step * (a - x_j) if b is None else float(b[j])
+            columns[-1].append(x_j)
+    return np.array(columns, np.float64).T.copy()
 
 
 @dataclass(frozen=True, eq=False)
 class Trace:
+    """A run's header and its records, held as columns; any other sequence
+    of IterationRecords given as ``records`` is stored as its columns."""
+
     problem_name: str
     config: SolverConfig
     x0: np.ndarray
-    records: list
+    records: Records
     final_x: np.ndarray
     final_phi: float
     termination: Termination
+
+    def __post_init__(self):
+        if not isinstance(self.records, Records):
+            object.__setattr__(self, "records", record_columns(
+                self.records, np.size(self.x0)))
 
     def write_jsonl(self, path) -> None:
         """One meta line, then one record per line; a non-finite value
         raises ValueError rather than writing a non-standard JSON token.
 
-        A record leaves out ``x`` when its bytes equal those of next_x of
-        the record before (``x0`` for the first), and ``xi`` when they
-        equal ``w``'s; the header's ``"arrays": DERIVED_ARRAYS`` says so.
-        Bytes are compared, so a signed zero or one ulp keeps the array,
-        and read_jsonl gives back every record bit for bit.
+        A record leaves out ``x`` when its bytes equal those of a finite
+        next_x of the record before (``x0`` for the first), and ``xi`` when
+        they equal ``w``'s; the header's ``"arrays": DERIVED_ARRAYS`` says
+        so.  Bytes are compared, so a signed zero or one ulp keeps the
+        array, and read_jsonl gives back every record bit for bit.
 
         Lines stream to ``<path>.partial``, which replaces ``path`` once
         complete and is removed on any failure, so no partial trace is left.
@@ -572,14 +644,29 @@ class Trace:
             "final_phi": self.final_phi,
             "termination": self.termination.value,
         }
+        c = self.records.columns
+        arrays = {name: np.asarray(c[name], _F8LE) for name in RECORD_ARRAYS}
+        x, w, y, xi = (arrays[name].view(np.int64) for name in RECORD_ARRAYS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived = np.concatenate((np.asarray(self.x0, _F8LE)[None], next_x(
+                arrays["y"], arrays["x"], c["lambda_k"][:, None])))[:-1]
+        keep = {"x": ((x != derived.view(np.int64)).any(1)
+                      | ~np.isfinite(derived).all(1)).tolist(),
+                "xi": (xi != w).any(1).tolist()}
+        # all finite, or else each array is checked as it is encoded
+        finite = np.isfinite(np.column_stack(list(c.values()))).all()
+        rows = zip(*(c[name].tolist() for name in RECORD_SCALARS))
         partial = os.fspath(path) + ".partial"
         try:
-            with open(partial, "w", encoding="utf-8", newline="") as fh, \
-                    np.errstate(over="ignore", invalid="ignore"):
+            with open(partial, "w", encoding="utf-8", newline="") as fh:
                 fh.write(_JSON.encode(meta) + "\n")
-                x_derived = np.asarray(self.x0, _F8LE)
-                for r in self.records:
-                    obj, x_derived = _record_obj(r, x_derived)
+                for i, scalars in enumerate(rows):
+                    obj = dict(zip(RECORD_SCALARS, scalars))
+                    for name, a in arrays.items():
+                        if name not in keep or keep[name][i]:
+                            obj[name] = (
+                                base64.b64encode(a[i]).decode("ascii")
+                                if finite else _encode_array(a[i], name))
                     fh.write(_JSON.encode(obj) + "\n")
             os.replace(partial, path)
         except BaseException:
@@ -612,25 +699,30 @@ class Trace:
                 x0 = _field(meta, "x0", _decode_array)
                 header = dict(
                     problem_name=_field(meta, "problem_name", _str),
-                    config=config_from_flat(_field(meta, "config", _dict)),
+                    config=_config_of(_field(meta, "config", _dict)),
                     x0=x0,
                     final_x=_field(meta, "final_x", _decode_array, x0.size),
                     final_phi=_field(meta, "final_phi", _float),
                     termination=_field(meta, "termination", Termination),
                 )
-                records = []
-                x_derived = x0
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for n, line in lines:
-                        d = _JSON_DECODER.decode(line)
-                        if not isinstance(d, dict):
-                            raise ValueError("a record must be a JSON object")
-                        r = _read_record(d, x0.size, x_derived)
-                        records.append(r)
-                        x_derived = next_x(r.y, r.x, r.lambda_k)
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from None
+            records = _read_records(lines, x0, n)
         return cls(records=records, **header)
+
+
+_CONFIGS = {}  # at most 64 header configs, by their keys and value reprs
+
+
+def _config_of(flat: dict) -> SolverConfig:
+    """config_from_flat, once per distinct header config: repr tells -0.0
+    from 0.0, a SolverConfig is immutable, and no error is cached."""
+    key = tuple(flat), tuple(map(repr, flat.values()))
+    if key not in _CONFIGS:
+        if len(_CONFIGS) >= 64:
+            _CONFIGS.clear()
+        _CONFIGS[key] = config_from_flat(flat)
+    return _CONFIGS[key]
 
 
 # --- flat config: one key per field, derived once from the fields

@@ -30,8 +30,8 @@ from .core import (
     Termination,
     Trace,
     ZeroNu,
-    make_record,
     next_x,
+    record_columns,
     validate,
 )
 from .linesearch import nonmonotone_search
@@ -131,13 +131,9 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             lam, n_backtracks = ls.lam, ls.n_backtracks
             phi_next = ls.accepted_value
 
-        rows.append({
-            "k": k, "x": x.copy(), "phi_x": phi_x, "eps_k": eps_k,
-            "eps_certified": cert.eps_achieved, "w": w.copy(), "y": y.copy(),
-            "xi": xi.copy(), "nu_k": nu_k, "lambda_k": lam,
-            "n_backtracks": n_backtracks, "phi_y": phi_y,
-            "phi_next": phi_next,
-        })
+        # a row of the columns, in field order; no array in it changes later
+        rows.append((k, x, phi_x, eps_k, cert.eps_achieved, w, y, xi, nu_k,
+                     lam, n_backtracks, phi_y, phi_next))
         if d_zero:
             termination = Termination.D_ZERO
             break
@@ -154,15 +150,15 @@ def run_inmbdca(problem: DcProblem, config: SolverConfig, x0, seed: int = 0,
             termination = Termination.STEP_TOL
             break
 
-    records = [make_record(values) for values in rows]
-    if records:
+    records = record_columns(rows, problem.dim)
+    if rows:
         found = slack_columns(records, problem, config, x)
         names, table = list(found), np.array(list(found.values()))
         tol = np.array([TOLERANCE[name] for name in names])[:, None]
         # record-major, catalogue order within a record
         for i, j in np.argwhere((~(table >= -tol)).T):
             _flag(strict, f"{names[j].replace('_', ' ')} failed at iteration "
-                          f"{records[i].k}: slack={table[j, i]}")
+                          f"{records.columns['k'][i]}: slack={table[j, i]}")
     return Trace(
         problem_name=problem.name,
         config=config,
@@ -289,9 +285,7 @@ def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
 
 def _d_norms(records) -> list:
     """Each record's ``d_norm``, as floats, by the row kernel."""
-    if not records:
-        return []
-    return row_norms(np.array([r.y - r.x for r in records])).tolist()
+    return row_norms(records.columns["y"] - records.columns["x"]).tolist()
 
 
 def complexity_report(trace: Trace, phi_bar: float, sigma: float,

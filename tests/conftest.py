@@ -1,9 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dcboost.convex import Sum
+
+
+def edited(trace, edits):
+    """A new trace whose record k has the fields ``edits[k]`` replaced: a
+    trace's records are read-only views of its columns."""
+    records = list(trace.records)
+    for k, fields in edits.items():
+        records[k] = dataclasses.replace(records[k], **fields)
+    return dataclasses.replace(trace, records=records)
 
 
 def random_expr(rng, dim, min_quad=0.0):

@@ -14,7 +14,9 @@ from dcboost import certificates, cli, drivers, problems
 from dcboost.certificates import (CERTIFICATES, TOLERANCE, holds, replay,
                                   slack_columns, slacks)
 from dcboost.convex import Sum, l2_norm
-from dcboost.core import InvariantViolation, IterationRecord, Trace, next_x
+from dcboost.core import InvariantViolation, Trace, next_x, record_columns
+
+from conftest import edited
 
 EX2 = problems.resolve("ex2")
 REF = problems.experiment_config()
@@ -77,11 +79,8 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
         name, tmp_path, monkeypatch, capsys):
     corrupt = CORRUPTIONS[name]
 
-    def corrupted(record):
-        return dataclasses.replace(record, **corrupt(record, EX2, REF))
-
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
-    trace.records[K_BAD] = corrupted(trace.records[K_BAD])
+    trace = edited(trace, {K_BAD: corrupt(trace.records[K_BAD], EX2, REF)})
     _break_oracle(name, monkeypatch)
     slack = slacks(trace.records[K_BAD], EX2, REF)
     failing = {n for n, s in slack.items() if not s >= -TOLERANCE[n]}
@@ -96,11 +95,7 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
                if line.endswith("[VIOLATED]")]
     assert flagged == [name]
 
-    def build(values):
-        record = IterationRecord(**values)
-        return corrupted(record) if record.k == K_BAD else record
-
-    monkeypatch.setattr(drivers, "make_record", build)
+    _corrupting(monkeypatch, {K_BAD: lambda r: corrupt(r, EX2, REF)})
     message = f"^{name.replace('_', ' ')} failed at iteration {K_BAD}:"
     with pytest.raises(InvariantViolation, match=message):
         drivers.run_inmbdca(EX2, REF, START, seed=0)
@@ -109,12 +104,13 @@ def test_corrupted_record_is_flagged_under_its_name_live_and_replayed(
 def _corrupting(monkeypatch, edits):
     """Make the run build each record ``k`` of ``edits`` with its fields
     replaced by ``edits[k](record)``."""
-    def build(values):
-        record = IterationRecord(**values)
-        edit = edits.get(record.k)
-        return dataclasses.replace(record, **edit(record)) if edit else record
+    def build(rows, dim):
+        records = list(record_columns(rows, dim))
+        for k, edit in edits.items():
+            records[k] = dataclasses.replace(records[k], **edit(records[k]))
+        return record_columns(records, dim)
 
-    monkeypatch.setattr(drivers, "make_record", build)
+    monkeypatch.setattr(drivers, "record_columns", build)
 
 
 @pytest.mark.parametrize("name", list(CORRUPTIONS))
@@ -153,8 +149,7 @@ def test_violations_are_flagged_record_by_record(monkeypatch):
 
 def test_nan_slack_stays_the_worst():
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
-    r = trace.records[0]
-    trace.records[0] = dataclasses.replace(r, phi_y=math.nan)
+    trace = edited(trace, {0: {"phi_y": math.nan}})
     worst = replay(trace, EX2)
     for name in ("h_eps_subgradient", "linesearch", "phi_lower_bound"):
         value, k = worst[name]
@@ -180,13 +175,6 @@ def _exact(worst):
     return {name: (repr(value), k) for name, (value, k) in worst.items()}
 
 
-def _edited(trace, edits):
-    records = list(trace.records)
-    for k, fields in edits.items():
-        records[k] = dataclasses.replace(records[k], **fields)
-    return dataclasses.replace(trace, records=records)
-
-
 @pytest.mark.parametrize("problem, solver", [
     ("ex1", "inmbdca"), ("ex2", "inmbdca"), ("ex2", "nmbdca"), ("ex2", "dca"),
     ("random-sep(dim=3,seed=5)", "inmbdca"),
@@ -202,7 +190,7 @@ def test_replay_matches_the_record_scan_on_solver_traces(problem, solver):
 def test_first_nan_after_a_worse_finite_slack_stays_the_worst():
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
     r1, r3 = trace.records[1], trace.records[3]
-    trace = _edited(trace, {
+    trace = edited(trace, {
         1: {"phi_y": r1.phi_x + 5.0},  # h_eps_subgradient -5: finite, worse
         3: {"phi_y": math.nan},
         5: {"phi_y": math.nan},  # a second NaN does not move it
@@ -221,7 +209,7 @@ def test_first_nan_after_a_worse_finite_slack_stays_the_worst():
 def test_inf_meeting_minus_inf_in_phi_fails_the_lower_bound():
     # the lowest of inf, phi_y and -inf is -inf, so the line fails at -inf
     trace = drivers.run_inmbdca(EX2, REF, START, seed=0)
-    trace = _edited(trace, {2: {"phi_x": math.inf, "phi_next": -math.inf}})
+    trace = edited(trace, {2: {"phi_x": math.inf, "phi_next": -math.inf}})
     worst = replay(trace, EX2)
     assert _exact(worst) == _exact(_scan(trace, EX2))
     value, k = worst["phi_lower_bound"]
@@ -246,9 +234,9 @@ def test_a_square_beyond_float_range_is_inf_live_and_replayed(tmp_path):
             == _exact(replay(Trace.read_jsonl(path), EX2)))
 
     r3 = trace.records[3]
-    trace = _edited(trace, {2: {"lambda_k": 1e200},
-                            3: {"y": r3.x + np.array([1e150, 0.0])},
-                            4: {"lambda_k": -1e150}})
+    trace = edited(trace, {2: {"lambda_k": 1e200},
+                           3: {"y": r3.x + np.array([1e150, 0.0])},
+                           4: {"lambda_k": -1e150}})
     assert trace.records[3].d_norm == 1e150
     assert slacks(trace.records[2], EX2, REF)["linesearch"] == -math.inf
     found = slack_columns(trace.records, EX2, REF, trace.final_x)
@@ -281,7 +269,7 @@ def test_reconstruction_takes_each_row_norm_as_l2_norm(dim):
     p = problems.resolve(f"random-sep(dim={dim},seed=1)")
     trace = drivers.run_inmbdca(p, REF, np.linspace(-5.0, 5.0, dim), seed=0)
     rng = np.random.default_rng(dim)
-    trace = _edited(trace, {
+    trace = edited(trace, {
         k: {"x": r.x * (1.0 + rng.uniform(-1e-9, 1e-9, dim))}
         for k, r in enumerate(trace.records) if k % 4
     })
@@ -300,7 +288,7 @@ def test_ties_go_to_the_first_record_signed_zeros_included(capsys,
     rs = trace.records
     # records 1 and 4 hold the same pair, whose ||w - xi|| exceeds the bound
     pair = {"x": rs[1].x, "y": rs[1].y, "xi": rs[1].xi, "w": rs[1].xi + 2.0}
-    trace = _edited(trace, {
+    trace = edited(trace, {
         1: pair,
         4: pair,
         # eps_k - eps_certified: 0.0 at k=2, -0.0 at k=3
@@ -344,7 +332,7 @@ def test_replay_matches_the_record_scan_under_random_edits(seed):
             value[rng.integers(value.size)] = specials[
                 rng.integers(len(specials))]
         edits.setdefault(k, {})[name] = value
-    trace = _edited(trace, edits)
+    trace = edited(trace, edits)
     with np.errstate(all="ignore"):
         assert _exact(replay(trace, EX2)) == _exact(_scan(trace, EX2))
 
@@ -379,19 +367,19 @@ def _mixed_traces():
     r = ex2a[1].records[2]
     return [
         ex2a,
-        (EX2, _edited(ex2b[1], {3: {"phi_y": math.nan}})),
+        (EX2, edited(ex2b[1], {3: {"phi_y": math.nan}})),
         (EX2, dataclasses.replace(ex2b[1], records=[])),
         # k is taken from the record: a float64 column reads 2**53
-        (EX2, _edited(ex2a[1], {2: {"k": 2**53 + 1,
-                                    "eps_certified": r.eps_k + 1.0}})),
+        (EX2, edited(ex2a[1], {2: {"k": 2**53 + 1,
+                                   "eps_certified": r.eps_k + 1.0}})),
         ex1a,
         # eps_k - eps_certified is 0.0 on every record but a -0.0 one
-        (ex1, _edited(ex1a[1], {1: {"eps_k": -0.0}})),
+        (ex1, edited(ex1a[1], {1: {"eps_k": -0.0}})),
         run(ex1, other, [2.0, 3.0]),
         run(dim3, REF, [1.0, 2.0, 3.0]),
         run(dim3, other, [1.0, 2.0, 3.0]),
         run(dim3, other, [-1.0, 0.5, 2.0]),
-        (EX2, _edited(ex2c[1], {0: {"eps_k": -0.0}})),
+        (EX2, edited(ex2c[1], {0: {"eps_k": -0.0}})),
         ex2c,
         run(EX2, other, [5.0, 5.0]),
         (ex1, dataclasses.replace(ex1a[1], records=[])),

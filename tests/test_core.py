@@ -273,8 +273,9 @@ def _tiny_trace():
 
 def test_trace_jsonl_round_trip(tmp_path):
     trace = _tiny_trace()
-    trace.records.append(dataclasses.replace(
-        trace.records[0], k=1, n_backtracks=3, nu_k=0.5))
+    trace = dataclasses.replace(trace, records=[
+        *trace.records, dataclasses.replace(trace.records[0], k=1,
+                                            n_backtracks=3, nu_k=0.5)])
     path = tmp_path / "t.jsonl"
     trace.write_jsonl(path)
     back = Trace.read_jsonl(path)
@@ -303,8 +304,9 @@ def test_trace_jsonl_rejects_non_finite_values(tmp_path):
     # a bad value anywhere leaves no file, neither a truncated trace nor
     # the partial file the lines stream to
     trace = _tiny_trace()
-    trace.records.extend(dataclasses.replace(trace.records[0], k=k)
-                         for k in (1, 2, 3))
+    trace = dataclasses.replace(trace, records=[
+        *trace.records, *(dataclasses.replace(trace.records[0], k=k)
+                          for k in (1, 2, 3))])
     y_nan = trace.records[3].y.copy()
     y_nan[1] = math.nan
     for bad in (_with_record(trace, 0, phi_x=math.nan),
@@ -476,3 +478,46 @@ def test_trace_read_rejects_headerless(tmp_path):
     path.write_text('{"k": 0}\n')
     with pytest.raises(ValueError, match="header"):
         Trace.read_jsonl(path)
+
+
+def _nan_at(a, i=0):
+    a = np.array(a)
+    a[i] = math.nan
+    return a
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the non-finite y of record 2 comes before the non-finite w of record 3
+    (lambda r: {2: {"y": _nan_at(r[2].y)}, 3: {"w": _nan_at(r[3].w)}},
+     "field 'y': non-finite value"),
+    # an x off its derivation is stored, and comes before y in its record
+    (lambda r: {2: {"x": r[2].x + math.inf, "y": _nan_at(r[2].y)}},
+     "field 'x': non-finite value"),
+    (lambda r: {2: {"x": r[2].x + 1e-6, "w": _nan_at(r[2].w)}},
+     "field 'w': non-finite value"),
+    # a record's scalars are encoded after its arrays, a record before the
+    # next one
+    (lambda r: {1: {"phi_next": math.nan, "xi": _nan_at(r[1].xi)},
+                2: {"y": _nan_at(r[2].y)}}, "field 'xi': non-finite value"),
+    (lambda r: {1: {"phi_next": math.nan}, 2: {"y": _nan_at(r[2].y)}},
+     "Out of range float values are not JSON compliant"),
+    # an infinite x equal to its overflowing derivation is still stored
+    (lambda r: {1: {"x": np.array([-1e308, 0.0]), "y": np.array([1e308, 0.0]),
+                    "lambda_k": 1.0},
+                2: {"x": np.array([math.inf, 0.0])}},
+     "field 'x': non-finite value"),
+], ids=["y-before-next-w", "stored-x-before-y", "finite-stored-x", "xi",
+        "scalar", "overflowed-x"])
+def test_writer_raises_the_first_error_of_a_record_by_record_write(
+        tmp_path, edits, message):
+    ex2 = problems.resolve("ex2")
+    trace = drivers.run_inmbdca(ex2, problems.experiment_config(),
+                                [5.0, 5.0])
+    records = list(trace.records)
+    for k, fields in edits(records).items():
+        records[k] = dataclasses.replace(records[k], **fields)
+    bad = dataclasses.replace(trace, records=records)
+    with pytest.raises(ValueError) as raised:
+        bad.write_jsonl(tmp_path / "t.jsonl")
+    assert str(raised.value).startswith(message)
+    assert list(tmp_path.iterdir()) == []  # neither the trace nor .partial

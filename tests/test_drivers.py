@@ -33,7 +33,7 @@ EX2 = problems.resolve("ex2")
 REF = problems.experiment_config()
 
 
-from conftest import traces_field_equal as records_equal
+from conftest import edited, traces_field_equal as records_equal
 
 
 def descends(prob, trace):
@@ -410,8 +410,7 @@ def test_descent_y_slack_matches_hand_computation():
 
 def test_replay_flags_corrupted_descent_y():
     trace = run_inmbdca(EX2, REF, [3.0, 3.0], seed=1)
-    r = trace.records[2]
-    trace.records[2] = dataclasses.replace(r, phi_y=r.phi_y + 1.0)
+    trace = edited(trace, {2: {"phi_y": trace.records[2].phi_y + 1.0}})
     worst = replay(trace, EX2)
     slack_h, k = worst["h_eps_subgradient"]
     assert k == 2

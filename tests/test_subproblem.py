@@ -6,7 +6,8 @@ import pytest
 from dcboost.certificates import holds, slack_columns
 from dcboost.convex import Sum, l2_norm
 from dcboost.core import (DcProblem, InexactMode, IterationRecord,
-                          SolverConfig, UnsupportedProblemError)
+                          SolverConfig, UnsupportedProblemError,
+                          record_columns)
 from dcboost.drivers import run_inmbdca
 from dcboost.subproblem import (_FLOAT_MAX_DIM, _fails_between, solve_exact,
                                  solve_inexact)
@@ -24,7 +25,8 @@ def _pair_slacks(g, w, x, y, xi, theta):
         k=0, x=x, phi_x=0.0, eps_k=0.0, eps_certified=0.0, w=w, y=y, xi=xi,
         nu_k=0.0, lambda_k=0.0, n_backtracks=0, phi_y=0.0, phi_next=0.0)
     problem = DcProblem("pair", g, g, x.shape[0], g.modulus())
-    s = slack_columns([record], problem, SolverConfig(theta=theta), y)
+    s = slack_columns(record_columns([record], x.shape[0]), problem,
+                      SolverConfig(theta=theta), y)
     return s["subgrad_membership"][0], s["inexact_bound"][0]
 
 
