@@ -92,9 +92,10 @@ def slacks(record, problem, config) -> dict:
 
 def _slack_table(runs, problem, config):
     """``slack_columns`` of runs, (nonempty Records, final point) pairs, and
-    the runs' columns joined, with ``d_norm`` and ``inexact_lhs`` added."""
-    r = types.SimpleNamespace(**{name: np.concatenate(
-        [records.columns[name] for records, _ in runs])
+    the runs' columns joined, with ``d_norm`` and ``inexact_lhs`` added.  A
+    lone run's columns are taken as they are, never written to."""
+    r = types.SimpleNamespace(**runs[0][0].columns if len(runs) == 1 else {
+        name: np.concatenate([records.columns[name] for records, _ in runs])
         for name in runs[0][0].columns})
     x_next = np.empty_like(r.x)
     x_next[:-1] = r.x[1:]

@@ -16,7 +16,7 @@ Configuration is a flat JSON document (keys like ``rho``, ``eps.kind``,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import re
@@ -62,6 +62,10 @@ _RUN_KEYS = {
     "starts.seed": (int, None),
 }
 _FLAT_KEYS = {**_RUN_KEYS, **CONFIG_KEYS}
+
+
+_SUMMARY = ("start,final_x,final_phi,iterations,total_backtracks,"
+            "termination,final_residual")
 
 
 def _vec(x: np.ndarray) -> str:
@@ -160,15 +164,13 @@ def _execute_start(payload):
             "x0": x0.tolist(),
         }
     trace.write_jsonl(trace_path)
-    row = {
-        "start": _vec(x0),
-        "final_x": _vec(trace.final_x),
-        "final_phi": repr(trace.final_phi),
-        "iterations": len(trace.records),
-        "total_backtracks": int(trace.records.columns["n_backtracks"].sum()),
-        "termination": trace.termination.value,
-        "final_residual": repr(final_residual(problem, trace)),
-    }
+    # the _SUMMARY fields in order; none holds a comma, a quote or a line
+    # break, so csv would write each as it stands
+    row = ",".join((_vec(x0), _vec(trace.final_x), repr(trace.final_phi),
+                    str(len(trace.records)),
+                    str(trace.records.columns["n_backtracks"].sum()),
+                    trace.termination.value,
+                    repr(final_residual(problem, trace))))
     return row, None
 
 
@@ -216,19 +218,13 @@ def cmd_run(args) -> int:
     exit_code = EXIT_OK
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["start", "final_x", "final_phi", "iterations",
-                        "total_backtracks", "termination", "final_residual"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
+        fh.write(_SUMMARY + "\n")
         for row, error in results:
             if error is not None:
                 print(json.dumps(error), file=sys.stderr)
                 exit_code = EXIT_CHECK_FAILED
             else:
-                writer.writerow(row)
+                fh.write(row + "\n")
     print(f"run: {len(results)} start(s), summary -> {summary}")
     return exit_code
 
@@ -343,7 +339,10 @@ def cmd_complexity(args) -> int:
     return EXIT_OK if report.prefix_ok else EXIT_CHECK_FAILED
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first ``main`` call; each
+    parse fills a new namespace, so calls share no values."""
     parser = argparse.ArgumentParser(
         prog="dcboost",
         description="difference-of-convex solvers with certified traces",
@@ -361,9 +360,12 @@ def main(argv=None) -> int:
                         help="lower bound of phi (defaults to the problem's)")
     p_cplx.add_argument("--xi", type=float, default=0.25,
                         help="fraction in (0, 1/2) for the tail bound")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

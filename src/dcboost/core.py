@@ -282,7 +282,10 @@ class DcProblem:
                     f"sigma={self.sigma} exceeds modulus({label})={f.modulus()}"
                 )
         if self.known_critical_points is not None:
-            pts = tuple(as_point(p, self.dim) for p in self.known_critical_points)
+            pts = tuple(as_point(p, self.dim).copy()
+                        for p in self.known_critical_points)
+            for p in pts:  # read-only, as Sum keeps lin
+                p.flags.writeable = False
             object.__setattr__(self, "known_critical_points", pts)
 
     @classmethod
@@ -471,6 +474,9 @@ RECORD_ARRAYS = [name for name, read in _RECORD_READERS.items()
                  if read is _decode_array]
 _SCALARS_OF = operator.itemgetter(*RECORD_SCALARS)
 _JSON = json.JSONEncoder(allow_nan=False)
+# a record line's scalars as _JSON writes them, by int and float __repr__;
+# the kept arrays and the closing brace follow
+_LINE = "{" + ", ".join(f'"{name}": %r' for name in RECORD_SCALARS)
 
 
 def _no_constant(name):
@@ -653,21 +659,26 @@ class Trace:
         keep = {"x": ((x != derived.view(np.int64)).any(1)
                       | ~np.isfinite(derived).all(1)).tolist(),
                 "xi": (xi != w).any(1).tolist()}
-        # all finite, or else each array is checked as it is encoded
-        finite = np.isfinite(np.column_stack(list(c.values()))).all()
+        # all finite: each line is _LINE's text; or else each record goes
+        # through _JSON, its arrays checked as they are encoded, so the error
+        # is the one a record by record write meets first
+        finite = all(np.isfinite(column).all() for column in c.values())
         rows = zip(*(c[name].tolist() for name in RECORD_SCALARS))
         partial = os.fspath(path) + ".partial"
         try:
             with open(partial, "w", encoding="utf-8", newline="") as fh:
                 fh.write(_JSON.encode(meta) + "\n")
                 for i, scalars in enumerate(rows):
-                    obj = dict(zip(RECORD_SCALARS, scalars))
-                    for name, a in arrays.items():
-                        if name not in keep or keep[name][i]:
-                            obj[name] = (
-                                base64.b64encode(a[i]).decode("ascii")
-                                if finite else _encode_array(a[i], name))
-                    fh.write(_JSON.encode(obj) + "\n")
+                    kept = [(name, a[i]) for name, a in arrays.items()
+                            if name not in keep or keep[name][i]]
+                    if finite:
+                        fh.write(_LINE % scalars + "".join(
+                            f', "{name}": "{base64.b64encode(a).decode()}"'
+                            for name, a in kept) + "}\n")
+                    else:  # the first-error path
+                        obj = dict(zip(RECORD_SCALARS, scalars))
+                        obj.update((n, _encode_array(a, n)) for n, a in kept)
+                        fh.write(_JSON.encode(obj) + "\n")
             os.replace(partial, path)
         except BaseException:
             if os.path.exists(partial):

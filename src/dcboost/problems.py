@@ -7,6 +7,7 @@ command-line vocabulary: ``ex1``, ``ex2``, and ``random-sep(dim=D,seed=S)``.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -81,8 +82,10 @@ def registered_names() -> list:
     return sorted(_REGISTRY) + ["random-sep(dim=D,seed=S)"]
 
 
+@functools.lru_cache(maxsize=64)
 def resolve(name: str) -> DcProblem:
-    """Parse a full problem string, e.g. 'ex1' or 'random-sep(dim=5,seed=7)'."""
+    """Parse a full problem string, e.g. 'ex1' or 'random-sep(dim=5,seed=7)'.
+    A problem is immutable, so each name is built once and then shared."""
     if name in _REGISTRY:
         return _REGISTRY[name]()
     m = _RANDOM_SEP.match(name)

@@ -159,7 +159,8 @@ def _bisect_arrays(quad, lin, l1, w, x, theta):
     q2 = 2.0 * quad
     # np.clip bit for bit (pinned by a test), without its Python layers
     kink_lo, kink_hi = subdiff_bounds(quad, lin, l1, np.zeros(x.shape[0]))
-    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
+    clip = np.minimum(np.maximum(w, kink_lo), kink_hi)
+    v_kink = w - clip
     lo = np.minimum(x, 0.0) - 1.0
     hi = np.maximum(x, 0.0) + 1.0
     span = 1.0
@@ -179,13 +180,24 @@ def _bisect_arrays(quad, lin, l1, w, x, theta):
     at_kink = (lo < 0.0) & (hi > 0.0) & (np.abs(w - lin) <= l1)
     lo[at_kink] = 0.0
     hi[at_kink] = 0.0
+    # a captured coordinate stays at y = 0, where its clip in place of lin
+    # makes w - s its v_kink up to the sign of a zero: a step needs v_kink
+    # only where an uncaptured midpoint is exactly 0
+    lin = np.where(at_kink, clip, lin)
+    free = x.shape[0] - np.count_nonzero(at_kink)
+    # the bracket widest after the capture: while it is at least 1e-13
+    # wide, so is the widest, and only otherwise is every width read
+    j = np.argmax(hi - lo)
 
     for it in range(1, _MAX_INNER_ITERS + 1):
         y = 0.5 * (lo + hi)
         s = _selection(q2, lin, l1, y)
-        if _passes(np.where(y == 0.0, v_kink, w - s), y - x, theta):
+        v = w - s
+        if np.count_nonzero(y) < free:
+            v = np.where(y == 0.0, v_kink, v)
+        if _passes(v, y - x, theta):
             return y, it
-        if (hi - lo).max() < 1e-13:
+        if not hi[j] - lo[j] >= 1e-13 and (hi - lo).max() < 1e-13:
             break
         pos = s > w
         lo, hi = np.where(pos, lo, y), np.where(pos, y, hi)

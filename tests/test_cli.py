@@ -4,6 +4,7 @@ import binascii
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -122,6 +123,50 @@ def test_summary_cells_repr_each_float_as_before():
                   1.7976931348623157e308, 3.0, -7.0, 2.0**53, 0.1, 1 / 3])
     assert cli._vec(x) == ";".join(repr(float(v)) for v in x)
     assert cli._vec(x[:1]) == "-0.0"
+
+
+def test_summary_is_what_csv_writes_of_its_rows(tmp_path):
+    # the cells are joined by commas as they stand: none holds a comma, a
+    # quote or a line break, which csv would quote
+    for problem, starts in [("ex2", ["--start=-0.0,5e-324", "--start=1,2"]),
+                            ("random-sep(dim=40,seed=0)",
+                             ["--starts-count", "2"]),
+                            ("ex1", ["--starts-count", "0"])]:
+        out = run_dir(tmp_path, problem)
+        assert main(["run", "--problem", problem, "--out", out, *starts,
+                     *REF_FLAGS]) == 0
+        written = pathlib.Path(out, "summary.csv").read_bytes().decode()
+        with open(f"{out}/summary.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=reader.fieldnames,
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert written == text.getvalue()
+    assert rows == [] and written.count("\n") == 1
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, monkeypatch):
+    # the parser is built once, at the first call; each parse fills a new
+    # namespace, so no --start list, --config or --workers carries over
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": "ex2"}')
+    first = ["run", "--out", "a", "--config", str(cfg), "--start=1,1",
+             "--start=2,2", "--workers", "2", "--theta", "0.3"]
+    second = ["run", "--out", "b", "--start=3,3"]
+    assert main(first) == 0 and main(second) == 0
+    assert cli._parser() is cli._parser()
+    fresh = cli._parser.__wrapped__
+    assert [vars(args) for args in seen] == [
+        vars(fresh().parse_args(first)), vars(fresh().parse_args(second))]
+    assert (seen[0].start, seen[0].config, seen[0].workers) == (
+        ["1,1", "2,2"], str(cfg), 2)
+    assert (seen[1].start, seen[1].config, seen[1].workers,
+            seen[1].theta) == (["3,3"], None, 1, None)
 
 
 def test_worker_pool_matches_sequential(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ def test_resolve_round_trips_names():
     assert prob.name == "random-sep(dim=4,seed=11)"
     assert prob.dim == 4
     assert problems.resolve("ex1").name == "ex1"
+
+
+def test_resolve_builds_each_name_once():
+    # run resolves per start and check per trace; the problem they share
+    # cannot be changed in place
+    a = problems.resolve("random-sep(dim=5,seed=7)")
+    assert problems.resolve("random-sep(dim=5,seed=7)") is a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.dim = 6
+    ex1 = problems.resolve("ex1")
+    for values in (a.g.lin, a.h.lin, *ex1.known_critical_points):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 def test_unknown_name_rejected():

@@ -175,3 +175,27 @@ def test_an_undecodable_line_is_named_after_the_line_read_before_it(
     with pytest.raises(ValueError, match=r"^line [1-4]: 'utf-8' codec can't "
                                          "decode byte 0xff"):
         Trace.read_jsonl(path)
+
+
+@pytest.mark.parametrize("name, start", [
+    ("ex2", [5.0, 5.0]),
+    ("random-sep(dim=40,seed=1)", np.linspace(-5.0, 5.0, 40)),
+])
+def test_each_record_line_is_the_text_json_writes(tmp_path, name, start):
+    # values whose text a line assembled by hand could get wrong: a signed
+    # zero, the smallest subnormal, 17 significant digits and ints at the
+    # ends of the int64 range; the edited lambda_k stores the next x
+    trace = drivers.run_inmbdca(problems.resolve(name), REF, start)
+    trace = edited(trace, {
+        0: {"eps_k": -0.0, "nu_k": 5e-324, "phi_y": 0.1 + 0.2},
+        1: {"k": 2**63 - 1, "n_backtracks": -2**63,
+            "lambda_k": 1.2345678901234567e-3}})
+    path = tmp_path / "t.jsonl"
+    trace.write_jsonl(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(trace.records) + 1
+    assert sum('"x": ' in line for line in lines[1:]) == 1
+    assert any('"xi": ' in line for line in lines[1:])
+    for line in lines:
+        assert line == json.dumps(json.loads(line))
+

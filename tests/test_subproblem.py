@@ -524,6 +524,88 @@ def test_inner_solver_matches_reference_bit_for_bit(rng):
             assert sol.xi.tobytes() == xi.tobytes()
 
 
+def _parent_bisect_arrays(quad, lin, l1, w, x, theta):
+    """``_bisect_arrays`` as it stood with ``np.where(y == 0.0, ...)`` and
+    the full width check on every step: the y bytes and step counts to
+    keep."""
+    q2 = 2.0 * quad
+    kink_lo, kink_hi = subproblem.subdiff_bounds(quad, lin, l1,
+                                                 np.zeros(x.shape[0]))
+    v_kink = w - np.minimum(np.maximum(w, kink_lo), kink_hi)
+    lo = np.minimum(x, 0.0) - 1.0
+    hi = np.maximum(x, 0.0) + 1.0
+    span = 1.0
+    for _ in range(80):
+        bad_lo = subproblem._selection(q2, lin, l1, lo) > w
+        bad_hi = subproblem._selection(q2, lin, l1, hi) < w
+        if not bad_lo.any() and not bad_hi.any():
+            break
+        lo[bad_lo] -= span
+        hi[bad_hi] += span
+        span *= 2.0
+    at_kink = (lo < 0.0) & (hi > 0.0) & (np.abs(w - lin) <= l1)
+    lo[at_kink] = 0.0
+    hi[at_kink] = 0.0
+    for it in range(1, 201):
+        y = 0.5 * (lo + hi)
+        s = subproblem._selection(q2, lin, l1, y)
+        if subproblem._passes(np.where(y == 0.0, v_kink, w - s), y - x,
+                              theta):
+            return y, it
+        if (hi - lo).max() < 1e-13:
+            break
+        pos = s > w
+        lo, hi = np.where(pos, lo, y), np.where(pos, y, hi)
+    return None, it
+
+
+def _array_path_cases(seed=1002):
+    """Kinked (g, w, x) at dims 33 and 1000: as they come, with x_i = 0 on
+    every third coordinate (an uncaptured one's first midpoint is then
+    exactly 0), and with NaN, inf or -inf once in x and once in w."""
+    rng = np.random.default_rng(seed)
+    cases = _wide_cases()
+    for dim in (_FLOAT_MAX_DIM + 1, 1000):
+        for l1 in (0.0, 0.5):
+            g = random_expr(rng, dim, min_quad=0.25)
+            g, w, x = _kinked_case(rng, Sum(g.quad, g.lin, l1))
+            zeros = x.copy()
+            zeros[::3] = 0.0
+            cases += [(g, w, x), (g, w, zeros)]
+            for bad in (np.nan, np.inf, -np.inf):
+                i = int(rng.integers(0, dim))
+                x_bad, w_bad = x.copy(), w.copy()
+                x_bad[i], w_bad[i] = bad, bad
+                cases += [(g, w, x_bad), (g, w_bad, x)]
+    return cases
+
+
+def test_array_bisection_keeps_the_parents_steps():
+    # coordinate 0 is off its kink with first midpoint 0, where v is its
+    # v_kink 0.5, not w - lin = 1.0; coordinate 1 is captured at its kink:
+    # ||v|| = 0.5 <= 0.3 ||y - x|| = 0.6 passes at the first step
+    g = Sum(1.0, [0.25, -0.5], 0.5)
+    w, x = np.array([1.25, -0.5]), np.array([0.0, 2.0])
+    y, it = subproblem._bisect_arrays(g.quad, g.lin, g.l1, w, x, 0.3)
+    assert it == 1 and y.tolist() == [0.0, 0.0]
+    width_breaks = 0
+    for g, w, x in [(g, w, x)] + _array_path_cases():
+        # theta 1e-30: no iterate passes, the width break ends most solves
+        for theta in (1e-30, 0.05, 0.2, 0.3, 0.45):
+            with np.errstate(invalid="ignore", over="ignore"):
+                y, it = subproblem._bisect_arrays(g.quad, g.lin, g.l1, w, x,
+                                                  theta)
+                want, steps = _parent_bisect_arrays(g.quad, g.lin, g.l1, w,
+                                                    x, theta)
+            assert it == steps
+            assert (y is None) == (want is None)
+            if y is None:
+                width_breaks += steps < 200
+            else:
+                assert y.tobytes() == want.tobytes()
+    assert width_breaks >= 10
+
+
 def _both_paths(monkeypatch, g, w, x, theta):
     """The inner solve as it runs, and again with every dimension sent to
     the array path."""
