@@ -45,13 +45,13 @@ def write_plot_data(out_dir):
     trace_000.jsonl, each ending with the final point; the values are the
     trace's, bit for bit."""
     trace = Trace.read_jsonl(out_dir / "trace_000.jsonl")
-    records = trace.records
+    c = trace.records.columns
     write_csv(out_dir / "phi_000.csv", ["k", "phi_x"],
-              [*([r.k, repr(r.phi_x)] for r in records),
-               [len(records), repr(trace.final_phi)]])
+              [*zip(c["k"].tolist(), map(repr, c["phi_x"].tolist())),
+               [len(c["k"]), repr(trace.final_phi)]])
     write_csv(out_dir / "path_000.csv", ["x1", "x2"],
-              [[repr(float(x[0])), repr(float(x[1]))]
-               for x in [*(r.x for r in records), trace.final_x]])
+              [[repr(x1), repr(x2)]
+               for x1, x2 in [*c["x"].tolist(), trace.final_x.tolist()]])
 
 
 def summarize(out_dir):

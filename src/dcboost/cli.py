@@ -156,14 +156,14 @@ def _execute_start(payload):
     problem = problems.resolve(problem_name)
     try:
         trace = run_inmbdca(problem, config, x0, seed=seed)
-    except (InvariantViolation, ValueError) as exc:
+        trace.write_jsonl(trace_path)  # OSError: a trace path it cannot take
+    except (InvariantViolation, ValueError, OSError) as exc:
         return None, {
             "error": type(exc).__name__,
             "message": str(exc),
             "start_index": index,
             "x0": x0.tolist(),
         }
-    trace.write_jsonl(trace_path)
     # the _SUMMARY fields in order; none holds a comma, a quote or a line
     # break, so csv would write each as it stands
     row = ",".join((_vec(x0), _vec(trace.final_x), repr(trace.final_phi),
@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
         master_seed = flat.get("starts.seed", 0)  # typed by _gather_flat
         starts = _resolve_starts(flat, problem.dim, master_seed)
         os.makedirs(args.out, exist_ok=True)  # OSError: a file at --out
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # a problem too large
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -232,10 +232,14 @@ def cmd_run(args) -> int:
 def _load(path):
     """A stored trace and its problem; a ValueError says what is wrong."""
     trace = Trace.read_jsonl(path)
-    problem = problems.resolve(trace.problem_name)
-    if trace.x0.size != problem.dim:
+    name, dim = trace.problem_name, problems.dimension(trace.problem_name)
+    if trace.x0.size != dim:  # checked before the problem is drawn
         raise ValueError(f"field 'x0': {trace.x0.size} values, problem "
-                         f"{problem.name!r} has dimension {problem.dim}")
+                         f"{name!r} has dimension {dim}")
+    problem = problems.resolve(name)
+    violations = validate(problem, trace.config)  # no run could write these
+    if violations:
+        raise ValueError("field 'config': " + "; ".join(violations))
     return trace, problem
 
 
@@ -292,11 +296,9 @@ def cmd_complexity(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"{args.trace}: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    phi_bar = args.phibar
-    heuristic = False
-    if phi_bar is None:
-        phi_bar = problem.phi_lower_bound
-    if phi_bar is None:
+    phi_bar = problem.phi_lower_bound if args.phibar is None else args.phibar
+    heuristic = phi_bar is None
+    if heuristic:
         # conservative stand-in: the best value this trace ever saw, minus a
         # margin; still valid for prefix checks since it lower-bounds every
         # recorded phi(x^N)
@@ -305,7 +307,6 @@ def cmd_complexity(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         phi_bar = lowest_phi(trace) - 1e-6
-        heuristic = True
     try:
         report = complexity_report(
             trace, phi_bar, problem.sigma, trace.config.theta, xi=args.xi

@@ -147,21 +147,14 @@ class Sum:
         object.__setattr__(self, "l1", l1)
 
     def value(self, x) -> float:
-        x = as_point(x, self.lin.shape[0])
-        total = 0.0
-        if self.quad:
-            total += self.quad * float(x @ x)
-        total += float(self.lin @ x)
-        if self.l1:
-            total += self.l1 * float(np.add.reduce(np.abs(x)))
-        return total
+        return float(self.rows(as_point(x, self.lin.shape[0])))
 
     def _rows(self, Z, sq, abs_sum) -> np.ndarray:
-        # value's running total over the rows of Z, given sq = z @ z where
-        # quad is nonzero and abs_sum = sum_i |z_i| where l1 is.  quad * sq
-        # is never -0.0, so 0.0 + quad * sq is quad * sq, bit for bit; a
-        # total that starts at the lin part keeps the 0.0 + that turns -0.0
-        # into 0.0
+        # the running total 0.0 + quad*||z||^2 + <lin, z> + l1*sum_i |z_i|
+        # over the rows of Z, given sq = z @ z where quad is nonzero and
+        # abs_sum = sum_i |z_i| where l1 is.  quad * sq is never -0.0, so
+        # 0.0 + quad * sq is quad * sq, bit for bit; a total that starts at
+        # the lin part keeps the 0.0 + that turns -0.0 into 0.0
         lin = np.vecdot(Z, self.lin)
         total = self.quad * sq + lin if self.quad else 0.0 + lin
         if self.l1:
@@ -169,7 +162,7 @@ class Sum:
         return total
 
     def rows(self, Z) -> np.ndarray:
-        """``value`` at every row of Z, bit for bit as ``value_rows``."""
+        """The function at every row of Z, bit for bit as ``value_rows``."""
         sq = np.vecdot(Z, Z) if self.quad else None
         return self._rows(Z, sq, np.add.reduce(np.abs(Z), axis=-1)
                           if self.l1 else None)

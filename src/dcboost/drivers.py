@@ -1,6 +1,7 @@
 """The solver loop with certificate checking, the configurations its
 baselines run it under, plus trace diagnostics: criticality residuals and
-iteration-count bounds evaluated against recorded runs.
+iteration-count bounds evaluated against recorded runs, read off a trace's
+columns by the float operations of a record by record pass, bit for bit.
 
 Each run checks its finished trace against the certificate catalogue
 (``certificates.py``) by the evaluation ``dcboost check`` replays, and
@@ -202,7 +203,6 @@ def criticality_residual(problem: DcProblem, x, eps: float = 0.0) -> float:
     and h at x; zero exactly at critical points.  For eps > 0 both are
     widened part by part, which makes a zero residual a sound (never
     missing) certificate of eps-criticality."""
-    x = as_point(x, problem.dim)
     g_lo, g_hi = problem.g.bounds(x, eps)
     h_lo, h_hi = problem.h.bounds(x, eps)
     return float(np.max(np.maximum(np.maximum(g_lo - h_hi, 0.0),
@@ -225,14 +225,13 @@ def final_residual(problem: DcProblem, trace: Trace) -> float:
     """
     if not trace.records:
         return criticality_residual(problem, trace.final_x, 0.0)
-    r = trace.records[-1]
-    xf = trace.final_x
-    gap_g = (problem.g.value(xf) - problem.g.value(r.y)
-             - float(r.xi @ (xf - r.y)))
-    gap_h = (r.eps_k + problem.h.value(xf) - problem.h.value(r.x)
-             - float(r.w @ (xf - r.x)))
-    eps = max(r.eps_k, gap_g, gap_h, 0.0)
-    return criticality_residual(problem, xf, eps)
+    c = trace.records.columns
+    x, w, y, xi = (c[name][-1] for name in ("x", "w", "y", "xi"))
+    eps_k, xf = c["eps_k"].item(-1), trace.final_x
+    gap_g = problem.g.value(xf) - problem.g.value(y) - float(xi @ (xf - y))
+    gap_h = (eps_k + problem.h.value(xf) - problem.h.value(x)
+             - float(w @ (xf - x)))
+    return criticality_residual(problem, xf, max(eps_k, gap_g, gap_h, 0.0))
 
 
 @dataclass(frozen=True)
@@ -261,18 +260,16 @@ class ComplexityReport:
 
 def lowest_phi(trace: Trace) -> float:
     """The lowest phi a nonempty trace records, its final value included."""
-    return min(min(min(r.phi_x, r.phi_y, r.phi_next) for r in trace.records),
-               trace.final_phi)
+    c = trace.records.columns
+    return min(min(map(min, c["phi_x"].tolist(), c["phi_y"].tolist(),
+                       c["phi_next"].tolist())), trace.final_phi)
 
 
-def _domination_start(records, d_norms, delta) -> Optional[int]:
-    """``step_domination_start`` on the records' ``_d_norms``."""
-    k0 = None
-    for k in range(len(records) - 1, -1, -1):
-        if not records[k].nu_k <= delta * (d_norms[k] * d_norms[k]):
-            break
-        k0 = k
-    return k0
+def _domination_start(nu, d_norms, delta) -> Optional[int]:
+    """``step_domination_start`` on the columns nu_k and ||d^k||."""
+    failed = np.flatnonzero(~(nu <= delta * (d_norms * d_norms)))
+    k0 = int(failed[-1]) + 1 if failed.size else 0
+    return k0 if k0 < len(nu) else None
 
 
 def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
@@ -280,12 +277,8 @@ def step_domination_start(trace: Trace, delta: float) -> Optional[int]:
     or None when even the final record violates the bound."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _domination_start(trace.records, _d_norms(trace.records), delta)
-
-
-def _d_norms(records) -> list:
-    """Each record's ``d_norm``, as floats, by the row kernel."""
-    return row_norms(records.columns["y"] - records.columns["x"]).tolist()
+    c = trace.records.columns
+    return _domination_start(c["nu_k"], row_norms(c["y"] - c["x"]), delta)
 
 
 def complexity_report(trace: Trace, phi_bar: float, sigma: float,
@@ -300,8 +293,8 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
     with the sums taken over the prefix.  phi_bar must be a valid lower
     bound of phi; a value above any recorded phi is rejected.
     """
-    records = trace.records
-    if not records:
+    c, n = trace.records.columns, len(trace.records)
+    if not n:
         raise ValueError("complexity report needs a nonempty trace")
     if not 0.0 < xi < 0.5:
         raise ValueError("xi must lie in (0, 1/2)")
@@ -318,40 +311,28 @@ def complexity_report(trace: Trace, phi_bar: float, sigma: float,
 
     # an edited trace's arrays may overflow: their norms read inf, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        d_norms = _d_norms(records)
-    k0 = _domination_start(records, d_norms, xi * coef)
-    phi0 = records[0].phi_x
-    min_d = math.inf
-    sum_nu = sum_eps = 0.0
-    prefix_ok = eps_dominated = True
-    bound = math.inf
-    for n, (r, d_norm) in enumerate(zip(records, d_norms), start=1):
-        if n - 1 == k0:  # the tail bound takes the sums before k0
-            numer = phi0 - phi_bar + sum_nu + sum_eps
-        min_d = min(min_d, d_norm)
-        sum_nu += r.nu_k
-        sum_eps += r.eps_k
-        bound = math.sqrt((phi0 - phi_bar + sum_nu + sum_eps) / (coef * n))
-        if min_d > bound + 1e-10:
-            prefix_ok = False
-        if not r.eps_k <= xi * coef * (d_norm * d_norm) + 1e-15:
-            eps_dominated = False
+        d_norms = row_norms(c["y"] - c["x"])
+        k0 = _domination_start(c["nu_k"], d_norms, xi * coef)
+        # numer[j]: the numerator over the first j records, each sum from 0.0
+        numer = (c["phi_x"].item(0) - phi_bar
+                 + np.cumsum(np.r_[0.0, c["nu_k"]])
+                 + np.cumsum(np.r_[0.0, c["eps_k"]]))
+        squares = numer[1:] / (coef * np.arange(1, n + 1))
+        if (squares < 0).any():  # as math.sqrt of one would raise
+            raise ValueError("math domain error")
+        bounds = np.sqrt(squares)
+        # a running min() keeps its value against a NaN norm, as fmin does
+        min_d = np.fmin.accumulate(np.r_[np.inf, d_norms])[1:]
+        eps_dominated = (c["eps_k"]
+                         <= xi * coef * (d_norms * d_norms) + 1e-15).all()
 
-    n_total = len(records)
-    tail_start = bound_tail = bound_tail_stated = None
+    tail = {}
     if k0 is not None and eps_dominated:
-        tail_start = k0
-        bound_tail = math.sqrt(numer / ((1 - 2 * xi) * coef * n_total))
-        bound_tail_stated = math.sqrt(numer / ((1 - xi) * coef * n_total))
-
+        top = numer.item(k0)
+        tail = dict(tail_start=k0,
+                    bound_tail=math.sqrt(top / ((1 - 2 * xi) * coef * n)),
+                    bound_tail_stated=math.sqrt(top / ((1 - xi) * coef * n)))
     return ComplexityReport(
-        n=n_total,
-        min_d_norm=min_d,
-        bound_total=bound,
-        prefix_ok=prefix_ok,
-        liminf_proxy=min(d_norms[n_total // 2:]),
-        xi=xi,
-        tail_start=tail_start,
-        bound_tail=bound_tail,
-        bound_tail_stated=bound_tail_stated,
-    )
+        n=n, min_d_norm=min_d.item(-1), bound_total=bounds.item(-1),
+        prefix_ok=not (min_d > bounds + 1e-10).any(),
+        liminf_proxy=min(d_norms[n // 2:].tolist()), xi=xi, **tail)

@@ -21,7 +21,7 @@ from .core import (
     SolverConfig,
 )
 
-__all__ = ["resolve", "registered_names", "random_separable",
+__all__ = ["resolve", "dimension", "registered_names", "random_separable",
            "experiment_config", "sample_starts"]
 
 
@@ -75,23 +75,32 @@ def random_separable(dim: int, seed: int) -> DcProblem:
 
 _RANDOM_SEP = re.compile(r"random-sep\(dim=(\d+),seed=(\d+)\)\Z")
 
-_REGISTRY = {"ex1": _ex1, "ex2": _ex2}
+_REGISTRY = {"ex1": _ex1, "ex2": _ex2}  # both 2-D
 
 
 def registered_names() -> list:
     return sorted(_REGISTRY) + ["random-sep(dim=D,seed=S)"]
 
 
+def dimension(name: str) -> int:
+    """The dimension of the problem ``name`` names, read off the name
+    without building the problem; an unknown name is a ValueError."""
+    if name in _REGISTRY:
+        return 2
+    m = _RANDOM_SEP.match(name)
+    if m:
+        return int(m.group(1))
+    raise ValueError(f"unknown problem {name!r}; known: {registered_names()}")
+
+
 @functools.lru_cache(maxsize=64)
 def resolve(name: str) -> DcProblem:
     """Parse a full problem string, e.g. 'ex1' or 'random-sep(dim=5,seed=7)'.
     A problem is immutable, so each name is built once and then shared."""
+    dim = dimension(name)
     if name in _REGISTRY:
         return _REGISTRY[name]()
-    m = _RANDOM_SEP.match(name)
-    if m:
-        return random_separable(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"unknown problem {name!r}; known: {registered_names()}")
+    return random_separable(dim, int(_RANDOM_SEP.match(name).group(2)))
 
 
 def experiment_config(

@@ -51,14 +51,16 @@ def _break_oracle(name, monkeypatch):
     """For ``g_linearization``, make the g values the checker reads hold
     g(y) + 10 at record K_BAD, for one record and in the columns alike: 10
     is above that record's g half slack (8.1), so the g half fails, and the
-    h half, which reads g(y) - phi(y), gains 10."""
+    h half, which reads g(y) - phi(y), gains 10.  ``Sum.value``, one
+    point's ``rows``, is left as it is: the run's own values stay true."""
     if name != "g_linearization":
         return
     rows = Sum.rows
 
     def inconsistent(f, Z):
         g = rows(f, Z)  # g at the x rows, then at the y rows
-        g.reshape(2, -1)[1, K_BAD] += 10.0
+        if Z.ndim > 1:
+            g.reshape(2, -1)[1, K_BAD] += 10.0
         return g
 
     monkeypatch.setattr(Sum, "rows", inconsistent)

@@ -19,7 +19,7 @@ import pytest
 from dcboost import cli, problems
 from dcboost.certificates import slack_columns
 from dcboost.cli import main
-from dcboost.core import Trace, config_from_flat, config_to_flat
+from dcboost.core import Records, Trace, config_from_flat, config_to_flat
 from dcboost.drivers import complexity_report, solver_config
 from dcboost.linesearch import tau_bound
 
@@ -748,6 +748,102 @@ def test_check_flags_x_shifted_off_its_derivation(tmp_path, capsys):
     assert f"reconstruction: worst slack -1.414e-06 at k={k - 1} [VIOLATED]" \
         in report
     assert report.count("VIOLATED") == 1
+
+
+def _shift_w(line, by):
+    """A record line with ``by`` added to its w[0]."""
+    w = np.frombuffer(base64.b64decode(json.loads(line)["w"]), "<f8") + [by, 0]
+    return _set(line, "w", _f8(w))
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("theta", "1e400"),  # read as inf
+    ("theta", "100"), ("rho", "-5"), ("beta", "2")])
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_a_header_config_no_run_could_write_is_a_parse_error(
+        tmp_path, capsys, stored_traces, command, key, literal):
+    # record 3's w, shifted by 0.5, fails check under the config its run
+    # had; a header config outside validate's ranges cannot excuse it
+    lines = list(stored_traces["ex2"])
+    assert json.loads(lines[4])["k"] == 3
+    lines[4] = _shift_w(lines[4], 0.5)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path)]) == 1
+    lines[0] = _set(lines[0], "config", {
+        **json.loads(lines[0])["config"], key: 0.125}).replace(
+        f'"{key}": 0.125', f'"{key}": {literal}')
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: parse error: field 'config': {key} ")
+
+
+@pytest.mark.parametrize("command", ["check", "complexity"])
+def test_a_header_problem_is_checked_against_x0_before_it_is_built(
+        tmp_path, capsys, stored_traces, command, monkeypatch):
+    # 10**15 coefficients would take 7.1 PiB
+    name = "random-sep(dim=1000000000000000,seed=0)"
+    lines = list(stored_traces["ex2"])
+    lines[0] = _set(lines[0], "problem_name", name)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    built = []
+    monkeypatch.setattr(problems, "random_separable",
+                        lambda *args: built.append(args))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}: parse error: field 'x0': 2 values, problem {name!r} has "
+        "dimension 1000000000000000\n")
+    assert built == []
+
+
+def test_run_of_a_problem_too_large_to_build_is_a_usage_error(tmp_path,
+                                                               capsys):
+    out = run_dir(tmp_path)
+    assert main(["run", "--problem", "random-sep(dim=1000000000000000,seed=0)",
+                 "--out", out, *REF_FLAGS]) == 2
+    assert capsys.readouterr().err.startswith("run: ")
+    assert not os.path.exists(out)
+
+
+def test_a_trace_that_cannot_be_written_is_an_error_record(tmp_path, capsys):
+    # the other starts run and the summary is written, as for a start
+    # whose run fails
+    flags = ["run", "--problem", "ex2", "--starts-count", "3", *REF_FLAGS]
+    assert main([*flags, "--out", run_dir(tmp_path, "clean")]) == 0
+    out = tmp_path / "out"
+    (out / "trace_001.jsonl").mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*flags, "--out", str(out)]) == 1
+    error, = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+              if line.startswith("{")]
+    assert (error["error"], error["start_index"]) == ("IsADirectoryError", 1)
+    clean = read_summary(tmp_path / "clean")
+    assert read_summary(out) == [clean[0], clean[2]]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.csv", "trace_000.jsonl", "trace_001.jsonl", "trace_002.jsonl"]
+
+
+def test_run_check_complexity_and_plot_data_build_no_record_view(
+        tmp_path, monkeypatch):
+    def no_view(self, i):
+        raise AssertionError("a record view was built")
+
+    monkeypatch.setattr(Records, "__getitem__", no_view)
+    paths = []
+    for problem in ("ex2", "random-sep(dim=3,seed=5)"):  # one with no bound
+        out = tmp_path / problem
+        assert main(["run", "--problem", problem, "--out", str(out),
+                     "--starts-count", "2", *REF_FLAGS]) == 0
+        paths += sorted(str(p) for p in out.glob("trace_*.jsonl"))
+    assert main(["check", *paths]) == 0
+    for path in paths:
+        assert main(["complexity", path]) == 0
+    runpy.run_path(str(SCRIPT))["write_plot_data"](tmp_path / "ex2")
+    assert (tmp_path / "ex2" / "path_000.csv").read_text().count("\n") > 2
 
 
 def test_check_rejects_empty_file(tmp_path, capsys):

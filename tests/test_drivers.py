@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -515,14 +516,14 @@ def test_report_rejects_bad_lower_bound():
 
 def test_report_takes_the_direction_norms_once(monkeypatch):
     calls = []
-    norms = drivers._d_norms
+    norms = drivers.row_norms
 
-    def counted(records):
-        calls.append(len(records))
-        return norms(records)
+    def counted(V):
+        calls.append(len(V))
+        return norms(V)
 
-    monkeypatch.setattr(drivers, "_d_norms", counted)
     trace = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=5)
+    monkeypatch.setattr(drivers, "row_norms", counted)
     rep = complexity_report(trace, -1.125, EX2.sigma, REF.theta)
     assert rep.tail_start is not None
     assert calls == [len(trace.records)]
@@ -533,6 +534,163 @@ def test_report_needs_records():
     trace = run_inmbdca(EX2, cfg, [1.0, 1.0], seed=0)
     with pytest.raises(ValueError, match="nonempty"):
         complexity_report(trace, -1.125, EX2.sigma, cfg.theta)
+
+
+# --- the diagnostics against a record by record reference ----------------------------
+
+
+def _lowest_phi_by_records(trace):
+    return min(min(min(r.phi_x, r.phi_y, r.phi_next) for r in trace.records),
+               trace.final_phi)
+
+
+def _domination_start_by_records(records, d_norms, delta):
+    k0 = None
+    for k in range(len(records) - 1, -1, -1):
+        if not records[k].nu_k <= delta * (d_norms[k] * d_norms[k]):
+            break
+        k0 = k
+    return k0
+
+
+def _report_by_records(trace, phi_bar, sigma, theta, xi):
+    """``complexity_report`` as a loop over the records' views, in Python
+    floats: the reference its column expressions must give bit for bit."""
+    records = trace.records
+    coef = sigma / 2 - theta
+    seen = _lowest_phi_by_records(trace)
+    if not phi_bar <= seen + 1e-9:
+        raise ValueError(
+            f"phi_bar={phi_bar} exceeds a recorded value phi={seen}; not a "
+            "lower bound"
+        )
+    d_norms = [r.d_norm for r in records]
+    k0 = _domination_start_by_records(records, d_norms, xi * coef)
+    phi0 = records[0].phi_x
+    min_d = math.inf
+    sum_nu = sum_eps = 0.0
+    prefix_ok = eps_dominated = True
+    bound = math.inf
+    for n, (r, d_norm) in enumerate(zip(records, d_norms), start=1):
+        if n - 1 == k0:
+            numer = phi0 - phi_bar + sum_nu + sum_eps
+        min_d = min(min_d, d_norm)
+        sum_nu += r.nu_k
+        sum_eps += r.eps_k
+        bound = math.sqrt((phi0 - phi_bar + sum_nu + sum_eps) / (coef * n))
+        if min_d > bound + 1e-10:
+            prefix_ok = False
+        if not r.eps_k <= xi * coef * (d_norm * d_norm) + 1e-15:
+            eps_dominated = False
+    n_total = len(records)
+    tail_start = bound_tail = bound_tail_stated = None
+    if k0 is not None and eps_dominated:
+        tail_start = k0
+        bound_tail = math.sqrt(numer / ((1 - 2 * xi) * coef * n_total))
+        bound_tail_stated = math.sqrt(numer / ((1 - xi) * coef * n_total))
+    return drivers.ComplexityReport(
+        n_total, min_d, bound, prefix_ok, min(d_norms[n_total // 2:]), xi,
+        tail_start, bound_tail, bound_tail_stated)
+
+
+def _final_residual_by_records(problem, trace):
+    r, xf = trace.records[-1], trace.final_x
+    gap_g = (problem.g.value(xf) - problem.g.value(r.y)
+             - float(r.xi @ (xf - r.y)))
+    gap_h = (r.eps_k + problem.h.value(xf) - problem.h.value(r.x)
+             - float(r.w @ (xf - r.x)))
+    return criticality_residual(problem, xf, max(r.eps_k, gap_g, gap_h, 0.0))
+
+
+def _outcome(report, *args):
+    try:
+        return repr(dataclasses.astuple(report(*args)))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _edge_traces():
+    """Traces whose norms, allowances and values reach the corners of the
+    report: overflowing and NaN directions, each position of k0, NaN phi
+    values, one record, a lenient run whose phi is NaN and a run that stops
+    at once."""
+    base = run_inmbdca(EX2, REF, [-4.4615, -9.0766], seed=5)
+    last = len(base.records) - 1
+    traces = {"run": base}
+    for at, k in (("first", 0), ("middle", last // 2), ("last", last)):
+        traces[f"y_overflows_at_{at}"] = edited(
+            base, {k: {"y": np.array([1e308, -1e308])}})
+        traces[f"y_nan_at_{at}"] = edited(
+            base, {k: {"y": np.array([np.nan, 0.0])}})
+    traces["k0_zero"] = edited(
+        base, {k: {"nu_k": 0.0} for k in range(last + 1)})
+    eps_before = {k: {"eps_k": 0.01 * r.d_norm ** 2}
+                  for k, r in enumerate(base.records[:3])}
+    traces["k0_later_with_eps_before"] = edited(
+        base, {**eps_before, 3: {"nu_k": 1.0}})
+    traces["k0_none"] = edited(base, {last: {"nu_k": 1.0}})
+    # Python's min keeps a NaN only where it comes first
+    traces["phi_x_nan_at_first"] = edited(base, {0: {"phi_x": np.nan}})
+    traces["phi_y_nan_at_middle"] = edited(base,
+                                           {last // 2: {"phi_y": np.nan}})
+    traces["one_record"] = run_inmbdca(
+        EX2, dataclasses.replace(REF, max_iter=1), [-4.0, 6.0], seed=7)
+    traces["non_finite"] = run_inmbdca(EX2, REF, [1e308, 0.0], seed=0,
+                                       strict=False)
+    # a zero direction at once: phi(x^0) is the lowest value recorded
+    traces["critical_start"] = run_inmbdca(EX2, dataclasses.replace(
+        REF, theta=0.0, inexact_mode=InexactMode.EXACT), [1.5, 0.0], seed=0)
+    # ... and with no tail bound to take the square root of its sums
+    traces["critical_start_no_tail"] = edited(traces["critical_start"],
+                                              {0: {"nu_k": 1e-300}})
+    return traces
+
+
+@pytest.fixture(scope="module")
+def edge_traces():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _edge_traces()
+
+
+def test_edge_traces_reach_every_domination_case(edge_traces):
+    delta = 0.25 * (EX2.sigma / 2 - REF.theta)
+    starts = {name: drivers.step_domination_start(edge_traces[name], delta)
+              for name in ("k0_zero", "k0_later_with_eps_before", "k0_none")}
+    assert starts == {"k0_zero": 0, "k0_later_with_eps_before": 4,
+                      "k0_none": None}
+    assert np.isnan(edge_traces["non_finite"].records.columns["phi_x"]).all()
+
+
+EDGE_NAMES = ["run", "k0_zero", "k0_later_with_eps_before", "k0_none",
+              "phi_x_nan_at_first", "phi_y_nan_at_middle", "one_record",
+              "non_finite", "critical_start", "critical_start_no_tail"] + [
+    f"y_{kind}_at_{at}" for kind in ("overflows", "nan")
+    for at in ("first", "middle", "last")]
+
+
+def test_edge_traces_are_the_ones_named(edge_traces):
+    assert sorted(edge_traces) == sorted(EDGE_NAMES)
+
+
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_diagnostics_match_the_record_by_record_reference(edge_traces, name):
+    trace = edge_traces[name]
+    lowest = _lowest_phi_by_records(trace)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert repr(drivers.lowest_phi(trace)) == repr(lowest)
+        assert repr(final_residual(EX2, trace)) == repr(
+            _final_residual_by_records(EX2, trace))
+        for xi in (0.1, 0.25, 0.45):
+            # the declared bound, the heuristic one, and one 5e-10 above
+            # the lowest value: under phi(x^0) when it is the lowest, the
+            # bound's square root has a negative argument
+            for phi_bar in (EX2.phi_lower_bound, lowest - 1e-6,
+                            lowest + 5e-10):
+                args = (trace, phi_bar, EX2.sigma, REF.theta, xi)
+                assert _outcome(complexity_report, *args) == _outcome(
+                    _report_by_records, *args)
 
 
 # --- strictness --------------------------------------------------------------------------

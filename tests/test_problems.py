@@ -72,6 +72,18 @@ def test_unknown_name_rejected():
         problems.resolve("random-sep")
 
 
+def test_dimension_is_read_off_the_name_without_building():
+    for name in ("ex1", "ex2", "random-sep(dim=4,seed=11)",
+                 "random-sep(dim=07,seed=0)"):
+        assert problems.dimension(name) == problems.resolve(name).dim
+    # no coefficient of 10**15 is drawn: 7.1 PiB
+    assert problems.dimension("random-sep(dim=1000000000000000,seed=0)") \
+        == 10**15
+    for name in ("nope", "random-sep(dim=x,seed=1)", "random-sep"):
+        with pytest.raises(ValueError, match="unknown problem"):
+            problems.dimension(name)
+
+
 def test_registered_problems_accept_reference_config():
     cfg = problems.experiment_config()
     for prob in (problems.resolve("ex1"), problems.resolve("ex2"),
